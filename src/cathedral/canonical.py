@@ -32,7 +32,7 @@ from .graph import (
     induced_subgraph,
     neighbors,
 )
-from .matching import is_factor_critical, is_factorizable
+from .matching import ExposableAfterDeletion, is_factor_critical, is_factorizable
 
 DEFAULT_COMPONENT_LIMIT = 16
 
@@ -43,12 +43,11 @@ def _require_factorizable(graph: Graph, operation: str) -> None:
 
 
 def allowed_edges(graph: Graph) -> frozenset[Edge]:
-    """Edges lying in some perfect matching: exactly those whose endpoint
-    deletion leaves the graph factorizable."""
+    """Edges lying in some perfect matching: exactly those uv whose endpoint
+    deletion leaves the graph factorizable, i.e. with v in D(G-u)."""
     _require_factorizable(graph, "allowed_edges")
-    return frozenset(
-        e for e in graph.edges if is_factorizable(delete_vertices(graph, e))
-    )
+    exposable = ExposableAfterDeletion(graph)
+    return frozenset((u, v) for u, v in graph.edges if v in exposable[u])
 
 
 @dataclass(frozen=True)
@@ -102,18 +101,18 @@ def same_class(graph: Graph, comps: FactorComponents, u: int, v: int) -> bool:
 def canonical_partition(graph: Graph, comps: FactorComponents | None = None) -> CanonicalPartition:
     """Group vertices by the same-class relation.
 
-    The relation is provably an equivalence; transitivity is still checked,
-    and a violation raises EquivalenceViolation because it would mean the
-    matching engine is broken.
+    Two vertices of one factor-component share a class iff v is not in
+    D(G-u).  The relation is provably an equivalence; transitivity is still
+    checked, and a violation raises EquivalenceViolation because it would
+    mean the matching engine is broken.
     """
     _require_factorizable(graph, "canonical_partition")
     if comps is None:
         comps = factor_components(graph)
+    exposable = ExposableAfterDeletion(graph)
     related: dict[int, set[int]] = {v: {v} for v in graph.vertices}
     for u, v in combinations(graph.vertices, 2):
-        if comps.component_of[u] != comps.component_of[v]:
-            continue
-        if not is_factorizable(delete_vertices(graph, (u, v))):
+        if comps.component_of[u] == comps.component_of[v] and v not in exposable[u]:
             related[u].add(v)
             related[v].add(u)
     for v in graph.vertices:

@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import Callable
 
-from .canonical import component_poset
+from .canonical import DEFAULT_COMPONENT_LIMIT, component_poset
 from .construction import construct_tree, decompose, saturate, is_saturated
 from .errors import GraphFormatError, PreconditionError, StructureViolation
 from .graph import Graph, parse_edge_list, render_edge_list
@@ -58,6 +58,20 @@ def _even(value: str) -> int:
     if n < 2 or n % 2:
         raise argparse.ArgumentTypeError("must be an even integer >= 2")
     return n
+
+
+def _positive(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
+    return n
+
+
+def _probability(value: str) -> float:
+    p = float(value)
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return p
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -148,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--ge", action="store_true", help="include the partition of each single-vertex deletion")
-    p.add_argument("--max-components", type=int, default=16)
+    p.add_argument("--max-components", type=int, default=DEFAULT_COMPONENT_LIMIT)
     common(p, _cmd_analyze)
 
     p = sub.add_parser("saturated", help="exit 0 if the graph is saturated, 1 otherwise")
@@ -169,15 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hasse", help="write the component order's Hasse diagram as DOT")
     p.add_argument("file", metavar="FILE")
-    p.add_argument("--max-components", type=int, default=16)
+    p.add_argument("--max-components", type=int, default=DEFAULT_COMPONENT_LIMIT)
     common(p, _cmd_hasse)
 
     p = sub.add_parser("verify", help="run the conformance suite on random graphs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive, default=100)
     p.add_argument("--max-n", type=_even, default=8)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--p", type=_probability, default=0.3)
+    p.add_argument("--cap", type=_positive, default=64)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timings", action="store_true", help="include wall-clock millis (non-deterministic)")
     common(p, _cmd_verify)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import (
+    _require_factorizable,
     canonical_partition,
     component_poset,
     factor_components,
@@ -27,7 +28,6 @@ from .errors import (
     MinimumComponentMissing,
     MultipleTowersPerClass,
     NoMinimumComponent,
-    NotFactorizableError,
     NotSaturatedError,
     PartNotSaturated,
     PartitionMismatch,
@@ -48,44 +48,37 @@ from .graph import (
     induced_subgraph,
     neighbors,
 )
-from .matching import is_factor_critical, is_factorizable
-
-
-def _require_factorizable(graph: Graph, operation: str) -> None:
-    if not is_factorizable(graph):
-        raise NotFactorizableError(f"{operation} needs a graph with a perfect matching")
+from .matching import ExposableAfterDeletion, is_factor_critical, is_factorizable
 
 
 def is_saturated(graph: Graph) -> bool:
     """Whether adding any absent edge would create a new perfect matching,
-    i.e. every complement pair's endpoint deletion stays factorizable."""
+    i.e. every complement pair uv has v in D(G-u)."""
     _require_factorizable(graph, "is_saturated")
-    return all(
-        is_factorizable(delete_vertices(graph, pair)) for pair in complement_pairs(graph)
-    )
+    exposable = ExposableAfterDeletion(graph)
+    return all(v in exposable[u] for u, v in complement_pairs(graph))
 
 
 def saturate(graph: Graph, *, descending: bool = False) -> tuple[Graph, tuple[Edge, ...]]:
     """Grow the graph to a saturated one with the same perfect matchings.
 
-    Complement pairs are scanned in lexicographic order (reversed when
-    ``descending``); a pair is added exactly when its endpoint deletion is
-    not factorizable, which is precisely when the new edge creates no new
-    perfect matching.  The scan restarts after each addition and stops at a
-    fixed point.  The closure depends on the scan order; any closure has the
-    input's matchings exactly and passes is_saturated.
+    Complement pairs uv are scanned once in lexicographic order (reversed
+    when ``descending``).  uv is added exactly when G-u-v, in the graph grown
+    so far, is not factorizable, so that uv lies in no perfect matching.  One
+    pass suffices: an addition never makes a factorizable G-u-v unfactorizable.
+    The closure depends on the scan order; any closure has the input's
+    matchings exactly and passes is_saturated.
     """
     _require_factorizable(graph, "saturate")
-    current = graph
+    exposable = ExposableAfterDeletion(graph)
     added: list[Edge] = []
-    while True:
-        for pair in sorted(complement_pairs(current), reverse=descending):
-            if not is_factorizable(delete_vertices(current, pair)):
-                current = add_edges(current, (pair,))
-                added.append(pair)
-                break
-        else:
-            return current, tuple(added)
+    # both scan orders group pairs by u, so D(G-u) is searched where u's run
+    # starts; adding uv leaves G-u unchanged, so it stays current for the run
+    for u, v in sorted(complement_pairs(graph), reverse=descending):
+        if v not in exposable[u]:
+            exposable.add_edge(u, v)
+            added.append((u, v))
+    return add_edges(graph, added), tuple(added)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ class StructureViolation(CathedralError):
     """
 
 
+class DeficiencyViolation(StructureViolation):
+    """The deletion partition broke the Gallai-Edmonds deficiency identity."""
+
+
 class EquivalenceViolation(StructureViolation):
     """The same-class relation failed to be an equivalence."""
 

@@ -1,17 +1,18 @@
 """The exposable / neighbor / inner three-way vertex partition.
 
-The exposable part holds every vertex some maximum matching leaves uncovered,
-computed directly from matching numbers of single-vertex deletions; the path
-characterizations of the same partition live in the verifier as conformance
-checks, not here.
+The exposable part holds every vertex some maximum matching leaves uncovered:
+the outer vertices of one search from each vertex it exposes, checked against
+the Gallai-Edmonds deficiency identity.  The path characterizations of the
+same partition live in the verifier as conformance checks, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, delete_vertices, neighbors
-from .matching import matching_number
+from .errors import DeficiencyViolation
+from .graph import Graph, connected_components, induced_subgraph, neighbors
+from .matching import exposable_vertices, matching_number
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,11 @@ class GEPartition:
 
 
 def gallai_edmonds(graph: Graph) -> GEPartition:
-    nu = matching_number(graph)
-    d = frozenset(
-        v for v in graph.vertices if matching_number(delete_vertices(graph, (v,))) == nu
-    )
+    d = exposable_vertices(graph)
     a = neighbors(graph, d)
-    c = graph.vertex_set - d - a
-    # d, a, c are disjoint by construction; the sum check pins the partition
-    assert len(d) + len(a) + len(c) == graph.order
-    return GEPartition(d, a, c)
+    # a maximum matching exposes one vertex per component of G[D], less |A|
+    exposed = graph.order - 2 * matching_number(graph)
+    parts = len(connected_components(induced_subgraph(graph, d)))
+    if exposed != parts - len(a):
+        raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = {len(a)}")
+    return GEPartition(d, a, graph.vertex_set - d - a)

@@ -1,11 +1,11 @@
 """Maximum matchings, perfect-matching enumeration, and alternating-path
-predicates.
+predicates, on two primitives: one Edmonds search and one alternating walker.
 
 The enumeration and the exhaustive path searches are the oracles the rest of
 the package is checked against, so this module favors exact, deterministic
-answers over speed: ties break by ascending vertex id everywhere, and the
-path searches walk every simple alternating path (with an expansion budget
-that aborts loudly instead of guessing).
+answers: ties break by ascending vertex id everywhere, and the walker visits
+every simple alternating path (with an expansion budget that aborts loudly
+instead of guessing).
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import SearchBudgetExceeded
-from .graph import Edge, Graph, delete_vertices, edge
+from .graph import Edge, Graph, edge
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 DEFAULT_ENUMERATION_CAP = 10_000
@@ -83,20 +83,24 @@ def restrict_matching(matching: Matching, subgraph: Graph) -> Matching:
     return Matching(subgraph, (e for e in matching.edges if e[0] in kept and e[1] in kept))
 
 
-def _blossom_matching(adj: list[list[int]], n: int) -> list[int]:
-    # Augmenting-path search with blossom shrinking; deterministic because
-    # roots and neighbors are always scanned in ascending order.
-    mate = [-1] * n
-    for v in range(n):
-        if mate[v] == -1:
-            for w in adj[v]:
-                if mate[w] == -1:
-                    mate[v] = w
-                    mate[w] = v
-                    break
+def _indexed(graph: Graph) -> tuple[dict[int, int], list[list[int]]]:
+    # positions 0..n-1 of the ascending vertex ids, and adjacency by position
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    return index, [[index[w] for w in graph.adjacency[v]] for v in graph.vertices]
 
+
+def _edmonds_search(
+    adj: list[list[int]], mate: list[int], root: int, hidden: int = -1
+) -> list[bool] | None:
+    """Search from the exposed ``root``, shrinking blossoms, with ``hidden``
+    (if any) deleted.  Flip an augmenting path into ``mate`` and return None,
+    or return the outer marks: the vertices even alternating paths reach."""
+    n = len(adj)
+    outer = [False] * n
     parent = [-1] * n
     base = list(range(n))
+    if hidden >= 0:
+        parent[hidden] = hidden  # looks labelled already, so it is never entered
 
     def lca(a: int, b: int) -> int:
         seen = [False] * n
@@ -120,59 +124,62 @@ def _blossom_matching(adj: list[list[int]], n: int) -> list[int]:
             child = mate[v]
             v = parent[mate[v]]
 
-    def augment_from(root: int) -> None:
-        nonlocal parent, base
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if base[v] == base[w] or mate[v] == w:
-                    continue
-                if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
-                    stem = lca(v, w)
-                    in_blossom = [False] * n
-                    mark_path(v, stem, w, in_blossom)
-                    mark_path(w, stem, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = stem
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[w] == -1:
-                    parent[w] = v
-                    if mate[w] == -1:
-                        while w != -1:
-                            pv = parent[w]
-                            nxt = mate[pv]
-                            mate[w] = pv
-                            mate[pv] = w
-                            w = nxt
-                        return
-                    used[mate[w]] = True
-                    queue.append(mate[w])
+    outer[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
+                stem = lca(v, w)
+                in_blossom = [False] * n
+                mark_path(v, stem, w, in_blossom)
+                mark_path(w, stem, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = stem
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] == -1:
+                    while w != -1:
+                        pv = parent[w]
+                        nxt = mate[pv]
+                        mate[w] = pv
+                        mate[pv] = w
+                        w = nxt
+                    return None
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return outer
 
-    for v in range(n):
+
+def _blossom_matching(adj: list[list[int]]) -> list[int]:
+    # greedy start, then one search from each exposed vertex in ascending order
+    mate = [-1] * len(adj)
+    for v, ws in enumerate(adj):
         if mate[v] == -1:
-            augment_from(v)
+            for w in ws:
+                if mate[w] == -1:
+                    mate[v] = w
+                    mate[w] = v
+                    break
+    for v in range(len(adj)):
+        if mate[v] == -1:
+            _edmonds_search(adj, mate, v)
     return mate
 
 
 def maximum_matching(graph: Graph) -> Matching:
     """A maximum-cardinality matching, deterministic for a fixed input."""
     vs = graph.vertices
-    n = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    adj = [[index[w] for w in graph.adjacency[v]] for v in vs]
-    mate = _blossom_matching(adj, n)
-    return Matching(graph, ((vs[i], vs[mate[i]]) for i in range(n) if mate[i] > i))
+    mate = _blossom_matching(_indexed(graph)[1])
+    return Matching(graph, ((vs[i], vs[m]) for i, m in enumerate(mate) if m > i))
 
 
-@lru_cache(maxsize=1 << 17)
 def matching_number(graph: Graph) -> int:
     return len(maximum_matching(graph).edges)
 
@@ -185,12 +192,52 @@ def is_factorizable(graph: Graph) -> bool:
 def is_factor_critical(graph: Graph) -> bool:
     """Whether deleting any one vertex leaves a factorizable graph.
 
-    One-vertex graphs qualify; the empty graph does not (it has no
-    near-perfect matching for the definition to speak about).
+    A maximum matching exposes one vertex, and the search from it marks every
+    vertex outer.  One-vertex graphs qualify; the empty graph does not (it
+    has no near-perfect matching for the definition to speak about).
     """
-    if graph.order == 0 or graph.order % 2 == 0:
+    if graph.order % 2 == 0:
         return False
-    return all(is_factorizable(delete_vertices(graph, (v,))) for v in graph.vertices)
+    adj = _indexed(graph)[1]
+    mate = _blossom_matching(adj)
+    exposed = [v for v, m in enumerate(mate) if m == -1]
+    return len(exposed) == 1 and all(_edmonds_search(adj, mate, exposed[0]))
+
+
+def exposable_vertices(graph: Graph) -> frozenset[int]:
+    """Vertices some maximum matching leaves exposed: the outer vertices of
+    one search from each vertex a maximum matching exposes."""
+    adj = _indexed(graph)[1]
+    mate = _blossom_matching(adj)
+    marks = [_edmonds_search(adj, mate, root) for root, m in enumerate(mate) if m == -1]
+    return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
+
+
+class ExposableAfterDeletion(dict[int, frozenset[int]]):
+    """``self[u]`` is D(G-u) for a vertex u of a factorizable graph G: the
+    vertices v with G-u-v factorizable.  Each is searched on first lookup,
+    building no graph: drop u and its edge in one perfect matching M, then
+    search from u's former partner.  ``add_edge`` grows G, which keeps M
+    perfect but leaves the sets already looked up as they were."""
+
+    def __init__(self, graph: Graph) -> None:
+        self._vertices = graph.vertices
+        self._index, self._adj = _indexed(graph)
+        self._mate = _blossom_matching(self._adj)
+        if -1 in self._mate:
+            raise ValueError("deletion searches need a graph with a perfect matching")
+
+    def __missing__(self, u: int) -> frozenset[int]:
+        i = self._index[u]
+        near = self._mate[:]
+        near[i] = near[self._mate[i]] = -1
+        outer = _edmonds_search(self._adj, near, self._mate[i], hidden=i)
+        found = self[u] = frozenset(v for v, o in zip(self._vertices, outer) if o)
+        return found
+
+    def add_edge(self, u: int, v: int) -> None:
+        self._adj[self._index[u]].append(self._index[v])
+        self._adj[self._index[v]].append(self._index[u])
 
 
 @dataclass(frozen=True)
@@ -254,21 +301,41 @@ def enumerate_perfect_matchings(
     return PerfectMatchingEnumeration(tuple(Matching(graph, m) for m in found), truncated)
 
 
-def _search_arrays(graph: Graph, matching: Matching) -> tuple[list[tuple[int, ...]], list[int], dict[int, int]]:
+def _search_arrays(graph: Graph, matching: Matching) -> tuple[list[list[int]], list[int], dict[int, int]]:
     if matching.graph != graph:
         raise ValueError("matching does not belong to this graph")
-    vs = graph.vertices
-    index = {v: i for i, v in enumerate(vs)}
-    adj = [tuple(index[w] for w in graph.adjacency[v]) for v in vs]
-    mate = [-1] * len(vs)
-    for u, v in matching.edges:
+    index, adj = _indexed(graph)
+    mate = [-1] * len(adj)
+    for u, v in matching.partner.items():
         mate[index[u]] = index[v]
-        mate[index[v]] = index[u]
     return adj, mate, index
 
 
-def _budget_exhausted() -> SearchBudgetExceeded:
-    return SearchBudgetExceeded("alternating-path search exceeded its expansion budget")
+def _walk(
+    adj: list[list[int]], mate: list[int], start: int, first: bool, blocked: int, budget: list[int]
+) -> Iterator[tuple[list[int], bool]]:
+    """Depth-first over the simple alternating walks from ``start`` whose
+    first step is matched iff ``first`` and that avoid the ``blocked``
+    bitmask.  Each step spends one expansion of the shared ``budget[0]`` and
+    yields the live path and whether the step was matched."""
+    path = [start]
+    stack = [(first, blocked | (1 << start), iter(adj[start]))]
+    while stack:
+        need, mask, it = stack[-1]
+        v = path[-1]
+        for w in it:
+            if mask & (1 << w) or (mate[v] == w) != need:
+                continue
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SearchBudgetExceeded("alternating-path search exceeded its expansion budget")
+            path.append(w)
+            yield path, need
+            stack.append((not need, mask | (1 << w), iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            path.pop()
 
 
 @dataclass(frozen=True)
@@ -289,32 +356,19 @@ def alternating_reachability(
     graph: Graph, matching: Matching, *, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> AlternatingReach:
     """Sweep every simple alternating path once per source vertex."""
-    adj, mate, index = _search_arrays(graph, matching)
+    adj, mate, _ = _search_arrays(graph, matching)
     vs = graph.vertices
     n = len(vs)
     sat: list[set[int]] = [set() for _ in range(n)]
     bal: list[set[int]] = [{i} for i in range(n)]
     exp: list[set[int]] = [set() for _ in range(n)]
-    remaining = budget
+    left = [budget]
     for s in range(n):
-        for first_matched in (True, False):
-            stack = [(s, first_matched, 1 << s, iter(adj[s]))]
-            while stack:
-                v, need, mask, it = stack[-1]
-                for w in it:
-                    if mask & (1 << w) or (mate[v] == w) != need:
-                        continue
-                    remaining -= 1
-                    if remaining < 0:
-                        raise _budget_exhausted()
-                    if first_matched:
-                        (sat if need else bal)[s].add(w)
-                    elif not need:
-                        exp[s].add(w)
-                    stack.append((w, not need, mask | (1 << w), iter(adj[w])))
-                    break
-                else:
-                    stack.pop()
+        for path, matched in _walk(adj, mate, s, True, 0, left):
+            (sat if matched else bal)[s].add(path[-1])
+        for path, matched in _walk(adj, mate, s, False, 0, left):
+            if not matched:
+                exp[s].add(path[-1])
     wrap = lambda sets: {vs[i]: frozenset(vs[j] for j in sets[i]) for i in range(n)}
     return AlternatingReach(wrap(sat), wrap(bal), wrap(exp))
 
@@ -336,26 +390,9 @@ def alternating_path_exists(
             return True
         raise ValueError(f"{kind.value} paths need distinct endpoints")
     adj, mate, index = _search_arrays(graph, matching)
-    first_matched = kind is not PathKind.EXPOSED
-    want_last = kind is PathKind.SATURATED
-    t = index[target]
-    remaining = budget
-    stack = [(index[source], first_matched, 1 << index[source], iter(adj[index[source]]))]
-    while stack:
-        v, need, mask, it = stack[-1]
-        for w in it:
-            if mask & (1 << w) or (mate[v] == w) != need:
-                continue
-            remaining -= 1
-            if remaining < 0:
-                raise _budget_exhausted()
-            if w == t and need == want_last:
-                return True
-            stack.append((w, not need, mask | (1 << w), iter(adj[w])))
-            break
-        else:
-            stack.pop()
-    return False
+    t, last_matched = index[target], kind is PathKind.SATURATED
+    walks = _walk(adj, mate, index[source], kind is not PathKind.EXPOSED, 0, [budget])
+    return any(path[-1] == t and matched == last_matched for path, matched in walks)
 
 
 def iter_saturated_paths(
@@ -373,25 +410,9 @@ def iter_saturated_paths(
     adj, mate, index = _search_arrays(graph, matching)
     vs = graph.vertices
     t = index[target]
-    remaining = budget
-    path = [index[source]]
-    stack = [(index[source], True, 1 << index[source], iter(adj[index[source]]))]
-    while stack:
-        v, need, mask, it = stack[-1]
-        for w in it:
-            if mask & (1 << w) or (mate[v] == w) != need:
-                continue
-            remaining -= 1
-            if remaining < 0:
-                raise _budget_exhausted()
-            path.append(w)
-            if w == t and need:
-                yield tuple(vs[i] for i in path)
-            stack.append((w, not need, mask | (1 << w), iter(adj[w])))
-            break
-        else:
-            stack.pop()
-            path.pop()
+    for path, matched in _walk(adj, mate, index[source], True, 0, [budget]):
+        if matched and path[-1] == t:
+            yield tuple(vs[i] for i in path)
 
 
 def alternating_circuit_exists(
@@ -412,28 +433,12 @@ def alternating_circuit_exists(
         raise ValueError(f"{e} is not an edge of the host graph")
     adj, mate, index = _search_arrays(graph, matching)
     xi, yi = index[e[0]], index[e[1]]
-    through_matched = mate[xi] == yi
-    closing = not through_matched
-    adjset = [frozenset(ws) for ws in adj]
-    remaining = budget
+    closing = mate[xi] != yi  # the closing edge at x is matched iff the circuit edge is not
     # x is reserved as the closing target: block it from the walk entirely.
-    start_mask = (1 << xi) | (1 << yi)
-    stack = [(yi, not through_matched, start_mask, iter(adj[yi]))]
-    while stack:
-        v, need, mask, it = stack[-1]
-        for w in it:
-            if mask & (1 << w) or (mate[v] == w) != need:
-                continue
-            remaining -= 1
-            if remaining < 0:
-                raise _budget_exhausted()
-            nxt = not need
-            if nxt == closing and xi in adjset[w] and (mate[w] == xi) == closing:
-                return True
-            stack.append((w, nxt, mask | (1 << w), iter(adj[w])))
-            break
-        else:
-            stack.pop()
+    for path, matched in _walk(adj, mate, yi, closing, 1 << xi, [budget]):
+        w = path[-1]
+        if matched != closing and xi in adj[w] and (mate[w] == xi) == closing:
+            return True
     return False
 
 

@@ -12,6 +12,7 @@ import json
 from typing import Any
 
 from .canonical import (
+    DEFAULT_COMPONENT_LIMIT,
     CanonicalPartition,
     ComponentPoset,
     FactorComponents,
@@ -108,7 +109,7 @@ def analysis_dict(
     graph: Graph,
     *,
     include_deleted_partitions: bool = False,
-    max_components: int = 16,
+    max_components: int = DEFAULT_COMPONENT_LIMIT,
 ) -> dict[str, Any]:
     comps: FactorComponents = factor_components(graph)
     partition: CanonicalPartition = canonical_partition(graph, comps)

@@ -1,13 +1,24 @@
 """Brute-force reference implementations, kept structurally independent of
 the package's algorithms: matchings come from subset recursion over the edge
-list, perfect matchings from combination filtering, contraction from a
-literal edge rewrite."""
+list, perfect matchings from combination filtering, factorizability from
+trying every partner of the least vertex, contraction from a literal edge
+rewrite.  The deletion structures follow their definitions, one vertex or
+pair deletion at a time, and the alternating-walk references are the
+per-query depth-first loops, counting their expansions."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from cathedral.graph import Graph
+from cathedral.graph import (
+    Edge,
+    Graph,
+    add_edges,
+    complement_pairs,
+    connected_components,
+    delete_vertices,
+    neighbors,
+)
 
 
 def all_matchings(graph: Graph) -> list[frozenset[tuple[int, int]]]:
@@ -49,7 +60,17 @@ def brute_perfect_matchings(graph: Graph) -> list[tuple[tuple[int, int], ...]]:
 
 
 def brute_is_factorizable(graph: Graph) -> bool:
-    return bool(brute_perfect_matchings(graph))
+    """Whether some partner of the least uncovered vertex, tried in turn,
+    leaves a factorizable rest."""
+    adj = graph.adjacency
+
+    def cover(left: frozenset[int]) -> bool:
+        if not left:
+            return True
+        v = min(left)
+        return any(w in left and cover(left - {v, w}) for w in adj[v])
+
+    return graph.order % 2 == 0 and cover(graph.vertex_set)
 
 
 def brute_allowed_edges(graph: Graph) -> frozenset[tuple[int, int]]:
@@ -73,3 +94,176 @@ def contract_by_rewrite(graph: Graph, block: frozenset[int]) -> tuple[set[int], 
         if image(u) != image(v)
     }
     return vertices, edges
+
+
+# --- deletion structures, by definition -------------------------------------
+
+
+def deletion_allowed_edges(graph: Graph) -> frozenset[Edge]:
+    """Edges whose endpoint deletion leaves a factorizable graph."""
+    return frozenset(e for e in graph.edges if brute_is_factorizable(delete_vertices(graph, e)))
+
+
+def deletion_partition(graph: Graph) -> tuple[frozenset[int], ...]:
+    """Classes of "same allowed-edge component, and deleting both leaves no
+    perfect matching", ordered by minimum id."""
+    components = connected_components(Graph(graph.vertices, deletion_allowed_edges(graph)))
+    component_of = {v: i for i, comp in enumerate(components) for v in comp}
+    classes: list[frozenset[int]] = []
+    for u in graph.vertices:
+        if any(u in cls for cls in classes):
+            continue
+        classes.append(
+            frozenset(
+                v
+                for v in graph.vertices
+                if v == u
+                or (
+                    component_of[u] == component_of[v]
+                    and not brute_is_factorizable(delete_vertices(graph, (u, v)))
+                )
+            )
+        )
+    return tuple(classes)
+
+
+def deletion_is_saturated(graph: Graph) -> bool:
+    return all(brute_is_factorizable(delete_vertices(graph, p)) for p in complement_pairs(graph))
+
+
+def restart_saturate(graph: Graph, descending: bool = False) -> tuple[Graph, tuple[Edge, ...]]:
+    """Add the first complement pair (in scan order) whose endpoint deletion
+    is unfactorizable, then scan again from the start, until none is left."""
+    current = graph
+    added: list[Edge] = []
+    while True:
+        for pair in sorted(complement_pairs(current), reverse=descending):
+            if not brute_is_factorizable(delete_vertices(current, pair)):
+                current = add_edges(current, (pair,))
+                added.append(pair)
+                break
+        else:
+            return current, tuple(added)
+
+
+def deletion_gallai_edmonds(graph: Graph) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(D, A, C) from n+1 matching numbers: D holds the vertices whose
+    deletion keeps the matching number."""
+    nu = brute_matching_number(graph)
+    d = frozenset(
+        v for v in graph.vertices if brute_matching_number(delete_vertices(graph, (v,))) == nu
+    )
+    a = neighbors(graph, d)
+    return d, a, graph.vertex_set - d - a
+
+
+def deletion_is_factor_critical(graph: Graph) -> bool:
+    """Odd order, and every single deletion is factorizable."""
+    return graph.order % 2 == 1 and all(
+        brute_is_factorizable(delete_vertices(graph, (v,))) for v in graph.vertices
+    )
+
+
+# --- alternating walks: one depth-first loop per query ------------------------
+
+
+def _walk_arrays(graph, matching) -> tuple[list[list[int]], list[int], dict[int, int]]:
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    adj = [[index[w] for w in graph.adjacency[v]] for v in graph.vertices]
+    mate = [-1] * graph.order
+    for v, w in matching.partner.items():
+        mate[index[v]] = index[w]
+    return adj, mate, index
+
+
+def reachability_expansions(graph, matching) -> int:
+    """Expansions of the full saturated/balanced/exposed sweep."""
+    adj, mate, _ = _walk_arrays(graph, matching)
+    spent = 0
+    for s in range(graph.order):
+        for first_matched in (True, False):
+            stack = [(s, first_matched, 1 << s, iter(adj[s]))]
+            while stack:
+                v, need, mask, it = stack[-1]
+                for w in it:
+                    if mask & (1 << w) or (mate[v] == w) != need:
+                        continue
+                    spent += 1
+                    stack.append((w, not need, mask | (1 << w), iter(adj[w])))
+                    break
+                else:
+                    stack.pop()
+    return spent
+
+
+def path_search(graph, matching, source, target, first_matched, last_matched) -> tuple[bool, int]:
+    """Whether a simple alternating path with the given first and last edge
+    parities joins two distinct vertices, and the expansions spent."""
+    adj, mate, index = _walk_arrays(graph, matching)
+    t = index[target]
+    spent = 0
+    stack = [(index[source], first_matched, 1 << index[source], iter(adj[index[source]]))]
+    while stack:
+        v, need, mask, it = stack[-1]
+        for w in it:
+            if mask & (1 << w) or (mate[v] == w) != need:
+                continue
+            spent += 1
+            if w == t and need == last_matched:
+                return True, spent
+            stack.append((w, not need, mask | (1 << w), iter(adj[w])))
+            break
+        else:
+            stack.pop()
+    return False, spent
+
+
+def saturated_paths(graph, matching, source, target) -> tuple[list[tuple[int, ...]], int]:
+    """Every simple saturated path in depth-first order, and the expansions
+    spent listing them all."""
+    adj, mate, index = _walk_arrays(graph, matching)
+    vs = graph.vertices
+    t = index[target]
+    spent = 0
+    found: list[tuple[int, ...]] = []
+    path = [index[source]]
+    stack = [(index[source], True, 1 << index[source], iter(adj[index[source]]))]
+    while stack:
+        v, need, mask, it = stack[-1]
+        for w in it:
+            if mask & (1 << w) or (mate[v] == w) != need:
+                continue
+            spent += 1
+            path.append(w)
+            if w == t and need:
+                found.append(tuple(vs[i] for i in path))
+            stack.append((w, not need, mask | (1 << w), iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            path.pop()
+    return found, spent
+
+
+def circuit_search(graph, matching, circuit_edge: Edge) -> tuple[bool, int]:
+    """Whether an alternating circuit runs through the edge: walk from its
+    larger endpoint with the smaller one blocked, until the walk can close
+    onto it with the right parity; and the expansions spent."""
+    adj, mate, index = _walk_arrays(graph, matching)
+    xi, yi = index[circuit_edge[0]], index[circuit_edge[1]]
+    closing = mate[xi] != yi
+    spent = 0
+    stack = [(yi, closing, (1 << xi) | (1 << yi), iter(adj[yi]))]
+    while stack:
+        v, need, mask, it = stack[-1]
+        for w in it:
+            if mask & (1 << w) or (mate[v] == w) != need:
+                continue
+            spent += 1
+            if need != closing and xi in adj[w] and (mate[w] == xi) == closing:
+                return True, spent
+            stack.append((w, not need, mask | (1 << w), iter(adj[w])))
+            break
+        else:
+            stack.pop()
+    return False, spent

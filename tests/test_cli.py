@@ -121,3 +121,15 @@ def test_verify_rejects_odd_max_n(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--max-n", "7"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--p", "2"), ("--p", "-0.1"), ("--p", "nan"), ("--cap", "0"), ("--trials", "0")],
+)
+def test_verify_rejects_bad_flags_as_usage_errors(flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err

@@ -1,0 +1,149 @@
+"""The two search primitives of the matching engine against the oracles.
+
+Every structure derived from the Edmonds search is compared with its
+definition, one deletion at a time, on the seeded corpora and on induced and
+contracted subgraphs whose vertex ids are not 0..n-1.  The alternating walker
+must spend exactly the expansions the per-query loops spent, so every query
+aborts at the same budget threshold.
+"""
+
+import importlib
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+
+from cathedral.canonical import allowed_edges, canonical_partition, factor_components
+from cathedral.construction import is_saturated, saturate
+from cathedral.errors import SearchBudgetExceeded, StructureViolation
+from cathedral.gallai_edmonds import gallai_edmonds
+from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
+from cathedral.matching import (
+    PathKind,
+    alternating_circuit_exists,
+    alternating_path_exists,
+    alternating_reachability,
+    enumerate_perfect_matchings,
+    is_factor_critical,
+    is_factorizable,
+    iter_saturated_paths,
+)
+from cathedral.verify import TrialConfig, random_factorizable_graph
+
+from helpers import C5, factorizable_graphs
+from oracles import (
+    circuit_search,
+    deletion_allowed_edges,
+    deletion_gallai_edmonds,
+    deletion_is_factor_critical,
+    deletion_is_saturated,
+    deletion_partition,
+    path_search,
+    reachability_expansions,
+    restart_saturate,
+    saturated_paths,
+)
+
+CORPORA = {101: 300, 303: 200}
+
+
+def _corpus(seed: int) -> list[Graph]:
+    cfg = TrialConfig(seed=seed, trials=CORPORA[seed], max_vertices=10, edge_probability=0.3)
+    return [random_factorizable_graph(cfg, t) for t in range(cfg.trials)]
+
+
+def _factorizable_family(g: Graph) -> list[Graph]:
+    """The graph, the union of its factor-components that avoid vertex 0,
+    and the contraction of its three smallest ids when that stays
+    factorizable; the last two have ids outside 0..n-1."""
+    comps = factor_components(g).components
+    family = [g, induced_subgraph(g, g.vertex_set - next(c for c in comps if 0 in c))]
+    if g.order >= 4:
+        shrunk = contract(g, g.vertices[:3]).graph
+        if is_factorizable(shrunk):
+            family.append(shrunk)
+    return family
+
+
+def _deficient_family(g: Graph) -> list[Graph]:
+    """Graphs a maximum matching does not cover: each single deletion and the
+    contraction of each factor-component, as the deletion partition and the
+    component order see them, and the subgraphs induced on the even and on
+    the odd ids, which may miss several vertices."""
+    comps = factor_components(g).components
+    return (
+        [delete_vertices(g, (v,)) for v in g.vertices]
+        + [contract(g, c).graph for c in comps]
+        + [induced_subgraph(g, g.vertices[parity::2]) for parity in (0, 1)]
+    )
+
+
+@pytest.mark.parametrize("seed", sorted(CORPORA))
+def test_deletion_structures_match_their_definitions(seed):
+    for i, g in enumerate(_corpus(seed)):
+        for h in _factorizable_family(g):
+            where = f"graph {i}, vertices {list(h.vertices)}"
+            assert allowed_edges(h) == deletion_allowed_edges(h), where
+            assert canonical_partition(h).classes == deletion_partition(h), where
+            assert is_saturated(h) == deletion_is_saturated(h), where
+            for descending in (False, True):
+                assert saturate(h, descending=descending) == restart_saturate(h, descending), where
+
+
+@pytest.mark.parametrize("seed", sorted(CORPORA))
+def test_exposable_sets_match_their_definitions(seed):
+    for i, g in enumerate(_corpus(seed)):
+        for h in [g, *_deficient_family(g)]:
+            where = f"graph {i}, vertices {list(h.vertices)}"
+            assert gallai_edmonds(h).parts() == deletion_gallai_edmonds(h), where
+            assert is_factor_critical(h) == deletion_is_factor_critical(h), where
+
+
+def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
+    module = importlib.import_module("cathedral.gallai_edmonds")
+    monkeypatch.setattr(module, "exposable_vertices", lambda g: frozenset())
+    with pytest.raises(StructureViolation, match="exposed vertices"):
+        gallai_edmonds(C5)
+
+
+def _assert_threshold(query, answer, spent):
+    """The query gives the reference answer on exactly the reference's
+    expansions, and aborts on one fewer."""
+    assert query(spent) == answer
+    if spent:
+        with pytest.raises(SearchBudgetExceeded):
+            query(spent - 1)
+
+
+PARITIES = {
+    PathKind.SATURATED: (True, True),
+    PathKind.BALANCED: (True, False),
+    PathKind.EXPOSED: (False, False),
+}
+
+
+@given(factorizable_graphs(max_vertices=6))
+@settings(max_examples=25, deadline=None)
+def test_walker_aborts_at_the_loop_thresholds(g):
+    for m in enumerate_perfect_matchings(g, cap=4).matchings:
+        _assert_threshold(
+            lambda b: alternating_reachability(g, m, budget=b) is not None,
+            True,
+            reachability_expansions(g, m),
+        )
+        for u, v in combinations(g.vertices, 2):
+            for kind, (first, last) in PARITIES.items():
+                _assert_threshold(
+                    lambda b: alternating_path_exists(g, m, u, v, kind, budget=b),
+                    *path_search(g, m, u, v, first, last),
+                )
+            _assert_threshold(
+                lambda b: list(iter_saturated_paths(g, m, u, v, budget=b)),
+                *saturated_paths(g, m, u, v),
+            )
+        for e in sorted(g.edges):
+            _assert_threshold(
+                lambda b: alternating_circuit_exists(g, m, e, budget=b),
+                *circuit_search(g, m, e),
+            )
+
