@@ -28,7 +28,6 @@ from .graph import (
     Graph,
     connected_components,
     contract,
-    delete_vertices,
     induced_subgraph,
     neighbors,
 )
@@ -92,10 +91,10 @@ class CanonicalPartition:
 
 def same_class(graph: Graph, comps: FactorComponents, u: int, v: int) -> bool:
     """Same factor-connected component, and deleting both endpoints kills
-    every perfect matching (or the vertices coincide)."""
+    every perfect matching (or the vertices coincide): v is not in D(G-u)."""
     if comps.component_of[u] != comps.component_of[v]:
         return False
-    return u == v or not is_factorizable(delete_vertices(graph, (u, v)))
+    return u == v or v not in ExposableAfterDeletion(graph)[u]
 
 
 def canonical_partition(graph: Graph, comps: FactorComponents | None = None) -> CanonicalPartition:

@@ -5,8 +5,8 @@ verify.  All outputs are byte-deterministic for fixed inputs and flags.
 
 Exit codes: 0 success (1 for `saturated` on an unsaturated graph and for
 `verify` with failing checks), 2 usage or input-format errors, 3 domain
-precondition violations, 4 internal structure violations (a structural
-guarantee failed, which means a bug in this package, not in the input).
+precondition violations, 4 internal errors (a structural guarantee failed, or
+a ValueError escaped, which means a bug in this package, not in the input).
 """
 
 from __future__ import annotations
@@ -207,11 +207,15 @@ def main(argv: list[str] | None = None) -> int:
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, ValueError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except StructureViolation as exc:
         print(f"structure violation (internal bug): {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        # every bad input is reported as one of the errors above
+        print(f"internal error (bug in cathedral): {exc}", file=sys.stderr)
         return 4
 
 

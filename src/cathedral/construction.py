@@ -35,7 +35,7 @@ from .errors import (
     TowerNotSaturated,
     VertexIdCollision,
 )
-from .gallai_edmonds import gallai_edmonds
+from .gallai_edmonds import deletion_partitions
 from .graph import (
     Edge,
     Graph,
@@ -248,7 +248,4 @@ def foundation_via_ge(graph: Graph) -> frozenset[int]:
         return frozenset()
     if minimum_component(component_poset(graph)) is None:
         raise NoMinimumComponent("the component order has no minimum element")
-    inner: set[int] = set()
-    for x in graph.vertices:
-        inner |= gallai_edmonds(delete_vertices(graph, (x,))).c
-    return graph.vertex_set - frozenset(inner)
+    return graph.vertex_set.difference(*(ge.c for ge in deletion_partitions(graph).values()))

@@ -120,10 +120,11 @@ def parse_edge_list(text: str) -> Graph:
 def render_edge_list(graph: Graph, comments: Iterable[str] = ()) -> str:
     """Inverse of parse_edge_list; edges are emitted sorted.
 
-    The format can only express graphs with dense ids 0..n-1.
+    The format can only express graphs with dense ids 0..n-1; any other
+    graph raises GraphFormatError.
     """
     if graph.vertices != tuple(range(graph.order)):
-        raise ValueError("edge-list format requires dense vertex ids 0..n-1")
+        raise GraphFormatError("edge-list format requires dense vertex ids 0..n-1")
     lines = [f"# {c}".rstrip() for c in comments]
     lines.append(f"vertices {graph.order}")
     lines.extend(f"{u} {v}" for u, v in graph.sorted_edges())

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import SearchBudgetExceeded
+from .errors import NotFactorizableError, SearchBudgetExceeded
 from .graph import Edge, Graph, edge
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -225,7 +225,7 @@ class ExposableAfterDeletion(dict[int, frozenset[int]]):
         self._index, self._adj = _indexed(graph)
         self._mate = _blossom_matching(self._adj)
         if -1 in self._mate:
-            raise ValueError("deletion searches need a graph with a perfect matching")
+            raise NotFactorizableError("deletion searches need a graph with a perfect matching")
 
     def __missing__(self, u: int) -> frozenset[int]:
         i = self._index[u]

@@ -23,8 +23,8 @@ from .canonical import (
 )
 from .construction import CathedralTree, is_saturated
 from .errors import GraphFormatError
-from .gallai_edmonds import gallai_edmonds
-from .graph import Graph, delete_vertices
+from .gallai_edmonds import deletion_partitions
+from .graph import Graph
 from .verify import CheckResult, SuiteReport, TrialConfig
 
 
@@ -59,18 +59,23 @@ def tree_from_dict(data: Any) -> CathedralTree:
         edges = frozenset(
             (min(int(u), int(v)), max(int(u), int(v))) for u, v in foundation["edges"]
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"malformed foundation: {exc}") from None
     classes: list[tuple[frozenset[int], CathedralTree | None]] = []
     if not isinstance(data["classes"], list):
         raise GraphFormatError("'classes' must be a list")
+    listed: set[int] = set()
     for entry in data["classes"]:
         if not isinstance(entry, dict) or "class" not in entry or "tower" not in entry:
             raise GraphFormatError("each class entry needs 'class' and 'tower'")
         try:
             cls = frozenset(int(v) for v in entry["class"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"malformed class: {exc}") from None
+        # a repeated class would leave only its last tower in the construction
+        if not cls or cls & listed:
+            raise GraphFormatError(f"class {sorted(cls)} is empty or repeats vertices of another class")
+        listed |= cls
         tower = entry["tower"]
         classes.append((cls, tree_from_dict(tower) if tower is not None else None))
     try:
@@ -86,10 +91,11 @@ def tree_to_json(tree: CathedralTree) -> str:
 
 def tree_from_json(text: str) -> CathedralTree:
     try:
-        data = json.loads(text)
+        return tree_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
-    return tree_from_dict(data)
+    except RecursionError:
+        raise GraphFormatError("tree JSON is nested too deeply") from None
 
 
 def hasse_dot(poset: ComponentPoset) -> str:
@@ -136,8 +142,7 @@ def analysis_dict(
                 "a": sorted(ge.a),
                 "c": sorted(ge.c),
             }
-            for x in graph.vertices
-            for ge in (gallai_edmonds(delete_vertices(graph, (x,))),)
+            for x, ge in deletion_partitions(graph).items()
         ]
     return out
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable
 
@@ -47,7 +48,7 @@ from .errors import (
     SearchBudgetExceeded,
     StructureViolation,
 )
-from .gallai_edmonds import GEPartition, gallai_edmonds
+from .gallai_edmonds import GEPartition, deletion_partitions, gallai_edmonds
 from .graph import (
     Edge,
     Graph,
@@ -64,6 +65,7 @@ from .graph import (
 from .matching import (
     AlternatingReach,
     Matching,
+    PerfectMatchingEnumeration,
     alternating_circuit_exists,
     alternating_path_exists,
     alternating_reachability,
@@ -183,23 +185,13 @@ class _TrialContext:
     def __init__(self, graph: Graph, config: TrialConfig):
         self.graph = graph
         self.config = config
-        self._cache: dict[str, object] = {}
         self._reach: dict[int, AlternatingReach] = {}
         self._deleted: dict[int, tuple[Graph, Matching, int, AlternatingReach]] = {}
         self._upsets: dict[int, UpSets] = {}
-        self._ge_deleted: dict[int, GEPartition] = {}
 
-    def _memo(self, key: str, build: Callable[[], object]) -> object:
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def enumeration(self):
-        return self._memo(
-            "enumeration",
-            lambda: enumerate_perfect_matchings(self.graph, self.config.enumeration_cap),
-        )
+    @cached_property
+    def enumeration(self) -> PerfectMatchingEnumeration:
+        return enumerate_perfect_matchings(self.graph, self.config.enumeration_cap)
 
     @property
     def matchings(self) -> tuple[Matching, ...]:
@@ -218,51 +210,45 @@ class _TrialContext:
                 rerun_on_closure=False,
             )
 
-    @property
+    @cached_property
     def allowed(self) -> frozenset[Edge]:
-        return self._memo("allowed", lambda: allowed_edges(self.graph))
+        return allowed_edges(self.graph)
 
-    @property
+    @cached_property
     def allowed_union(self) -> frozenset[Edge]:
-        def build() -> frozenset[Edge]:
-            out: set[Edge] = set()
-            for m in self.matchings:
-                out |= m.edges
-            return frozenset(out)
+        return frozenset().union(*(m.edges for m in self.matchings))
 
-        return self._memo("allowed_union", build)
-
-    @property
+    @cached_property
     def components(self) -> FactorComponents:
-        return self._memo("components", lambda: factor_components(self.graph))
+        return factor_components(self.graph)
 
-    @property
+    @cached_property
     def partition(self) -> CanonicalPartition:
-        return self._memo(
-            "partition", lambda: canonical_partition(self.graph, self.components)
-        )
+        return canonical_partition(self.graph, self.components)
 
-    @property
+    @cached_property
     def poset(self) -> ComponentPoset:
-        return self._memo(
-            "poset", lambda: component_poset(self.graph, self.components)
-        )
+        return component_poset(self.graph, self.components)
 
-    @property
+    @cached_property
     def minimum(self) -> int | None:
-        return self._memo("minimum", lambda: minimum_component(self.poset))
+        return minimum_component(self.poset)
 
-    @property
+    @cached_property
     def saturated(self) -> bool:
-        return self._memo("saturated", lambda: is_saturated(self.graph))
+        return is_saturated(self.graph)
 
-    @property
+    @cached_property
     def tree(self) -> CathedralTree:
-        return self._memo("tree", lambda: decompose(self.graph))
+        return decompose(self.graph)
 
-    @property
+    @cached_property
     def rebuilt(self) -> Graph:
-        return self._memo("rebuilt", lambda: construct_tree(self.tree))
+        return construct_tree(self.tree)
+
+    @cached_property
+    def deleted_partitions(self) -> dict[int, GEPartition]:
+        return deletion_partitions(self.graph)
 
     def reach(self, matching_index: int) -> AlternatingReach:
         if matching_index not in self._reach:
@@ -277,11 +263,6 @@ class _TrialContext:
         if base not in self._upsets:
             self._upsets[base] = up_sets(self.graph, self.poset, self.partition, base)
         return self._upsets[base]
-
-    def ge_deleted(self, x: int) -> GEPartition:
-        if x not in self._ge_deleted:
-            self._ge_deleted[x] = gallai_edmonds(delete_vertices(self.graph, (x,)))
-        return self._ge_deleted[x]
 
     def deleted_instance(self, x: int) -> tuple[Graph, Matching, int, AlternatingReach]:
         """The graph minus x, a maximum matching of it derived from the first
@@ -344,7 +325,7 @@ def _check_deleted_partition_paths(ctx: _TrialContext) -> None:
     for mi, _ in enumerate(ctx.matchings_checked):
         reach = ctx.reach(mi)
         for x in ctx.graph.vertices:
-            ge = ctx.ge_deleted(x)
+            ge = ctx.deleted_partitions[x]
             for u in ctx.graph.vertices:
                 if u == x:
                     continue
@@ -642,7 +623,7 @@ def _check_deleted_partition_vs_up_sets(ctx: _TrialContext) -> None:
         up_s = us.up_vertices(s)
         expected_d = everything - us.up_star_vertices(s)
         for x in sorted(cls):
-            ge = ctx.ge_deleted(x)
+            ge = ctx.deleted_partitions[x]
             if ge.d != expected_d:
                 _fail(f"exposable part of G-{x} differs from the up-set prediction")
             if (ge.a | {x}) != cls:
@@ -650,7 +631,7 @@ def _check_deleted_partition_vs_up_sets(ctx: _TrialContext) -> None:
             if ge.c != up_s:
                 _fail(f"inner part of G-{x} is not the class's region")
         for x in sorted(up_s):
-            ge = ctx.ge_deleted(x)
+            ge = ctx.deleted_partitions[x]
             if not expected_d <= ge.d:
                 _fail(f"exposable part of G-{x} misses the predicted set")
             if not cls <= (ge.a | {x}):

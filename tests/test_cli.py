@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import cathedral.cli
 from cathedral.cli import main
+from cathedral.errors import StructureViolation
 from cathedral.graph import parse_edge_list, render_edge_list
 
 from helpers import C4, P4, T
@@ -79,6 +81,57 @@ def test_construct_rejects_bad_json(tmp_path, capsys):
     bad.write_text('{"foundation": {"vertices": [0, 1], "edges": []}, "classes": []}')
     # K2 without its edge is not factorizable: precondition error
     assert main(["construct", str(bad)]) == 3
+
+
+def _tree(vertices, classes):
+    edges = [[vertices[i], vertices[i + 1]] for i in range(0, len(vertices), 2)]
+    return {
+        "foundation": {"vertices": vertices, "edges": edges},
+        "classes": [{"class": cls, "tower": tower} for cls, tower in classes],
+    }
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        # a second entry for class [0] would replace the first one's tower
+        (
+            json.dumps(
+                _tree(
+                    [0, 1],
+                    [([0], _tree([2, 3], [([2], None), ([3], None)])), ([0], None), ([1], None)],
+                )
+            ),
+            "repeats vertices",
+        ),
+        (json.dumps(_tree([0, 1], [([0, 1], None), ([1], None)])), "repeats vertices"),
+        ('{"a": ' * 3000 + "1" + "}" * 3000, "nested too deeply"),
+        (json.dumps(_tree([5, 7], [([5], None), ([7], None)])), "dense vertex ids"),
+        ('{"foundation": {"vertices": [Infinity], "edges": []}, "classes": []}', "malformed foundation"),
+    ],
+    ids=["repeated-class", "overlapping-class", "deep-nesting", "sparse-ids", "infinite-id"],
+)
+def test_construct_rejects_malformed_trees_with_exit_2(tmp_path, capsys, text, fragment):
+    spec = tmp_path / "tree.json"
+    spec.write_text(text)
+    assert main(["construct", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("bad index"), StructureViolation("bad order")],
+    ids=["value-error", "structure-violation"],
+)
+def test_internal_errors_exit_4_on_one_line(edge_files, monkeypatch, capsys, error):
+    def broken(graph):
+        raise error
+
+    monkeypatch.setattr(cathedral.cli, "is_saturated", broken)
+    assert main(["saturated", edge_files["t"]]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(error) in err and "internal" in err
 
 
 def test_hasse_output(edge_files, capsys):

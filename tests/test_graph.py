@@ -51,7 +51,7 @@ def test_parse_errors(text, fragment):
 
 
 def test_render_requires_dense_ids():
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphFormatError, match="dense vertex ids"):
         render_edge_list(delete_vertices(P4, {0}))
 
 

@@ -2,21 +2,24 @@
 
 Every structure derived from the Edmonds search is compared with its
 definition, one deletion at a time, on the seeded corpora and on induced and
-contracted subgraphs whose vertex ids are not 0..n-1.  The alternating walker
+contracted subgraphs whose vertex ids are not 0..n-1: allowed edges, the
+canonical partition and the pairwise same-class test, saturation, and the
+partition of every single-vertex deletion.  The alternating walker
 must spend exactly the expansions the per-query loops spent, so every query
 aborts at the same budget threshold.
 """
 
 import importlib
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from cathedral.canonical import allowed_edges, canonical_partition, factor_components
+from cathedral.canonical import allowed_edges, canonical_partition, factor_components, same_class
 from cathedral.construction import is_saturated, saturate
-from cathedral.errors import SearchBudgetExceeded, StructureViolation
-from cathedral.gallai_edmonds import gallai_edmonds
+from cathedral.errors import DeficiencyViolation, SearchBudgetExceeded, StructureViolation
+from cathedral.gallai_edmonds import deletion_partitions, gallai_edmonds
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
     PathKind,
@@ -30,7 +33,7 @@ from cathedral.matching import (
 )
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
-from helpers import C5, factorizable_graphs
+from helpers import C5, P4, factorizable_graphs
 from oracles import (
     circuit_search,
     deletion_allowed_edges,
@@ -84,10 +87,17 @@ def test_deletion_structures_match_their_definitions(seed):
         for h in _factorizable_family(g):
             where = f"graph {i}, vertices {list(h.vertices)}"
             assert allowed_edges(h) == deletion_allowed_edges(h), where
-            assert canonical_partition(h).classes == deletion_partition(h), where
+            classes = deletion_partition(h)
+            assert canonical_partition(h).classes == classes, where
+            class_of = {v: j for j, cls in enumerate(classes) for v in cls}
+            comps = factor_components(h)
+            for u, v in combinations(h.vertices, 2):
+                assert same_class(h, comps, u, v) == (class_of[u] == class_of[v]), (where, u, v)
             assert is_saturated(h) == deletion_is_saturated(h), where
             for descending in (False, True):
                 assert saturate(h, descending=descending) == restart_saturate(h, descending), where
+            for x, ge in deletion_partitions(h).items():
+                assert ge.parts() == deletion_gallai_edmonds(delete_vertices(h, (x,))), (where, x)
 
 
 @pytest.mark.parametrize("seed", sorted(CORPORA))
@@ -104,6 +114,13 @@ def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
     monkeypatch.setattr(module, "exposable_vertices", lambda g: frozenset())
     with pytest.raises(StructureViolation, match="exposed vertices"):
         gallai_edmonds(C5)
+
+
+def test_deficiency_check_rejects_a_wrong_deletion_set(monkeypatch):
+    module = importlib.import_module("cathedral.gallai_edmonds")
+    monkeypatch.setattr(module, "ExposableAfterDeletion", lambda g: defaultdict(frozenset))
+    with pytest.raises(DeficiencyViolation, match="exposed vertices"):
+        deletion_partitions(P4)
 
 
 def _assert_threshold(query, answer, spent):
