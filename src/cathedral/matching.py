@@ -158,7 +158,8 @@ def _edmonds_search(
 
 
 def _blossom_matching(adj: list[list[int]]) -> list[int]:
-    # greedy start, then one search from each exposed vertex in ascending order
+    # greedy start, then one search from each exposed vertex in ascending
+    # order; an isolated root can neither augment nor change mate
     mate = [-1] * len(adj)
     for v, ws in enumerate(adj):
         if mate[v] == -1:
@@ -167,8 +168,8 @@ def _blossom_matching(adj: list[list[int]]) -> list[int]:
                     mate[v] = w
                     mate[w] = v
                     break
-    for v in range(len(adj)):
-        if mate[v] == -1:
+    for v, ws in enumerate(adj):
+        if mate[v] == -1 and ws:
             _edmonds_search(adj, mate, v)
     return mate
 

@@ -210,9 +210,9 @@ class _TrialContext:
                 rerun_on_closure=False,
             )
 
-    @cached_property
+    @property
     def allowed(self) -> frozenset[Edge]:
-        return allowed_edges(self.graph)
+        return self.components.allowed
 
     @cached_property
     def allowed_union(self) -> frozenset[Edge]:
@@ -245,6 +245,10 @@ class _TrialContext:
     @cached_property
     def rebuilt(self) -> Graph:
         return construct_tree(self.tree)
+
+    @cached_property
+    def foundation_via_ge(self) -> frozenset[int]:
+        return foundation_via_ge(self.graph)
 
     @cached_property
     def deleted_partitions(self) -> dict[int, GEPartition]:
@@ -643,7 +647,7 @@ def _check_deleted_partition_vs_up_sets(ctx: _TrialContext) -> None:
 def _check_foundation_equals_ge(ctx: _TrialContext) -> None:
     low = ctx.require_minimum()
     expected = ctx.components.components[low]
-    if foundation_via_ge(ctx.graph) != expected:
+    if ctx.foundation_via_ge != expected:
         _fail("deletion-partition complement disagrees with the minimum component")
 
 
@@ -758,7 +762,7 @@ def _check_foundation_unique_via_ge(ctx: _TrialContext) -> None:
     ctx.require_saturated()
     if ctx.graph.order == 0:
         return
-    if ctx.tree.foundation_vertices != foundation_via_ge(ctx.graph):
+    if ctx.tree.foundation_vertices != ctx.foundation_via_ge:
         _fail("decomposition foundation differs from the deletion-partition complement")
 
 

@@ -4,7 +4,10 @@ list, perfect matchings from combination filtering, factorizability from
 trying every partner of the least vertex, contraction from a literal edge
 rewrite.  The deletion structures follow their definitions, one vertex or
 pair deletion at a time, and the alternating-walk references are the
-per-query depth-first loops, counting their expansions."""
+per-query depth-first loops, counting their expansions.  The component
+order is the per-pair search, which tries every union containing both
+components (its factor-criticality test is the package's, itself checked
+against ``deletion_is_factor_critical``)."""
 
 from __future__ import annotations
 
@@ -16,9 +19,12 @@ from cathedral.graph import (
     add_edges,
     complement_pairs,
     connected_components,
+    contract,
     delete_vertices,
+    induced_subgraph,
     neighbors,
 )
+from cathedral.matching import is_factor_critical
 
 
 def all_matchings(graph: Graph) -> list[frozenset[tuple[int, int]]]:
@@ -267,3 +273,36 @@ def circuit_search(graph, matching, circuit_edge: Edge) -> tuple[bool, int]:
         else:
             stack.pop()
     return False, spent
+
+
+# --- the component order, one pair at a time ----------------------------------
+
+
+def pairwise_component_leq(graph, comps, lower: int, upper: int) -> bool:
+    """Whether ``lower`` sits below ``upper``: every union of factor-components
+    containing both is tried in ascending bitmask order, until one contracts,
+    at the lower one, to a factor-critical graph."""
+    k = len(comps)
+    if not (0 <= lower < k and 0 <= upper < k):
+        raise ValueError("component index out of range")
+    if lower == upper:
+        return True
+    rest = [i for i in range(k) if i != lower and i != upper]
+    seed = comps.components[lower] | comps.components[upper]
+    for bits in range(1 << len(rest)):
+        chosen = set(seed)
+        for pos, i in enumerate(rest):
+            if bits >> pos & 1:
+                chosen |= comps.components[i]
+        shrunk = contract(induced_subgraph(graph, chosen), comps.components[lower]).graph
+        if is_factor_critical(shrunk):
+            return True
+    return False
+
+
+def pairwise_order(graph, comps) -> tuple[tuple[bool, ...], ...]:
+    """The below-or-equal matrix, one pairwise search per entry."""
+    k = len(comps)
+    return tuple(
+        tuple(pairwise_component_leq(graph, comps, i, j) for j in range(k)) for i in range(k)
+    )

@@ -1,8 +1,11 @@
 from itertools import combinations
 
+import cathedral.matching
+
 import pytest
 from hypothesis import given, settings
 
+from cathedral.cli import main
 from cathedral.errors import SearchBudgetExceeded
 from cathedral.graph import Graph, contract, delete_vertices
 from cathedral.matching import (
@@ -35,6 +38,22 @@ def test_maximum_matching_fixtures():
     assert maximum_matching(K2).edges == frozenset({(0, 1)})
     assert matching_number(C5) == 2
     assert maximum_matching(T).edges == frozenset({(0, 1), (2, 3)})
+
+
+def test_isolated_vertices_start_no_search(monkeypatch, tmp_path, capsys):
+    searches = []
+    search = cathedral.matching._edmonds_search
+    monkeypatch.setattr(
+        cathedral.matching,
+        "_edmonds_search",
+        lambda *args, **kwargs: searches.append(args[2]) or search(*args, **kwargs),
+    )
+    assert not is_factorizable(Graph(range(100_000)))
+    edgeless = tmp_path / "edgeless.edges"
+    edgeless.write_text("vertices 100000\n")
+    assert main(["analyze", str(edgeless)]) == 3
+    assert "perfect matching" in capsys.readouterr().err
+    assert searches == []
 
 
 def test_maximum_matching_deterministic():
