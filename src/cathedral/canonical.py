@@ -4,8 +4,10 @@ order, and the upper-bound structure tying the two together.
 The order is computed definitionally: a component sits below another when
 some separating superset of both contracts (at the lower one) to a
 factor-critical graph.  One sweep per component tries each union of
-components containing it once, so the order costs at most k(2^(k-1) - 1)
-contractions for k components and grows about twofold per extra component.
+components containing it once, and each try is one Edmonds search on index
+arrays taken from one perfect matching of the graph, so the order costs at
+most k(2^(k-1) - 1) searches for k components and grows about twofold per
+extra component.
 That is still exponential, so a configurable limit (default 16) guards it;
 the structural laws (partial order, equivalence) are asserted on every
 computation and raise StructureViolation when they fail, because a failure
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import Iterable
 
 from .errors import (
     ClassAssignmentViolation,
@@ -25,15 +28,14 @@ from .errors import (
     NotFactorizableError,
     PartialOrderViolation,
 )
-from .graph import (
-    Edge,
-    Graph,
-    connected_components,
-    contract,
-    induced_subgraph,
-    neighbors,
+from .graph import Edge, Graph, connected_components, induced_subgraph, neighbors
+from .matching import (
+    ExposableAfterDeletion,
+    _blossom_matching,
+    _contracts_to_factor_critical,
+    _indexed,
+    is_factorizable,
 )
-from .matching import ExposableAfterDeletion, is_factor_critical, is_factorizable
 
 DEFAULT_COMPONENT_LIMIT = 16
 
@@ -147,23 +149,28 @@ def _require_within_limit(k: int, max_components: int) -> None:
         )
 
 
-def _above(graph: Graph, comps: FactorComponents, lower: int) -> frozenset[int]:
-    """Indices of the components at or above ``lower``: the members of every
-    separating union that contains it and contracts, at it, to a
-    factor-critical graph.  The unions are tried in ascending bitmask order,
-    each once; one whose members are all known to be above already cannot
-    add any and is skipped."""
-    parts = comps.components
-    rest = [i for i in range(len(parts)) if i != lower]
-    known = 0
-    for bits in range(1, 1 << len(rest)):
-        if bits | known == known:
-            continue
-        chosen = parts[lower].union(*(parts[i] for pos, i in enumerate(rest) if bits >> pos & 1))
-        shrunk = contract(induced_subgraph(graph, chosen), parts[lower]).graph
-        if is_factor_critical(shrunk):
-            known |= bits
-    return frozenset([lower, *(i for pos, i in enumerate(rest) if known >> pos & 1)])
+def _above(graph: Graph, comps: FactorComponents, lowers: Iterable[int]) -> list[frozenset[int]]:
+    """For each of ``lowers``, the indices of the components at or above it:
+    the members of every separating union that contains it and contracts, at
+    it, to a factor-critical graph.  The unions are tried in ascending bitmask
+    order, each once; one whose members are all known to be above already
+    cannot add any and is skipped.  Each try is one search on index arrays
+    from one perfect matching of the graph."""
+    index, adj = _indexed(graph)
+    mate = _blossom_matching(adj)
+    parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
+    out = []
+    for lower in lowers:
+        rest = [i for i in range(len(parts)) if i != lower]
+        known = 0
+        for bits in range(1, 1 << len(rest)):
+            if bits | known == known:
+                continue
+            kept = [v for pos, i in enumerate(rest) if bits >> pos & 1 for v in parts[i]]
+            if _contracts_to_factor_critical(adj, mate, parts[lower], kept):
+                known |= bits
+        out.append(frozenset([lower, *(i for pos, i in enumerate(rest) if known >> pos & 1)]))
+    return out
 
 
 def component_leq(graph: Graph, comps: FactorComponents, lower: int, upper: int) -> bool:
@@ -174,7 +181,7 @@ def component_leq(graph: Graph, comps: FactorComponents, lower: int, upper: int)
     if not (0 <= lower < k and 0 <= upper < k):
         raise ValueError("component index out of range")
     _require_within_limit(k, DEFAULT_COMPONENT_LIMIT)
-    return upper in _above(graph, comps, lower)
+    return upper in _above(graph, comps, [lower])[0]
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,7 @@ def component_poset(
         comps = factor_components(graph)
     k = len(comps)
     _require_within_limit(k, max_components)
-    above = [_above(graph, comps, i) for i in range(k)]
+    above = _above(graph, comps, range(k))
     leq = [[j in above[i] for j in range(k)] for i in range(k)]
     for i in range(k):
         if not leq[i][i]:

@@ -42,13 +42,18 @@ from .graph import (
     add_edges,
     complement_pairs,
     connected_components,
-    contract,
     delete_vertices,
     edge,
     induced_subgraph,
     neighbors,
 )
-from .matching import ExposableAfterDeletion, is_factor_critical, is_factorizable
+from .matching import (
+    ExposableAfterDeletion,
+    _blossom_matching,
+    _contracts_to_factor_critical,
+    _indexed,
+    is_factorizable,
+)
 
 
 def is_saturated(graph: Graph) -> bool:
@@ -133,7 +138,9 @@ def _decompose_saturated(graph: Graph) -> CathedralTree:
         )
     if not is_saturated(foundation):
         raise PartNotSaturated("foundation failed the saturation test")
-    if not is_factor_critical(contract(graph, fv).graph):
+    index, adj = _indexed(graph)
+    rest = [index[v] for v in graph.vertices if v not in fv]
+    if not _contracts_to_factor_critical(adj, _blossom_matching(adj), [index[v] for v in fv], rest):
         raise ContractionNotFactorCritical(
             "collapsing the foundation did not give a factor-critical graph"
         )

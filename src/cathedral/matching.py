@@ -157,9 +157,32 @@ def _edmonds_search(
     return outer
 
 
-def _blossom_matching(adj: list[list[int]]) -> list[int]:
-    # greedy start, then one search from each exposed vertex in ascending
-    # order; an isolated root can neither augment nor change mate
+def _contracts_to_factor_critical(
+    adj: list[list[int]], mate: list[int], merged: list[int], kept: list[int]
+) -> bool:
+    """Whether G[merged ∪ kept] with ``merged`` contracted to one vertex H
+    is factor-critical, given G's index adjacency ``adj``, a perfect matching
+    ``mate`` of G, and two disjoint unions of factor-components of G.
+
+    The contracted graph is built on positions, H at 0 and ``kept`` after it.
+    Every perfect matching uses allowed edges only, so each edge of ``mate``
+    lies inside one factor-component; restricted to ``kept`` it therefore
+    covers every vertex of the contracted graph except H.  That graph has odd
+    order, so the restriction is a maximum matching, and one search from its
+    single exposed vertex H marks the vertices some maximum matching leaves
+    exposed.  The graph is factor-critical iff that is every vertex, the
+    test ``is_factor_critical`` makes.
+    """
+    pos = dict.fromkeys(merged, 0)
+    pos.update((v, i) for i, v in enumerate(kept, 1))
+    # pos.get(w, 0) is 0 both outside the union and inside H: no loop at H
+    sub = [sorted({pos[w] for v in merged for w in adj[v] if pos.get(w, 0)})]
+    # a kept vertex may list H more than once; a parallel edge changes no search
+    sub += [[pos[w] for w in adj[v] if w in pos] for v in kept]
+    return all(_edmonds_search(sub, [-1, *(pos[mate[v]] for v in kept)], 0))
+
+
+def _greedy_mate(adj: list[list[int]]) -> list[int]:
     mate = [-1] * len(adj)
     for v, ws in enumerate(adj):
         if mate[v] == -1:
@@ -168,6 +191,13 @@ def _blossom_matching(adj: list[list[int]]) -> list[int]:
                     mate[v] = w
                     mate[w] = v
                     break
+    return mate
+
+
+def _blossom_matching(adj: list[list[int]]) -> list[int]:
+    # greedy start, then one search from each exposed vertex in ascending
+    # order; an isolated root can neither augment nor change mate
+    mate = _greedy_mate(adj)
     for v, ws in enumerate(adj):
         if mate[v] == -1 and ws:
             _edmonds_search(adj, mate, v)
@@ -186,8 +216,20 @@ def matching_number(graph: Graph) -> int:
 
 
 def is_factorizable(graph: Graph) -> bool:
-    """Whether the graph has a perfect matching; the empty graph qualifies."""
-    return graph.order % 2 == 0 and 2 * matching_number(graph) == graph.order
+    """Whether the graph has a perfect matching; the empty graph qualifies.
+
+    Stops at the first exposed root whose search finds no augmenting path:
+    no later augmentation can create one, so some maximum matching leaves
+    that root exposed.
+    """
+    if graph.order % 2:
+        return False
+    adj = _indexed(graph)[1]
+    mate = _greedy_mate(adj)
+    for v, ws in enumerate(adj):
+        if mate[v] == -1 and (not ws or _edmonds_search(adj, mate, v) is not None):
+            return False
+    return True
 
 
 def is_factor_critical(graph: Graph) -> bool:

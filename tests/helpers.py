@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+from cathedral.canonical import factor_components
 from cathedral.graph import Graph
 
 E0 = Graph()
@@ -35,3 +37,17 @@ def factorizable_graphs(draw, max_vertices: int = 8) -> Graph:
     pairs = [p for p in combinations(range(n), 2) if p not in planted]
     extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return Graph(range(n), planted | extra)
+
+
+def sparse_many_component_graphs(count: int) -> list[Graph]:
+    """Planted-matching graphs on 16 vertices with edge probability 0.1,
+    kept when they have 6 or 7 factor-components."""
+    rng = random.Random(6)
+    kept: list[Graph] = []
+    while len(kept) < count:
+        edges = {(u, u + 1) for u in range(0, 16, 2)}
+        edges |= {(u, v) for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.1}
+        g = Graph(range(16), edges)
+        if len(factor_components(g)) in (6, 7):
+            kept.append(g)
+    return kept

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 
@@ -21,7 +19,7 @@ from cathedral.matching import perfect_matching_union
 from cathedral.serialize import hasse_dot
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
-from helpers import C4, C5, K2, K4, P4, T, factorizable_graphs
+from helpers import C4, C5, K2, K4, P4, T, factorizable_graphs, sparse_many_component_graphs
 from oracles import pairwise_order
 
 
@@ -101,22 +99,8 @@ def test_component_poset_fixtures():
     assert minimum_component(component_poset(C4)) == 0
 
 
-def _sparse_many_component_graphs(count: int) -> list[Graph]:
-    """Planted-matching graphs on 16 vertices with edge probability 0.1,
-    kept when they have 6 or 7 factor-components."""
-    rng = random.Random(6)
-    kept: list[Graph] = []
-    while len(kept) < count:
-        edges = {(u, u + 1) for u in range(0, 16, 2)}
-        edges |= {(u, v) for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.1}
-        g = Graph(range(16), edges)
-        if len(factor_components(g)) in (6, 7):
-            kept.append(g)
-    return kept
-
-
 def test_component_order_matches_pairwise_oracle():
-    graphs = _sparse_many_component_graphs(40)
+    graphs = sparse_many_component_graphs(40)
     for seed, count in ((101, 300), (303, 200)):
         cfg = TrialConfig(seed=seed, trials=count, max_vertices=10, edge_probability=0.3)
         graphs += [random_factorizable_graph(cfg, t) for t in range(count)]

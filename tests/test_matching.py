@@ -56,6 +56,21 @@ def test_isolated_vertices_start_no_search(monkeypatch, tmp_path, capsys):
     assert searches == []
 
 
+def test_factorizability_stops_at_the_first_root_that_cannot_augment(monkeypatch):
+    # vertex 0 joined to 1..4000 and the edge 4000-4001: the greedy start
+    # leaves about 4000 leaves exposed, and the first of them cannot augment
+    searches = []
+    search = cathedral.matching._edmonds_search
+    monkeypatch.setattr(
+        cathedral.matching,
+        "_edmonds_search",
+        lambda *args, **kwargs: searches.append(args[2]) or search(*args, **kwargs),
+    )
+    star = Graph(range(4002), [(0, v) for v in range(1, 4001)] + [(4000, 4001)])
+    assert not is_factorizable(star)
+    assert len(searches) <= 2
+
+
 def test_maximum_matching_deterministic():
     g = Graph(range(6), [(0, 1), (0, 2), (1, 2), (3, 4), (2, 3), (4, 5)])
     assert maximum_matching(g).edges == maximum_matching(g).edges
@@ -67,19 +82,25 @@ def test_maximum_matching_exhaustive_small():
         pairs = list(combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
             g = Graph(range(n), [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-            assert matching_number(g) == brute_matching_number(g)
+            nu = brute_matching_number(g)
+            assert matching_number(g) == nu
+            assert is_factorizable(g) == (2 * nu == n)
 
 
 @given(graphs())
 @settings(max_examples=150)
 def test_maximum_matching_matches_brute_force(g):
-    assert matching_number(g) == brute_matching_number(g)
+    nu = brute_matching_number(g)
+    assert matching_number(g) == nu
+    assert is_factorizable(g) == (2 * nu == g.order)
 
 
 @given(graphs(max_vertices=10))
 @settings(max_examples=40, deadline=None)
 def test_maximum_matching_matches_brute_force_to_ten_vertices(g):
-    assert matching_number(g) == brute_matching_number(g)
+    nu = brute_matching_number(g)
+    assert matching_number(g) == nu
+    assert is_factorizable(g) == (2 * nu == g.order)
 
 
 def test_factorizable_fixtures():

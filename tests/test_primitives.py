@@ -13,16 +13,27 @@ import importlib
 from collections import defaultdict
 from itertools import combinations
 
+import cathedral.matching
+
 import pytest
 from hypothesis import given, settings
 
-from cathedral.canonical import allowed_edges, canonical_partition, factor_components, same_class
+from cathedral.canonical import (
+    allowed_edges,
+    canonical_partition,
+    component_poset,
+    factor_components,
+    same_class,
+)
 from cathedral.construction import is_saturated, saturate
 from cathedral.errors import DeficiencyViolation, SearchBudgetExceeded, StructureViolation
 from cathedral.gallai_edmonds import deletion_partitions, gallai_edmonds
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
     PathKind,
+    _blossom_matching,
+    _contracts_to_factor_critical,
+    _indexed,
     alternating_circuit_exists,
     alternating_path_exists,
     alternating_reachability,
@@ -33,7 +44,7 @@ from cathedral.matching import (
 )
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
-from helpers import C5, P4, factorizable_graphs
+from helpers import C5, P4, factorizable_graphs, sparse_many_component_graphs
 from oracles import (
     circuit_search,
     deletion_allowed_edges,
@@ -107,6 +118,51 @@ def test_exposable_sets_match_their_definitions(seed):
             where = f"graph {i}, vertices {list(h.vertices)}"
             assert gallai_edmonds(h).parts() == deletion_gallai_edmonds(h), where
             assert is_factor_critical(h) == deletion_is_factor_critical(h), where
+
+
+@pytest.mark.parametrize("source", [101, 303, "sparse"])
+def test_each_union_verdict_matches_its_contraction(source):
+    # every union the order's sweep may try, not only those its skip rule
+    # leaves, so a wrong verdict cannot hide behind a right leq matrix
+    if source == "sparse":
+        graphs = sparse_many_component_graphs(40)
+    else:
+        graphs = [h for g in _corpus(source) for h in _factorizable_family(g)]
+    for i, g in enumerate(graphs):
+        for h in (g, saturate(g)[0]):
+            index, adj = _indexed(h)
+            mate = _blossom_matching(adj)
+            comps = factor_components(h).components
+            for lower in comps:
+                rest = [c for c in comps if c != lower]
+                for bits in range(1 << len(rest)):
+                    kept = frozenset().union(*(c for j, c in enumerate(rest) if bits >> j & 1))
+                    shrunk = contract(induced_subgraph(h, lower | kept), lower).graph
+                    verdict = _contracts_to_factor_critical(
+                        adj, mate, [index[v] for v in lower], [index[v] for v in sorted(kept)]
+                    )
+                    assert verdict == is_factor_critical(shrunk), (i, sorted(h.edges), lower, kept)
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_order_builds_no_graph_and_runs_one_search_per_union(monkeypatch, k):
+    # P_2k: its k components form an antichain, so the sweep skips no union
+    path = Graph(range(2 * k), [(v, v + 1) for v in range(2 * k - 1)])
+    comps = factor_components(path)
+    built, searches = [], []
+    init, search = Graph.__init__, cathedral.matching._edmonds_search
+    monkeypatch.setattr(Graph, "__init__", lambda *args, **kw: built.append(args) or init(*args, **kw))
+    monkeypatch.setattr(
+        cathedral.matching,
+        "_edmonds_search",
+        lambda *args, **kwargs: searches.append(args[2]) or search(*args, **kwargs),
+    )
+    poset = component_poset(path, comps)
+    assert built == []
+    # the greedy start matches a path perfectly, so the poset's own
+    # perfect-matching computations add no search to the unions' k(2^(k-1)-1)
+    assert len(searches) == k * (2 ** (k - 1) - 1) == {6: 186, 8: 1016}[k]
+    assert poset.hasse == ()
 
 
 def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
