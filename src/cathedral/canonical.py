@@ -1,17 +1,13 @@
 """Factor-connected components, the canonical vertex partition, the component
 order, and the upper-bound structure tying the two together.
 
-The order is computed definitionally: a component sits below another when
-some separating superset of both contracts (at the lower one) to a
-factor-critical graph.  One sweep per component tries each union of
-components containing it once, and each try is one Edmonds search on index
-arrays taken from one perfect matching of the graph, so the order costs at
-most k(2^(k-1) - 1) searches for k components and grows about twofold per
-extra component.
-That is still exponential, so a configurable limit (default 16) guards it;
-the structural laws (partial order, equivalence) are asserted on every
-computation and raise StructureViolation when they fail, because a failure
-falsifies a guarantee rather than signaling bad input.
+A component sits below another when some separating superset of both
+contracts, at the lower one, to a factor-critical graph; ``_above`` finds
+each component's up-closure as a shrinking fixpoint of Edmonds searches, at
+most k-1 of them per component for k components.  The structural laws
+(partial order, equivalence) are asserted on every computation and raise
+StructureViolation when they fail, because a failure falsifies a guarantee
+rather than signaling bad input.
 """
 
 from __future__ import annotations
@@ -32,12 +28,10 @@ from .graph import Edge, Graph, connected_components, induced_subgraph, neighbor
 from .matching import (
     ExposableAfterDeletion,
     _blossom_matching,
-    _contracts_to_factor_critical,
+    _contracted_outer,
     _indexed,
     is_factorizable,
 )
-
-DEFAULT_COMPONENT_LIMIT = 16
 
 
 def _require_factorizable(graph: Graph, operation: str) -> None:
@@ -142,34 +136,35 @@ def is_separating(graph: Graph, comps: FactorComponents, candidate: frozenset[in
     return all(comp <= xs or not (comp & xs) for comp in comps.components)
 
 
-def _require_within_limit(k: int, max_components: int) -> None:
-    if k > max_components:
+def _require_within_limit(k: int, max_components: int | None) -> None:
+    if max_components is not None and k > max_components:
         raise ComponentLimitError(
-            f"{k} components exceed the brute-force limit of {max_components}"
+            f"{k} components exceed the component limit of {max_components}"
         )
 
 
 def _above(graph: Graph, comps: FactorComponents, lowers: Iterable[int]) -> list[frozenset[int]]:
     """For each of ``lowers``, the indices of the components at or above it:
-    the members of every separating union that contains it and contracts, at
-    it, to a factor-critical graph.  The unions are tried in ascending bitmask
-    order, each once; one whose members are all known to be above already
-    cannot add any and is skipped.  Each try is one search on index arrays
-    from one perfect matching of the graph."""
+    the members of the largest separating union X that contains it and
+    contracts, at it, to a factor-critical graph (such unions are closed
+    under union).  A search of the remaining union contracted at the lower
+    one marks all of X outer, as the perfect matching's edges lie inside
+    components, so only components outside X drop; once none drops, every
+    vertex is outer and the union is X.  Each search but the last drops one."""
     index, adj = _indexed(graph)
     mate = _blossom_matching(adj)
     parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
     out = []
     for lower in lowers:
-        rest = [i for i in range(len(parts)) if i != lower]
-        known = 0
-        for bits in range(1, 1 << len(rest)):
-            if bits | known == known:
-                continue
-            kept = [v for pos, i in enumerate(rest) if bits >> pos & 1 for v in parts[i]]
-            if _contracts_to_factor_critical(adj, mate, parts[lower], kept):
-                known |= bits
-        out.append(frozenset([lower, *(i for pos, i in enumerate(rest) if known >> pos & 1)]))
+        up = [i for i in range(len(parts)) if i != lower]
+        while up:
+            kept = [v for i in up for v in parts[i]]
+            outer = dict(zip(kept, _contracted_outer(adj, mate, parts[lower], kept)[1:]))
+            still = [i for i in up if all(outer[v] for v in parts[i])]
+            if still == up:
+                break
+            up = still
+        out.append(frozenset([lower, *up]))
     return out
 
 
@@ -180,7 +175,6 @@ def component_leq(graph: Graph, comps: FactorComponents, lower: int, upper: int)
     k = len(comps)
     if not (0 <= lower < k and 0 <= upper < k):
         raise ValueError("component index out of range")
-    _require_within_limit(k, DEFAULT_COMPONENT_LIMIT)
     return upper in _above(graph, comps, [lower])[0]
 
 
@@ -201,7 +195,7 @@ def component_poset(
     graph: Graph,
     comps: FactorComponents | None = None,
     *,
-    max_components: int = DEFAULT_COMPONENT_LIMIT,
+    max_components: int | None = None,
 ) -> ComponentPoset:
     _require_factorizable(graph, "component_poset")
     if comps is None:

@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import Callable
 
-from .canonical import DEFAULT_COMPONENT_LIMIT, component_poset
+from .canonical import component_poset
 from .construction import construct_tree, decompose, saturate, is_saturated
 from .errors import GraphFormatError, PreconditionError, StructureViolation
 from .graph import Graph, parse_edge_list, render_edge_list
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--ge", action="store_true", help="include the partition of each single-vertex deletion")
-    p.add_argument("--max-components", type=int, default=DEFAULT_COMPONENT_LIMIT)
+    p.add_argument("--max-components", type=_positive, metavar="N", help="exit 3 above N components")
     common(p, _cmd_analyze)
 
     p = sub.add_parser("saturated", help="exit 0 if the graph is saturated, 1 otherwise")
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hasse", help="write the component order's Hasse diagram as DOT")
     p.add_argument("file", metavar="FILE")
-    p.add_argument("--max-components", type=int, default=DEFAULT_COMPONENT_LIMIT)
+    p.add_argument("--max-components", type=_positive, metavar="N", help="exit 3 above N components")
     common(p, _cmd_hasse)
 
     p = sub.add_parser("verify", help="run the conformance suite on random graphs")

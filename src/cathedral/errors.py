@@ -34,7 +34,7 @@ class NotSaturatedError(PreconditionError):
 
 
 class ComponentLimitError(PreconditionError):
-    """The component count exceeds the configured brute-force limit."""
+    """The component count exceeds the limit the caller set."""
 
 
 class NoMinimumComponent(PreconditionError):

@@ -157,21 +157,20 @@ def _edmonds_search(
     return outer
 
 
-def _contracts_to_factor_critical(
+def _contracted_outer(
     adj: list[list[int]], mate: list[int], merged: list[int], kept: list[int]
-) -> bool:
-    """Whether G[merged ∪ kept] with ``merged`` contracted to one vertex H
-    is factor-critical, given G's index adjacency ``adj``, a perfect matching
-    ``mate`` of G, and two disjoint unions of factor-components of G.
+) -> list[bool]:
+    """The outer marks of G[merged ∪ kept] with ``merged`` contracted to one
+    vertex H (H at 0, then ``kept`` in order), given G's index adjacency
+    ``adj``, a perfect matching ``mate`` of G, and two disjoint unions of
+    factor-components of G.
 
-    The contracted graph is built on positions, H at 0 and ``kept`` after it.
     Every perfect matching uses allowed edges only, so each edge of ``mate``
     lies inside one factor-component; restricted to ``kept`` it therefore
     covers every vertex of the contracted graph except H.  That graph has odd
     order, so the restriction is a maximum matching, and one search from its
     single exposed vertex H marks the vertices some maximum matching leaves
-    exposed.  The graph is factor-critical iff that is every vertex, the
-    test ``is_factor_critical`` makes.
+    exposed.
     """
     pos = dict.fromkeys(merged, 0)
     pos.update((v, i) for i, v in enumerate(kept, 1))
@@ -179,7 +178,14 @@ def _contracts_to_factor_critical(
     sub = [sorted({pos[w] for v in merged for w in adj[v] if pos.get(w, 0)})]
     # a kept vertex may list H more than once; a parallel edge changes no search
     sub += [[pos[w] for w in adj[v] if w in pos] for v in kept]
-    return all(_edmonds_search(sub, [-1, *(pos[mate[v]] for v in kept)], 0))
+    return _edmonds_search(sub, [-1, *(pos[mate[v]] for v in kept)], 0)
+
+
+def _contracts_to_factor_critical(
+    adj: list[list[int]], mate: list[int], merged: list[int], kept: list[int]
+) -> bool:
+    """Whether G[merged ∪ kept]/merged is factor-critical: all of it outer."""
+    return all(_contracted_outer(adj, mate, merged, kept))
 
 
 def _greedy_mate(adj: list[list[int]]) -> list[int]:

@@ -12,7 +12,6 @@ import json
 from typing import Any
 
 from .canonical import (
-    DEFAULT_COMPONENT_LIMIT,
     CanonicalPartition,
     ComponentPoset,
     FactorComponents,
@@ -115,7 +114,7 @@ def analysis_dict(
     graph: Graph,
     *,
     include_deleted_partitions: bool = False,
-    max_components: int = DEFAULT_COMPONENT_LIMIT,
+    max_components: int | None = None,
 ) -> dict[str, Any]:
     comps: FactorComponents = factor_components(graph)
     partition: CanonicalPartition = canonical_partition(graph, comps)

@@ -51,3 +51,18 @@ def sparse_many_component_graphs(count: int) -> list[Graph]:
         if len(factor_components(g)) in (6, 7):
             kept.append(g)
     return kept
+
+
+def mid_size_graphs(count: int) -> list[Graph]:
+    """Planted-matching graphs on 18, 20 or 22 vertices with edge probability
+    0.1, kept when they have at most 11 factor-components."""
+    rng = random.Random(18)
+    kept: list[Graph] = []
+    while len(kept) < count:
+        n = rng.choice((18, 20, 22))
+        edges = {(u, u + 1) for u in range(0, n, 2)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1}
+        g = Graph(range(n), edges)
+        if len(factor_components(g)) <= 11:
+            kept.append(g)
+    return kept

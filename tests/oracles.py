@@ -5,9 +5,11 @@ trying every partner of the least vertex, contraction from a literal edge
 rewrite.  The deletion structures follow their definitions, one vertex or
 pair deletion at a time, and the alternating-walk references are the
 per-query depth-first loops, counting their expansions.  The component
-order is the per-pair search, which tries every union containing both
-components (its factor-criticality test is the package's, itself checked
-against ``deletion_is_factor_critical``)."""
+order has two references: the per-pair search, which tries every union
+containing both components (its factor-criticality test is the package's,
+itself checked against ``deletion_is_factor_critical``), and the sweep, which
+tries every union containing the lower one with the package's contracted
+search (checked union by union against the literal contraction)."""
 
 from __future__ import annotations
 
@@ -24,7 +26,12 @@ from cathedral.graph import (
     induced_subgraph,
     neighbors,
 )
-from cathedral.matching import is_factor_critical
+from cathedral.matching import (
+    _blossom_matching,
+    _contracts_to_factor_critical,
+    _indexed,
+    is_factor_critical,
+)
 
 
 def all_matchings(graph: Graph) -> list[frozenset[tuple[int, int]]]:
@@ -306,3 +313,30 @@ def pairwise_order(graph, comps) -> tuple[tuple[bool, ...], ...]:
     return tuple(
         tuple(pairwise_component_leq(graph, comps, i, j) for j in range(k)) for i in range(k)
     )
+
+
+# --- the component order, one sweep over the unions per component -------------
+
+
+def sweep_order(graph, comps) -> tuple[tuple[bool, ...], ...]:
+    """The below-or-equal matrix from one sweep per component over every
+    union of components containing it: the unions are tried in ascending
+    bitmask order, each once; one whose members are all known to be above
+    already cannot add any and is skipped.  Each try is one search on index
+    arrays from one perfect matching of the graph."""
+    index, adj = _indexed(graph)
+    mate = _blossom_matching(adj)
+    parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
+    k = len(parts)
+    out = []
+    for lower in range(k):
+        rest = [i for i in range(k) if i != lower]
+        known = 0
+        for bits in range(1, 1 << len(rest)):
+            if bits | known == known:
+                continue
+            kept = [v for pos, i in enumerate(rest) if bits >> pos & 1 for v in parts[i]]
+            if _contracts_to_factor_critical(adj, mate, parts[lower], kept):
+                known |= bits
+        out.append(frozenset([lower, *(i for pos, i in enumerate(rest) if known >> pos & 1)]))
+    return tuple(tuple(j in out[i] for j in range(k)) for i in range(k))

@@ -19,8 +19,18 @@ from cathedral.matching import perfect_matching_union
 from cathedral.serialize import hasse_dot
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
-from helpers import C4, C5, K2, K4, P4, T, factorizable_graphs, sparse_many_component_graphs
-from oracles import pairwise_order
+from helpers import (
+    C4,
+    C5,
+    K2,
+    K4,
+    P4,
+    T,
+    factorizable_graphs,
+    mid_size_graphs,
+    sparse_many_component_graphs,
+)
+from oracles import pairwise_order, sweep_order
 
 
 def test_allowed_edges_fixtures():
@@ -110,10 +120,24 @@ def test_component_order_matches_pairwise_oracle():
             assert component_poset(h, comps).leq == pairwise_order(h, comps), (i, sorted(h.edges))
 
 
+def test_component_order_matches_sweep_oracle():
+    # the fixpoint against the sweep over every union, on up to 11 components
+    graphs = sparse_many_component_graphs(40) + mid_size_graphs(60)
+    for seed, count in ((101, 300), (303, 200)):
+        cfg = TrialConfig(seed=seed, trials=count, max_vertices=10, edge_probability=0.3)
+        graphs += [random_factorizable_graph(cfg, t) for t in range(count)]
+    assert max(len(factor_components(g)) for g in graphs) == 11
+    for i, g in enumerate(graphs):
+        for h in (g, saturate(g)[0]):
+            comps = factor_components(h)
+            assert component_poset(h, comps).leq == sweep_order(h, comps), (i, sorted(h.edges))
+
+
 def test_component_limit_guard():
     g = Graph(range(6), [(0, 1), (2, 3), (4, 5)])
-    with pytest.raises(ComponentLimitError):
+    with pytest.raises(ComponentLimitError, match="3 components exceed the component limit of 2"):
         component_poset(g, max_components=2)
+    assert len(component_poset(g)) == len(component_poset(g, max_components=3)) == 3
 
 
 def test_up_sets_fixtures():

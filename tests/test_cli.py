@@ -5,7 +5,7 @@ import pytest
 import cathedral.cli
 from cathedral.cli import main
 from cathedral.errors import StructureViolation
-from cathedral.graph import parse_edge_list, render_edge_list
+from cathedral.graph import Graph, parse_edge_list, render_edge_list
 
 from helpers import C4, P4, T
 
@@ -186,3 +186,35 @@ def test_verify_rejects_bad_flags_as_usage_errors(flag, value, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "hasse"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_components_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("vertices 0\n")
+    with pytest.raises(SystemExit) as info:
+        main([command, str(empty), "--max-components", value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-components" in err and "Traceback" not in err
+
+
+def test_more_than_16_components_get_an_answer(tmp_path, capsys):
+    # P48 has 24 factor-components; only a limit the caller sets refuses it
+    path, closure, tree, rebuilt = (
+        tmp_path / name for name in ("p48.edges", "closure.edges", "tree.json", "rebuilt.edges")
+    )
+    path.write_text(render_edge_list(Graph(range(48), [(v, v + 1) for v in range(47)])))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    analysis = json.loads(capsys.readouterr().out)
+    assert len(analysis["factor_components"]) == 24
+    assert analysis["component_order"]["hasse"] == []
+    assert main(["saturate", str(path), "-o", str(closure)]) == 0
+    assert main(["decompose", str(closure), "-o", str(tree)]) == 0
+    assert main(["construct", str(tree), "-o", str(rebuilt)]) == 0
+    edge_lines = lambda p: [line for line in p.read_bytes().splitlines(True) if not line.startswith(b"#")]
+    assert edge_lines(rebuilt) == edge_lines(closure)
+    capsys.readouterr()
+    assert main(["hasse", str(path), "--max-components", "16"]) == 3
+    assert "24 components exceed the component limit of 16" in capsys.readouterr().err

@@ -10,9 +10,10 @@ aborts at the same budget threshold.
 """
 
 import importlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
 
+import cathedral.canonical
 import cathedral.matching
 
 import pytest
@@ -122,8 +123,9 @@ def test_exposable_sets_match_their_definitions(seed):
 
 @pytest.mark.parametrize("source", [101, 303, "sparse"])
 def test_each_union_verdict_matches_its_contraction(source):
-    # every union the order's sweep may try, not only those its skip rule
-    # leaves, so a wrong verdict cannot hide behind a right leq matrix
+    # every union of components containing the lower one, not only those
+    # the order searches, so a wrong verdict cannot hide behind a right leq
+    # matrix
     if source == "sparse":
         graphs = sparse_many_component_graphs(40)
     else:
@@ -144,25 +146,53 @@ def test_each_union_verdict_matches_its_contraction(source):
                     assert verdict == is_factor_critical(shrunk), (i, sorted(h.edges), lower, kept)
 
 
-@pytest.mark.parametrize("k", [6, 8])
-def test_order_builds_no_graph_and_runs_one_search_per_union(monkeypatch, k):
-    # P_2k: its k components form an antichain, so the sweep skips no union
-    path = Graph(range(2 * k), [(v, v + 1) for v in range(2 * k - 1)])
-    comps = factor_components(path)
-    built, searches = [], []
+def _count_order_searches(monkeypatch):
+    """Record every Graph build, every Edmonds search, and the lower
+    component (as its merged positions) of every contracted search."""
+    built, searches, lowers = [], [], []
     init, search = Graph.__init__, cathedral.matching._edmonds_search
+    outer = cathedral.canonical._contracted_outer
     monkeypatch.setattr(Graph, "__init__", lambda *args, **kw: built.append(args) or init(*args, **kw))
     monkeypatch.setattr(
         cathedral.matching,
         "_edmonds_search",
         lambda *args, **kwargs: searches.append(args[2]) or search(*args, **kwargs),
     )
+    monkeypatch.setattr(
+        cathedral.canonical,
+        "_contracted_outer",
+        lambda adj, mate, merged, kept: lowers.append(tuple(merged)) or outer(adj, mate, merged, kept),
+    )
+    return built, searches, lowers
+
+
+@pytest.mark.parametrize("k", [6, 8, 20])
+def test_order_builds_no_graph_and_runs_one_search_per_component(monkeypatch, k):
+    # P_2k: its k components form an antichain, so the first search from
+    # each component drops every other one and ends its fixpoint
+    path = Graph(range(2 * k), [(v, v + 1) for v in range(2 * k - 1)])
+    comps = factor_components(path)
+    built, searches, lowers = _count_order_searches(monkeypatch)
     poset = component_poset(path, comps)
     assert built == []
     # the greedy start matches a path perfectly, so the poset's own
-    # perfect-matching computations add no search to the unions' k(2^(k-1)-1)
-    assert len(searches) == k * (2 ** (k - 1) - 1) == {6: 186, 8: 1016}[k]
+    # perfect-matching computations add no search to the order's k
+    assert len(searches) == len(lowers) == len(set(lowers)) == k
     assert poset.hasse == ()
+
+
+def test_order_runs_fewer_searches_per_component_than_components(monkeypatch):
+    # each search but the last of a component's fixpoint drops another
+    # component, and none runs once no other component is left
+    graphs = sparse_many_component_graphs(40)
+    graphs += [saturate(g)[0] for g in graphs]
+    for i, g in enumerate(graphs):
+        comps = factor_components(g)
+        built, _, lowers = _count_order_searches(monkeypatch)
+        component_poset(g, comps)
+        assert built == [], i
+        assert lowers and max(Counter(lowers).values()) <= len(comps) - 1, i
+        monkeypatch.undo()
 
 
 def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
