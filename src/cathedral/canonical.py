@@ -1,6 +1,11 @@
 """Factor-connected components, the canonical vertex partition, the component
 order, and the upper-bound structure tying the two together.
 
+One perfect matching and the sets D(G-u) determine all of them, so each
+graph gets one GraphStructure that checks factorizability once and reads
+every structure, saturation and the deletion partitions off one table of
+D(G-u) and its perfect matching; the public functions wrap it.
+
 A component sits below another when some separating superset of both
 contracts, at the lower one, to a factor-critical graph; ``_above`` finds
 each component's up-closure as a shrinking fixpoint of Edmonds searches, at
@@ -24,27 +29,9 @@ from .errors import (
     NotFactorizableError,
     PartialOrderViolation,
 )
-from .graph import Edge, Graph, connected_components, induced_subgraph, neighbors
-from .matching import (
-    ExposableAfterDeletion,
-    _blossom_matching,
-    _contracted_outer,
-    _indexed,
-    is_factorizable,
-)
-
-
-def _require_factorizable(graph: Graph, operation: str) -> None:
-    if not is_factorizable(graph):
-        raise NotFactorizableError(f"{operation} needs a graph with a perfect matching")
-
-
-def allowed_edges(graph: Graph) -> frozenset[Edge]:
-    """Edges lying in some perfect matching: exactly those uv whose endpoint
-    deletion leaves the graph factorizable, i.e. with v in D(G-u)."""
-    _require_factorizable(graph, "allowed_edges")
-    exposable = ExposableAfterDeletion(graph)
-    return frozenset((u, v) for u, v in graph.edges if v in exposable[u])
+from .gallai_edmonds import GEPartition, _deletion_partitions
+from .graph import Edge, Graph, complement_pairs, connected_components, induced_subgraph, neighbors
+from .matching import ExposableAfterDeletion, _contracted_outer, is_factorizable
 
 
 @dataclass(frozen=True)
@@ -60,14 +47,6 @@ class FactorComponents:
 
     def __len__(self) -> int:
         return len(self.components)
-
-
-def factor_components(graph: Graph) -> FactorComponents:
-    allow = allowed_edges(graph)
-    skeleton = Graph(graph.vertices, allow)
-    return FactorComponents(
-        tuple(frozenset(c) for c in connected_components(skeleton)), allow
-    )
 
 
 @dataclass(frozen=True)
@@ -87,6 +66,73 @@ class CanonicalPartition:
         return {cls for cls in self.classes if cls <= vertex_set}
 
 
+@dataclass(frozen=True)
+class ComponentPoset:
+    """The full below-or-equal matrix over factor-components plus its
+    transitive reduction (cover relation)."""
+
+    components: FactorComponents
+    leq: tuple[tuple[bool, ...], ...]
+    hasse: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.components)
+
+
+@dataclass(frozen=True, eq=False)
+class GraphStructure:
+    """The canonical structures of one factorizable graph, each computed on
+    first use and kept.  Building one is the precondition check; every
+    structure reads the one ``table`` of D(G-u) and its perfect matching."""
+
+    graph: Graph
+
+    def __post_init__(self) -> None:
+        if not is_factorizable(self.graph):
+            raise NotFactorizableError("canonical structures need a graph with a perfect matching")
+
+    @cached_property
+    def table(self) -> ExposableAfterDeletion:
+        return ExposableAfterDeletion(self.graph)
+
+    @cached_property
+    def allowed(self) -> frozenset[Edge]:
+        return frozenset((u, v) for u, v in self.graph.edges if v in self.table[u])
+
+    @cached_property
+    def components(self) -> FactorComponents:
+        skeleton = Graph(self.graph.vertices, self.allowed)
+        return FactorComponents(
+            tuple(frozenset(c) for c in connected_components(skeleton)), self.allowed
+        )
+
+    @cached_property
+    def partition(self) -> CanonicalPartition:
+        return _partition(self.table, self.components)
+
+    @cached_property
+    def poset(self) -> ComponentPoset:
+        return _poset(self.table, self.components)
+
+    @cached_property
+    def saturated(self) -> bool:
+        return all(v in self.table[u] for u, v in complement_pairs(self.graph))
+
+    @cached_property
+    def deletion_partitions(self) -> dict[int, GEPartition]:
+        return _deletion_partitions(self.graph, self.table)
+
+
+def allowed_edges(graph: Graph) -> frozenset[Edge]:
+    """Edges lying in some perfect matching: exactly those uv whose endpoint
+    deletion leaves the graph factorizable, i.e. with v in D(G-u)."""
+    return GraphStructure(graph).allowed
+
+
+def factor_components(graph: Graph) -> FactorComponents:
+    return GraphStructure(graph).components
+
+
 def same_class(graph: Graph, comps: FactorComponents, u: int, v: int) -> bool:
     """Same factor-connected component, and deleting both endpoints kills
     every perfect matching (or the vertices coincide): v is not in D(G-u)."""
@@ -103,16 +149,18 @@ def canonical_partition(graph: Graph, comps: FactorComponents | None = None) -> 
     checked, and a violation raises EquivalenceViolation because it would
     mean the matching engine is broken.
     """
-    _require_factorizable(graph, "canonical_partition")
-    if comps is None:
-        comps = factor_components(graph)
-    exposable = ExposableAfterDeletion(graph)
-    related: dict[int, set[int]] = {v: {v} for v in graph.vertices}
-    for u, v in combinations(graph.vertices, 2):
+    structure = GraphStructure(graph)
+    return _partition(structure.table, structure.components if comps is None else comps)
+
+
+def _partition(exposable: ExposableAfterDeletion, comps: FactorComponents) -> CanonicalPartition:
+    vertices = exposable.vertices
+    related: dict[int, set[int]] = {v: {v} for v in vertices}
+    for u, v in combinations(vertices, 2):
         if comps.component_of[u] == comps.component_of[v] and v not in exposable[u]:
             related[u].add(v)
             related[v].add(u)
-    for v in graph.vertices:
+    for v in vertices:
         for w in related[v]:
             if related[w] != related[v]:
                 raise EquivalenceViolation(
@@ -120,7 +168,7 @@ def canonical_partition(graph: Graph, comps: FactorComponents | None = None) -> 
                 )
     classes: list[frozenset[int]] = []
     placed: set[int] = set()
-    for v in graph.vertices:
+    for v in vertices:
         if v not in placed:
             cls = frozenset(related[v])
             placed |= cls
@@ -143,16 +191,18 @@ def _require_within_limit(k: int, max_components: int | None) -> None:
         )
 
 
-def _above(graph: Graph, comps: FactorComponents, lowers: Iterable[int]) -> list[frozenset[int]]:
+def _above(
+    exposable: ExposableAfterDeletion, comps: FactorComponents, lowers: Iterable[int]
+) -> list[frozenset[int]]:
     """For each of ``lowers``, the indices of the components at or above it:
     the members of the largest separating union X that contains it and
     contracts, at it, to a factor-critical graph (such unions are closed
     under union).  A search of the remaining union contracted at the lower
     one marks all of X outer, as the perfect matching's edges lie inside
     components, so only components outside X drop; once none drops, every
-    vertex is outer and the union is X.  Each search but the last drops one."""
-    index, adj = _indexed(graph)
-    mate = _blossom_matching(adj)
+    vertex is outer and the union is X.  Each search but the last drops one.
+    The searches run on the table's index adjacency and perfect matching."""
+    index, adj, mate = exposable.index, exposable.adj, exposable.mate
     parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
     out = []
     for lower in lowers:
@@ -175,20 +225,7 @@ def component_leq(graph: Graph, comps: FactorComponents, lower: int, upper: int)
     k = len(comps)
     if not (0 <= lower < k and 0 <= upper < k):
         raise ValueError("component index out of range")
-    return upper in _above(graph, comps, [lower])[0]
-
-
-@dataclass(frozen=True)
-class ComponentPoset:
-    """The full below-or-equal matrix over factor-components plus its
-    transitive reduction (cover relation)."""
-
-    components: FactorComponents
-    leq: tuple[tuple[bool, ...], ...]
-    hasse: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
+    return upper in _above(ExposableAfterDeletion(graph), comps, [lower])[0]
 
 
 def component_poset(
@@ -197,12 +234,16 @@ def component_poset(
     *,
     max_components: int | None = None,
 ) -> ComponentPoset:
-    _require_factorizable(graph, "component_poset")
+    structure = GraphStructure(graph)
     if comps is None:
-        comps = factor_components(graph)
+        comps = structure.components
+    _require_within_limit(len(comps), max_components)
+    return _poset(structure.table, comps)
+
+
+def _poset(exposable: ExposableAfterDeletion, comps: FactorComponents) -> ComponentPoset:
     k = len(comps)
-    _require_within_limit(k, max_components)
-    above = _above(graph, comps, range(k))
+    above = _above(exposable, comps, range(k))
     leq = [[j in above[i] for j in range(k)] for i in range(k)]
     for i in range(k):
         if not leq[i][i]:

@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import (
-    _require_factorizable,
-    canonical_partition,
-    component_poset,
-    factor_components,
-    minimum_component,
-)
+from .canonical import GraphStructure, minimum_component
 from .errors import (
     ClassKeyMismatch,
+    ConstructionError,
     ConstructionViolation,
     ContractionNotFactorCritical,
     FoundationNotElementary,
@@ -28,6 +23,7 @@ from .errors import (
     MinimumComponentMissing,
     MultipleTowersPerClass,
     NoMinimumComponent,
+    NotFactorizableError,
     NotSaturatedError,
     PartNotSaturated,
     PartitionMismatch,
@@ -35,7 +31,6 @@ from .errors import (
     TowerNotSaturated,
     VertexIdCollision,
 )
-from .gallai_edmonds import deletion_partitions
 from .graph import (
     Edge,
     Graph,
@@ -47,21 +42,13 @@ from .graph import (
     induced_subgraph,
     neighbors,
 )
-from .matching import (
-    ExposableAfterDeletion,
-    _blossom_matching,
-    _contracts_to_factor_critical,
-    _indexed,
-    is_factorizable,
-)
+from .matching import ExposableAfterDeletion, _contracts_to_factor_critical, is_factorizable
 
 
 def is_saturated(graph: Graph) -> bool:
     """Whether adding any absent edge would create a new perfect matching,
     i.e. every complement pair uv has v in D(G-u)."""
-    _require_factorizable(graph, "is_saturated")
-    exposable = ExposableAfterDeletion(graph)
-    return all(v in exposable[u] for u, v in complement_pairs(graph))
+    return GraphStructure(graph).saturated
 
 
 def saturate(graph: Graph, *, descending: bool = False) -> tuple[Graph, tuple[Edge, ...]]:
@@ -74,7 +61,8 @@ def saturate(graph: Graph, *, descending: bool = False) -> tuple[Graph, tuple[Ed
     The closure depends on the scan order; any closure has the input's
     matchings exactly and passes is_saturated.
     """
-    _require_factorizable(graph, "saturate")
+    if not is_factorizable(graph):
+        raise NotFactorizableError("saturate needs a graph with a perfect matching")
     exposable = ExposableAfterDeletion(graph)
     added: list[Edge] = []
     # both scan orders group pairs by u, so D(G-u) is searched where u's run
@@ -115,36 +103,39 @@ class ConstructionSpec:
 
 def decompose(graph: Graph) -> CathedralTree:
     """Break a saturated graph into its foundation and towers, recursively."""
-    if not is_saturated(graph):
+    structure = GraphStructure(graph)
+    if not structure.saturated:
         raise NotSaturatedError("input is not saturated")
-    return _decompose_saturated(graph)
+    return _decompose_saturated(structure)
 
 
-def _decompose_saturated(graph: Graph) -> CathedralTree:
+def _decompose_saturated(level: GraphStructure) -> CathedralTree:
+    # one structure per level graph and one per foundation; each tower's,
+    # built for its saturation check, is the next level's
+    graph = level.graph
     if graph.order == 0:
         return CathedralTree(frozenset(), frozenset(), ())
-    comps = factor_components(graph)
-    poset = component_poset(graph, comps)
-    low = minimum_component(poset)
+    comps = level.components
+    low = minimum_component(level.poset)
     if low is None:
         raise MinimumComponentMissing("saturated graph has no minimum component")
     fv = comps.components[low]
-    foundation = induced_subgraph(graph, fv)
-    partition = canonical_partition(graph, comps)
+    partition = level.partition
     restricted = partition.restricted_to(fv)
-    if restricted != set(canonical_partition(foundation).classes):
+    foundation = GraphStructure(induced_subgraph(graph, fv))
+    if restricted != set(foundation.partition.classes):
         raise PartitionMismatch(
             "partition restricted to the foundation disagrees with the foundation's own partition"
         )
-    if not is_saturated(foundation):
+    if not foundation.saturated:
         raise PartNotSaturated("foundation failed the saturation test")
-    index, adj = _indexed(graph)
-    rest = [index[v] for v in graph.vertices if v not in fv]
-    if not _contracts_to_factor_critical(adj, _blossom_matching(adj), [index[v] for v in fv], rest):
+    table = level.table
+    rest = [table.index[v] for v in graph.vertices if v not in fv]
+    if not _contracts_to_factor_critical(table.adj, table.mate, [table.index[v] for v in fv], rest):
         raise ContractionNotFactorCritical(
             "collapsing the foundation did not give a factor-critical graph"
         )
-    towers: dict[frozenset[int], Graph] = {}
+    towers: dict[frozenset[int], GraphStructure] = {}
     for piece in connected_components(delete_vertices(graph, fv)):
         ps = frozenset(piece)
         nb = neighbors(graph, ps)
@@ -166,15 +157,26 @@ def _decompose_saturated(graph: Graph) -> CathedralTree:
                     raise JoinEdgeMissing(
                         f"class vertex {s} and tower vertex {t} are not adjacent"
                     )
-        tower = induced_subgraph(graph, ps)
-        if not is_saturated(tower):
+        tower = GraphStructure(induced_subgraph(graph, ps))
+        if not tower.saturated:
             raise PartNotSaturated(f"tower {sorted(ps)} failed the saturation test")
         towers[cls] = tower
     entries = tuple(
         (cls, _decompose_saturated(towers[cls]) if cls in towers else None)
         for cls in sorted(restricted, key=min)
     )
-    return CathedralTree(fv, foundation.edges, entries)
+    return CathedralTree(fv, foundation.graph.edges, entries)
+
+
+def _saturated_structure(graph: Graph, error: ConstructionError) -> GraphStructure:
+    """The structure of a saturated graph; ``error`` for any other graph."""
+    try:
+        structure = GraphStructure(graph)
+    except NotFactorizableError:
+        raise error from None
+    if not structure.saturated:
+        raise error
+    return structure
 
 
 def construct(spec: ConstructionSpec) -> Graph:
@@ -186,15 +188,12 @@ def construct(spec: ConstructionSpec) -> Graph:
         if spec.towers:
             raise ClassKeyMismatch("an empty foundation admits no tower classes")
         return Graph()
-    if not is_factorizable(foundation) or not is_saturated(foundation):
-        raise FoundationNotSaturated("foundation must be saturated")
-    comps = factor_components(foundation)
-    if len(comps) != 1:
+    base = _saturated_structure(foundation, FoundationNotSaturated("foundation must be saturated"))
+    if len(base.components) != 1:
         raise FoundationNotElementary(
             "foundation must consist of a single factor-connected component"
         )
-    partition = canonical_partition(foundation, comps)
-    if set(spec.towers) != set(partition.classes):
+    if set(spec.towers) != set(base.partition.classes):
         raise ClassKeyMismatch(
             "tower keys must be exactly the foundation's canonical classes"
         )
@@ -205,8 +204,7 @@ def construct(spec: ConstructionSpec) -> Graph:
         if clash:
             raise VertexIdCollision(f"vertex ids {sorted(clash)} are reused across parts")
         used |= tower.vertex_set
-        if not is_factorizable(tower) or not is_saturated(tower):
-            raise TowerNotSaturated(f"tower for class {sorted(cls)} must be saturated")
+        _saturated_structure(tower, TowerNotSaturated(f"tower for class {sorted(cls)} must be saturated"))
 
     vertices = set(foundation.vertices)
     edges = set(foundation.edges)
@@ -218,16 +216,15 @@ def construct(spec: ConstructionSpec) -> Graph:
                 edges.add(edge(s, t))
     built = Graph(vertices, edges)
 
-    if not is_saturated(built):
+    out = GraphStructure(built)
+    if not out.saturated:
         raise ConstructionViolation("construction output failed the saturation test")
-    built_comps = factor_components(built)
-    if foundation.vertex_set not in built_comps.components:
+    if foundation.vertex_set not in out.components.components:
         raise ConstructionViolation(
             "foundation is not a factor-connected component of the output"
         )
-    built_poset = component_poset(built, built_comps)
-    low = minimum_component(built_poset)
-    if low is None or built_comps.components[low] != foundation.vertex_set:
+    low = minimum_component(out.poset)
+    if low is None or out.components.components[low] != foundation.vertex_set:
         raise ConstructionViolation(
             "foundation is not the minimum component of the output"
         )
@@ -250,9 +247,13 @@ def foundation_via_ge(graph: Graph) -> frozenset[int]:
     case for nonempty saturated graphs); equals that minimum component's
     vertex set, which the verifier checks against decompose.
     """
-    _require_factorizable(graph, "foundation_via_ge")
+    return _foundation_via_ge(GraphStructure(graph))
+
+
+def _foundation_via_ge(structure: GraphStructure) -> frozenset[int]:
+    graph = structure.graph
     if graph.order == 0:
         return frozenset()
-    if minimum_component(component_poset(graph)) is None:
+    if minimum_component(structure.poset) is None:
         raise NoMinimumComponent("the component order has no minimum element")
-    return graph.vertex_set.difference(*(ge.c for ge in deletion_partitions(graph).values()))
+    return graph.vertex_set.difference(*(ge.c for ge in structure.deletion_partitions.values()))

@@ -52,5 +52,8 @@ def deletion_partitions(graph: Graph) -> dict[int, GEPartition]:
     ascending order of x: D is D(G-x) from one deletion search, A its
     neighbors other than x, C the rest of G-x.  A perfect matching of G
     leaves one vertex of G-x exposed."""
-    exposable = ExposableAfterDeletion(graph)
+    return _deletion_partitions(graph, ExposableAfterDeletion(graph))
+
+
+def _deletion_partitions(graph: Graph, exposable: ExposableAfterDeletion) -> dict[int, GEPartition]:
     return {x: _checked_partition(graph, exposable[x], 1, frozenset((x,))) for x in graph.vertices}

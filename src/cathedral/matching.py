@@ -265,28 +265,29 @@ def exposable_vertices(graph: Graph) -> frozenset[int]:
 class ExposableAfterDeletion(dict[int, frozenset[int]]):
     """``self[u]`` is D(G-u) for a vertex u of a factorizable graph G: the
     vertices v with G-u-v factorizable.  Each is searched on first lookup,
-    building no graph: drop u and its edge in one perfect matching M, then
-    search from u's former partner.  ``add_edge`` grows G, which keeps M
-    perfect but leaves the sets already looked up as they were."""
+    building no graph: drop u and its edge in the perfect matching ``mate``,
+    then search from u's former partner.  ``index`` and ``adj`` are G's
+    positions and index adjacency.  ``add_edge`` grows G, which keeps
+    ``mate`` perfect but leaves the sets already looked up as they were."""
 
     def __init__(self, graph: Graph) -> None:
-        self._vertices = graph.vertices
-        self._index, self._adj = _indexed(graph)
-        self._mate = _blossom_matching(self._adj)
-        if -1 in self._mate:
+        self.vertices = graph.vertices
+        self.index, self.adj = _indexed(graph)
+        self.mate = _blossom_matching(self.adj)
+        if -1 in self.mate:
             raise NotFactorizableError("deletion searches need a graph with a perfect matching")
 
     def __missing__(self, u: int) -> frozenset[int]:
-        i = self._index[u]
-        near = self._mate[:]
-        near[i] = near[self._mate[i]] = -1
-        outer = _edmonds_search(self._adj, near, self._mate[i], hidden=i)
-        found = self[u] = frozenset(v for v, o in zip(self._vertices, outer) if o)
+        i = self.index[u]
+        near = self.mate[:]
+        near[i] = near[self.mate[i]] = -1
+        outer = _edmonds_search(self.adj, near, self.mate[i], hidden=i)
+        found = self[u] = frozenset(v for v, o in zip(self.vertices, outer) if o)
         return found
 
     def add_edge(self, u: int, v: int) -> None:
-        self._adj[self._index[u]].append(self._index[v])
-        self._adj[self._index[v]].append(self._index[u])
+        self.adj[self.index[u]].append(self.index[v])
+        self.adj[self.index[v]].append(self.index[u])
 
 
 @dataclass(frozen=True)

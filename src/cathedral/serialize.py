@@ -11,18 +11,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .canonical import (
-    CanonicalPartition,
-    ComponentPoset,
-    FactorComponents,
-    canonical_partition,
-    component_poset,
-    factor_components,
-    minimum_component,
-)
-from .construction import CathedralTree, is_saturated
+from .canonical import ComponentPoset, GraphStructure, _require_within_limit, minimum_component
+from .construction import CathedralTree
 from .errors import GraphFormatError
-from .gallai_edmonds import deletion_partitions
 from .graph import Graph
 from .verify import CheckResult, SuiteReport, TrialConfig
 
@@ -116,9 +107,11 @@ def analysis_dict(
     include_deleted_partitions: bool = False,
     max_components: int | None = None,
 ) -> dict[str, Any]:
-    comps: FactorComponents = factor_components(graph)
-    partition: CanonicalPartition = canonical_partition(graph, comps)
-    poset = component_poset(graph, comps, max_components=max_components)
+    structure = GraphStructure(graph)
+    comps = structure.components
+    _require_within_limit(len(comps), max_components)
+    partition = structure.partition
+    poset = structure.poset
     low = minimum_component(poset)
     out: dict[str, Any] = {
         "vertices": list(graph.vertices),
@@ -131,7 +124,7 @@ def analysis_dict(
             "hasse": [list(cover) for cover in poset.hasse],
             "minimum": low,
         },
-        "saturated": is_saturated(graph),
+        "saturated": structure.saturated,
     }
     if include_deleted_partitions:
         out["deleted_partitions"] = [
@@ -141,7 +134,7 @@ def analysis_dict(
                 "a": sorted(ge.a),
                 "c": sorted(ge.c),
             }
-            for x, ge in deletion_partitions(graph).items()
+            for x, ge in structure.deletion_partitions.items()
         ]
     return out
 

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable
 
 from .canonical import (
-    CanonicalPartition,
-    ComponentPoset,
-    FactorComponents,
+    GraphStructure,
     UpSets,
     allowed_edges,
     canonical_partition,
@@ -37,9 +35,9 @@ from .canonical import (
 )
 from .construction import (
     CathedralTree,
+    _foundation_via_ge,
     construct_tree,
     decompose,
-    foundation_via_ge,
     is_saturated,
     saturate,
 )
@@ -48,7 +46,7 @@ from .errors import (
     SearchBudgetExceeded,
     StructureViolation,
 )
-from .gallai_edmonds import GEPartition, deletion_partitions, gallai_edmonds
+from .gallai_edmonds import gallai_edmonds
 from .graph import (
     Edge,
     Graph,
@@ -179,15 +177,15 @@ def _relabel_dense(graph: Graph) -> Graph:
     return Graph(range(graph.order), ((remap[u], remap[v]) for u, v in graph.edges))
 
 
-class _TrialContext:
-    """Shared, lazily computed artifacts for one graph under test."""
+@dataclass(frozen=True, eq=False)
+class _TrialContext(GraphStructure):
+    """Shared, lazily computed artifacts for one graph under test, on top of
+    the graph's canonical structures."""
 
-    def __init__(self, graph: Graph, config: TrialConfig):
-        self.graph = graph
-        self.config = config
-        self._reach: dict[int, AlternatingReach] = {}
-        self._deleted: dict[int, tuple[Graph, Matching, int, AlternatingReach]] = {}
-        self._upsets: dict[int, UpSets] = {}
+    config: TrialConfig
+    _reach: dict[int, AlternatingReach] = field(default_factory=dict)
+    _deleted: dict[int, tuple[Graph, Matching, int, AlternatingReach]] = field(default_factory=dict)
+    _upsets: dict[int, UpSets] = field(default_factory=dict)
 
     @cached_property
     def enumeration(self) -> PerfectMatchingEnumeration:
@@ -210,33 +208,13 @@ class _TrialContext:
                 rerun_on_closure=False,
             )
 
-    @property
-    def allowed(self) -> frozenset[Edge]:
-        return self.components.allowed
-
     @cached_property
     def allowed_union(self) -> frozenset[Edge]:
         return frozenset().union(*(m.edges for m in self.matchings))
 
     @cached_property
-    def components(self) -> FactorComponents:
-        return factor_components(self.graph)
-
-    @cached_property
-    def partition(self) -> CanonicalPartition:
-        return canonical_partition(self.graph, self.components)
-
-    @cached_property
-    def poset(self) -> ComponentPoset:
-        return component_poset(self.graph, self.components)
-
-    @cached_property
     def minimum(self) -> int | None:
         return minimum_component(self.poset)
-
-    @cached_property
-    def saturated(self) -> bool:
-        return is_saturated(self.graph)
 
     @cached_property
     def tree(self) -> CathedralTree:
@@ -248,11 +226,7 @@ class _TrialContext:
 
     @cached_property
     def foundation_via_ge(self) -> frozenset[int]:
-        return foundation_via_ge(self.graph)
-
-    @cached_property
-    def deleted_partitions(self) -> dict[int, GEPartition]:
-        return deletion_partitions(self.graph)
+        return _foundation_via_ge(self)
 
     def reach(self, matching_index: int) -> AlternatingReach:
         if matching_index not in self._reach:
@@ -329,7 +303,7 @@ def _check_deleted_partition_paths(ctx: _TrialContext) -> None:
     for mi, _ in enumerate(ctx.matchings_checked):
         reach = ctx.reach(mi)
         for x in ctx.graph.vertices:
-            ge = ctx.deleted_partitions[x]
+            ge = ctx.deletion_partitions[x]
             for u in ctx.graph.vertices:
                 if u == x:
                     continue
@@ -627,7 +601,7 @@ def _check_deleted_partition_vs_up_sets(ctx: _TrialContext) -> None:
         up_s = us.up_vertices(s)
         expected_d = everything - us.up_star_vertices(s)
         for x in sorted(cls):
-            ge = ctx.deleted_partitions[x]
+            ge = ctx.deletion_partitions[x]
             if ge.d != expected_d:
                 _fail(f"exposable part of G-{x} differs from the up-set prediction")
             if (ge.a | {x}) != cls:
@@ -635,7 +609,7 @@ def _check_deleted_partition_vs_up_sets(ctx: _TrialContext) -> None:
             if ge.c != up_s:
                 _fail(f"inner part of G-{x} is not the class's region")
         for x in sorted(up_s):
-            ge = ctx.deleted_partitions[x]
+            ge = ctx.deletion_partitions[x]
             if not expected_d <= ge.d:
                 _fail(f"exposable part of G-{x} misses the predicted set")
             if not cls <= (ge.a | {x}):

@@ -162,7 +162,7 @@ def _tree_vertices(tree) -> frozenset[int]:
 
 def test_criterion_7_fixture_regressions():
     violations = []
-    for name in ("p4", "c4", "t"):
+    for name in ("p4", "c4", "t", "p8", "p8c"):
         golden = json.loads((GOLDEN / f"{name}.json").read_text())
         graph = parse_edge_list(golden["edge_list"])
         include_ge = "deleted_partitions" in golden["analysis"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -168,6 +169,26 @@ def test_verify_json_deterministic_across_runs(tmp_path):
     data = json.loads(a.read_text())
     assert data["config"]["seed"] == 1
     assert all("millis" not in r for t in data["trials"] for r in t["results"])
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--seed", "0", "--trials", "100", "--max-n", "8"],
+            "27adea756d13d37dd2ac6209647d34b1f5e324c8ff5567af9386529095587830",
+        ),
+        (
+            ["--seed", "3", "--trials", "40", "--max-n", "10", "--p", "0.4"],
+            "bf154348ee29874c748213595472f74583663aded660826f7d50b493386a2c19",
+        ),
+    ],
+    ids=["seed0", "seed3"],
+)
+def test_verify_json_bytes_are_pinned(tmp_path, args, digest):
+    out = tmp_path / "report.json"
+    main(["verify", *args, "--format", "json", "-o", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_rejects_odd_max_n(capsys):

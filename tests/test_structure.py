@@ -1,0 +1,137 @@
+"""One perfect matching and one D(G-u) table per graph.
+
+Every reader of the canonical structures holds one per-graph structure, so
+an `analyze` request fills one deletion table, computes one perfect matching
+and checks factorizability once, and `decompose` builds two tables per level:
+the level graph's and its foundation's.  The counts are taken on every
+cathedral binding of the counted functions.
+"""
+
+import random
+import sys
+from collections import Counter
+
+import pytest
+
+import cathedral.matching
+from cathedral.canonical import factor_components
+from cathedral.cli import main
+from cathedral.construction import decompose, saturate
+from cathedral.errors import ComponentLimitError
+from cathedral.graph import Graph, render_edge_list
+from cathedral.matching import ExposableAfterDeletion
+from cathedral.serialize import analysis_dict
+from cathedral.verify import TrialConfig, _TrialContext
+
+
+def _seeded(n: int, p: float, seed: int, keep) -> Graph:
+    """The first planted-matching graph of the seed whose number of
+    factor-components ``keep`` accepts."""
+    rng = random.Random(seed)
+    while True:
+        edges = {(u, u + 1) for u in range(0, n, 2)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        g = Graph(range(n), edges)
+        if keep(len(factor_components(g))):
+            return g
+
+
+ELEMENTARY = _seeded(20, 0.3, 1, lambda k: k == 1)
+SPARSE = _seeded(18, 0.1, 2, lambda k: k >= 4)
+
+
+def _count(monkeypatch) -> Counter:
+    """Count deletion tables built and calls of `is_factorizable` and
+    `_blossom_matching` from now on."""
+    counts: Counter = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cathedral"]
+    for name in ("is_factorizable", "_blossom_matching"):
+        original = getattr(cathedral.matching, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    init = ExposableAfterDeletion.__init__
+    monkeypatch.setattr(
+        ExposableAfterDeletion, "__init__", lambda self, g: counts.update(["tables"]) or init(self, g)
+    )
+    return counts
+
+
+@pytest.mark.parametrize(
+    "graph, ge", [(ELEMENTARY, True), (SPARSE, False)], ids=["elementary-ge", "sparse"]
+)
+def test_analyze_reads_one_table(monkeypatch, graph, ge):
+    counts = _count(monkeypatch)
+    analysis = analysis_dict(graph, include_deleted_partitions=ge)
+    assert (counts["tables"], counts["is_factorizable"], counts["_blossom_matching"]) == (1, 1, 1)
+    assert ("deleted_partitions" in analysis) == ge
+
+
+def test_decompose_builds_two_tables_per_level(monkeypatch):
+    closure = saturate(Graph(range(40), [(v, v + 1) for v in range(39)]))[0]
+    counts = _count(monkeypatch)
+    tree = decompose(closure)
+    levels = 0
+    while tree is not None:
+        levels += 1
+        (tree,) = [sub for _, sub in tree.classes if sub is not None] or [None]
+    assert levels == 20
+    assert counts["tables"] == 2 * levels
+
+
+def test_trial_context_artifacts_share_one_table(monkeypatch):
+    counts = _count(monkeypatch)
+    ctx = _TrialContext(ELEMENTARY, TrialConfig(seed=0))
+    for artifact in ("components", "partition", "poset", "saturated", "deletion_partitions"):
+        getattr(ctx, artifact)
+    assert counts["tables"] == 1
+
+
+def test_saturate_fills_one_growing_table(monkeypatch):
+    counts = _count(monkeypatch)
+    assert saturate(SPARSE)[1]
+    assert counts["tables"] == 1
+
+
+def test_component_cap_is_checked_before_the_partition(monkeypatch, tmp_path, capsys):
+    counts = _count(monkeypatch)
+    with pytest.raises(ComponentLimitError):
+        analysis_dict(SPARSE, max_components=1)
+    assert counts["tables"] == 1
+    path = tmp_path / "sparse.edges"
+    path.write_text(render_edge_list(SPARSE))
+    assert main(["analyze", str(path), "--max-components", "1"]) == 3
+    k = len(factor_components(SPARSE))
+    assert capsys.readouterr().err == f"error: {k} components exceed the component limit of 1\n"
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [["analyze"], ["analyze", "--ge"], ["saturated"], ["saturate"], ["decompose"], ["hasse"]],
+    ids=" ".join,
+)
+def test_every_graph_verb_refuses_the_star_at_once(monkeypatch, tmp_path, capsys, verb):
+    # vertex 0 joined to 1..8000 and the edge 8000-8001: the factorizability
+    # check stops at the first exposed leaf, before any table is built
+    star = tmp_path / "star.edges"
+    star.write_text(
+        render_edge_list(Graph(range(8002), [(0, v) for v in range(1, 8001)] + [(8000, 8001)]))
+    )
+    searches = []
+    search = cathedral.matching._edmonds_search
+    monkeypatch.setattr(
+        cathedral.matching,
+        "_edmonds_search",
+        lambda *args, **kwargs: searches.append(args[2]) or search(*args, **kwargs),
+    )
+    counts = _count(monkeypatch)
+    assert main([verb[0], str(star), *verb[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "perfect matching" in err
+    assert counts["tables"] == 0 and len(searches) <= 2
