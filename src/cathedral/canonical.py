@@ -31,7 +31,8 @@ from .errors import (
 )
 from .gallai_edmonds import GEPartition, _deletion_partitions
 from .graph import Edge, Graph, complement_pairs, connected_components, induced_subgraph, neighbors
-from .matching import ExposableAfterDeletion, _contracted_outer, is_factorizable
+from .matching import ExposableAfterDeletion, is_factorizable
+from .matching import _contracted_outer, _contracts_to_factor_critical
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,18 @@ class GraphStructure:
     @cached_property
     def poset(self) -> ComponentPoset:
         return _poset(self.table, self.components)
+
+    @cached_property
+    def minimum(self) -> int | None:
+        """Index of the component below every other, if any: the first at which
+        the whole graph contracts to a factor-critical graph (``_above``'s first search)."""
+        table = self.table
+        parts = [[table.index[v] for v in sorted(comp)] for comp in self.components.components]
+        for i, part in enumerate(parts):
+            rest = [v for j, other in enumerate(parts) if j != i for v in other]
+            if _contracts_to_factor_critical(table.adj, table.mate, part, rest):
+                return i
+        return None
 
     @cached_property
     def saturated(self) -> bool:

@@ -1,22 +1,21 @@
 """Saturation testing, saturation closure, and the two-way bridge between
 saturated graphs and their foundation/towers decomposition.
 
-decompose doubles as a falsification harness: every structural guarantee it
-relies on (minimum element, partition restriction, unique tower per class,
-complete class-tower joins, saturated parts, factor-critical contraction) is
-re-checked and raises StructureViolation on failure instead of proceeding.
+decompose doubles as a falsification harness: every guarantee it relies on (a
+minimum component, at which the graph contracts to a factor-critical graph;
+partition restriction; one tower per class; complete class-tower joins;
+saturated parts) is re-checked, and a failure raises StructureViolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import GraphStructure, minimum_component
+from .canonical import GraphStructure
 from .errors import (
     ClassKeyMismatch,
     ConstructionError,
     ConstructionViolation,
-    ContractionNotFactorCritical,
     FoundationNotElementary,
     FoundationNotSaturated,
     JoinEdgeMissing,
@@ -42,7 +41,7 @@ from .graph import (
     induced_subgraph,
     neighbors,
 )
-from .matching import ExposableAfterDeletion, _contracts_to_factor_critical, is_factorizable
+from .matching import ExposableAfterDeletion, is_factorizable
 
 
 def is_saturated(graph: Graph) -> bool:
@@ -115,11 +114,10 @@ def _decompose_saturated(level: GraphStructure) -> CathedralTree:
     graph = level.graph
     if graph.order == 0:
         return CathedralTree(frozenset(), frozenset(), ())
-    comps = level.components
-    low = minimum_component(level.poset)
+    low = level.minimum
     if low is None:
         raise MinimumComponentMissing("saturated graph has no minimum component")
-    fv = comps.components[low]
+    fv = level.components.components[low]
     partition = level.partition
     restricted = partition.restricted_to(fv)
     foundation = GraphStructure(induced_subgraph(graph, fv))
@@ -129,12 +127,6 @@ def _decompose_saturated(level: GraphStructure) -> CathedralTree:
         )
     if not foundation.saturated:
         raise PartNotSaturated("foundation failed the saturation test")
-    table = level.table
-    rest = [table.index[v] for v in graph.vertices if v not in fv]
-    if not _contracts_to_factor_critical(table.adj, table.mate, [table.index[v] for v in fv], rest):
-        raise ContractionNotFactorCritical(
-            "collapsing the foundation did not give a factor-critical graph"
-        )
     towers: dict[frozenset[int], GraphStructure] = {}
     for piece in connected_components(delete_vertices(graph, fv)):
         ps = frozenset(piece)
@@ -183,6 +175,11 @@ def construct(spec: ConstructionSpec) -> Graph:
     """Join every vertex of each foundation class to every vertex of its
     tower; validates the input, then re-checks the output's guarantees
     (saturated, foundation is a factor-component and the minimum element)."""
+    return _construct(spec, towers_built=False)
+
+
+def _construct(spec: ConstructionSpec, towers_built: bool) -> Graph:
+    # towers built by construct_tree are outputs of _construct, checked saturated
     foundation = spec.foundation
     if foundation.order == 0:
         if spec.towers:
@@ -204,7 +201,9 @@ def construct(spec: ConstructionSpec) -> Graph:
         if clash:
             raise VertexIdCollision(f"vertex ids {sorted(clash)} are reused across parts")
         used |= tower.vertex_set
-        _saturated_structure(tower, TowerNotSaturated(f"tower for class {sorted(cls)} must be saturated"))
+        error = TowerNotSaturated(f"tower for class {sorted(cls)} must be saturated")
+        if not towers_built:
+            _saturated_structure(tower, error)
 
     vertices = set(foundation.vertices)
     edges = set(foundation.edges)
@@ -223,7 +222,7 @@ def construct(spec: ConstructionSpec) -> Graph:
         raise ConstructionViolation(
             "foundation is not a factor-connected component of the output"
         )
-    low = minimum_component(out.poset)
+    low = out.minimum
     if low is None or out.components.components[low] != foundation.vertex_set:
         raise ConstructionViolation(
             "foundation is not the minimum component of the output"
@@ -237,7 +236,7 @@ def construct_tree(tree: CathedralTree) -> Graph:
         cls: construct_tree(sub) if sub is not None else Graph()
         for cls, sub in tree.classes
     }
-    return construct(ConstructionSpec(tree.foundation_graph(), towers))
+    return _construct(ConstructionSpec(tree.foundation_graph(), towers), towers_built=True)
 
 
 def foundation_via_ge(graph: Graph) -> frozenset[int]:
@@ -254,6 +253,6 @@ def _foundation_via_ge(structure: GraphStructure) -> frozenset[int]:
     graph = structure.graph
     if graph.order == 0:
         return frozenset()
-    if minimum_component(structure.poset) is None:
+    if structure.minimum is None:
         raise NoMinimumComponent("the component order has no minimum element")
     return graph.vertex_set.difference(*(ge.c for ge in structure.deletion_partitions.values()))

@@ -113,9 +113,5 @@ class PartNotSaturated(StructureViolation):
     """A foundation or tower of a saturated graph failed the saturation test."""
 
 
-class ContractionNotFactorCritical(StructureViolation):
-    """Collapsing the foundation of a saturated graph was not factor-critical."""
-
-
 class ConstructionViolation(StructureViolation):
     """The joining construction's output broke one of its guarantees."""

@@ -213,7 +213,7 @@ class _TrialContext(GraphStructure):
         return frozenset().union(*(m.edges for m in self.matchings))
 
     @cached_property
-    def minimum(self) -> int | None:
+    def order_minimum(self) -> int | None:
         return minimum_component(self.poset)
 
     @cached_property
@@ -260,9 +260,9 @@ class _TrialContext(GraphStructure):
             raise _SkipCheck("graph is not saturated")
 
     def require_minimum(self) -> int:
-        if self.minimum is None:
+        if self.order_minimum is None:
             raise _SkipCheck("component order has no minimum element")
-        return self.minimum
+        return self.order_minimum
 
     def foundation_pieces(self) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
         low = self.require_minimum()
@@ -627,7 +627,7 @@ def _check_foundation_equals_ge(ctx: _TrialContext) -> None:
 
 def _check_saturated_has_minimum(ctx: _TrialContext) -> None:
     ctx.require_saturated()
-    if ctx.graph.order and ctx.minimum is None:
+    if ctx.graph.order and ctx.order_minimum is None:
         _fail("saturated graph with no minimum component")
 
 

@@ -8,6 +8,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from cathedral.canonical import factor_components
+from cathedral.construction import CathedralTree
 from cathedral.graph import Graph
 
 E0 = Graph()
@@ -66,3 +67,20 @@ def mid_size_graphs(count: int) -> list[Graph]:
         if len(factor_components(g)) <= 11:
             kept.append(g)
     return kept
+
+
+def path(order: int) -> Graph:
+    return Graph(range(order), [(v, v + 1) for v in range(order - 1)])
+
+
+def chain_tree(depth: int, level: int = 0) -> CathedralTree | None:
+    """A K2 foundation {2i, 2i+1} at each level i, the next level joined to
+    its first class {2i}: the foundation holds the level's least vertex."""
+    if level == depth:
+        return None
+    s, t = 2 * level, 2 * level + 1
+    return CathedralTree(
+        frozenset({s, t}),
+        frozenset({(s, t)}),
+        ((frozenset({s}), chain_tree(depth, level + 1)), (frozenset({t}), None)),
+    )

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from cathedral.canonical import (
+    GraphStructure,
     allowed_edges,
     canonical_partition,
     component_leq,
@@ -28,6 +29,7 @@ from helpers import (
     T,
     factorizable_graphs,
     mid_size_graphs,
+    path,
     sparse_many_component_graphs,
 )
 from oracles import pairwise_order, sweep_order
@@ -131,6 +133,40 @@ def test_component_order_matches_sweep_oracle():
         for h in (g, saturate(g)[0]):
             comps = factor_components(h)
             assert component_poset(h, comps).leq == sweep_order(h, comps), (i, sorted(h.edges))
+
+
+def _minima(h: Graph) -> tuple[int | None, int | None, int | None]:
+    """The structure's minimum, the order's, and the sweep oracle's."""
+    comps = factor_components(h)
+    sweep = sweep_order(h, comps)
+    oracle = next((i for i, row in enumerate(sweep) if all(row)), None)
+    return GraphStructure(h).minimum, minimum_component(component_poset(h, comps)), oracle
+
+
+def test_minimum_agrees_with_the_order():
+    graphs = sparse_many_component_graphs(40) + mid_size_graphs(60)
+    found = set()
+    for i, g in enumerate(graphs):
+        for h in (g, saturate(g)[0]):
+            low, order, oracle = _minima(h)
+            assert low == order == oracle, (i, sorted(h.edges))
+            found.add(low is None)
+    assert found == {True, False}
+
+
+@given(factorizable_graphs())
+@settings(max_examples=100)
+def test_minimum_agrees_with_the_order_on_small_graphs(g):
+    for h in (g, saturate(g)[0]):
+        low, order, oracle = _minima(h)
+        assert low == order == oracle
+
+
+def test_minimum_fixtures():
+    assert [GraphStructure(g).minimum for g in (T, C4, K2, Graph())] == [1, 0, 0, None]
+    # P_2k's k components form an antichain
+    for order in (4, 6, 12, 16):
+        assert _minima(path(order)) == (None, None, None)
 
 
 def test_component_limit_guard():

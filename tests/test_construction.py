@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings
 
+import cathedral.canonical
 from cathedral.canonical import canonical_partition, factor_components
+from cathedral.cli import main
 from cathedral.construction import (
     CathedralTree,
     ConstructionSpec,
@@ -14,15 +16,17 @@ from cathedral.construction import (
 )
 from cathedral.errors import (
     ClassKeyMismatch,
+    ConstructionViolation,
     FoundationNotElementary,
     FoundationNotSaturated,
+    MinimumComponentMissing,
     NoMinimumComponent,
     NotFactorizableError,
     NotSaturatedError,
     TowerNotSaturated,
     VertexIdCollision,
 )
-from cathedral.graph import Graph, add_edges, induced_subgraph
+from cathedral.graph import Graph, add_edges, induced_subgraph, render_edge_list
 from cathedral.matching import enumerate_perfect_matchings
 from cathedral.serialize import tree_from_json, tree_to_json
 
@@ -93,6 +97,22 @@ def test_decompose_empty_graph():
 def test_decompose_rejects_unsaturated():
     with pytest.raises(NotSaturatedError, match="not saturated"):
         decompose(P4)
+
+
+def test_a_failing_contraction_search_is_a_structure_violation(monkeypatch, tmp_path, capsys):
+    # the search that picks the foundation is the falsification check: if no
+    # component passes it, decompose and the construction's re-check refuse
+    tree = decompose(T)
+    monkeypatch.setattr(cathedral.canonical, "_contracts_to_factor_critical", lambda *args: False)
+    with pytest.raises(MinimumComponentMissing):
+        decompose(T)
+    path = tmp_path / "t.edges"
+    path.write_text(render_edge_list(T))
+    assert main(["decompose", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no minimum component" in err
+    with pytest.raises(ConstructionViolation, match="minimum component"):
+        construct_tree(tree)
 
 
 def test_construct_reproduces_pendant_fixture():

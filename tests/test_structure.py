@@ -2,9 +2,11 @@
 
 Every reader of the canonical structures holds one per-graph structure, so
 an `analyze` request fills one deletion table, computes one perfect matching
-and checks factorizability once, and `decompose` builds two tables per level:
-the level graph's and its foundation's.  The counts are taken on every
-cathedral binding of the counted functions.
+and checks factorizability once.  `decompose` and `construct_tree` build two
+tables per level, the level graph's and its foundation's, and find each
+foundation with contraction searches instead of computing the component
+order.  The counts are taken on every cathedral binding of the counted
+functions.
 """
 
 import random
@@ -13,15 +15,18 @@ from collections import Counter
 
 import pytest
 
+import cathedral.canonical
 import cathedral.matching
 from cathedral.canonical import factor_components
 from cathedral.cli import main
-from cathedral.construction import decompose, saturate
+from cathedral.construction import construct_tree, decompose, foundation_via_ge, saturate
 from cathedral.errors import ComponentLimitError
 from cathedral.graph import Graph, render_edge_list
 from cathedral.matching import ExposableAfterDeletion
 from cathedral.serialize import analysis_dict
 from cathedral.verify import TrialConfig, _TrialContext
+
+from helpers import chain_tree, path
 
 
 def _seeded(n: int, p: float, seed: int, keep) -> Graph:
@@ -41,11 +46,12 @@ SPARSE = _seeded(18, 0.1, 2, lambda k: k >= 4)
 
 
 def _count(monkeypatch) -> Counter:
-    """Count deletion tables built and calls of `is_factorizable` and
-    `_blossom_matching` from now on."""
+    """Count deletion tables built and calls of `is_factorizable`,
+    `_blossom_matching` and the contraction search `_contracted_outer` from
+    now on."""
     counts: Counter = Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cathedral"]
-    for name in ("is_factorizable", "_blossom_matching"):
+    for name in ("is_factorizable", "_blossom_matching", "_contracted_outer"):
         original = getattr(cathedral.matching, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -74,15 +80,46 @@ def test_analyze_reads_one_table(monkeypatch, graph, ge):
 
 
 def test_decompose_builds_two_tables_per_level(monkeypatch):
-    closure = saturate(Graph(range(40), [(v, v + 1) for v in range(39)]))[0]
+    closure = saturate(path(40))[0]
     counts = _count(monkeypatch)
     tree = decompose(closure)
+    decomposed = counts["tables"]
+    # construct_tree does not re-check the towers its own levels built
+    counts.clear()
+    assert construct_tree(tree) == closure
     levels = 0
     while tree is not None:
         levels += 1
         (tree,) = [sub for _, sub in tree.classes if sub is not None] or [None]
     assert levels == 20
-    assert counts["tables"] == 2 * levels
+    assert decomposed == counts["tables"] == 2 * levels
+
+
+def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
+    # each level's foundation is its first component, so the first search
+    # finds it and no component order is computed
+    tree = chain_tree(48)
+    graph = construct_tree(tree)
+    counts = _count(monkeypatch)
+    assert decompose(graph) == tree
+    assert (counts["_contracted_outer"], counts["tables"]) == (48, 96)
+    counts.clear()
+    assert construct_tree(tree) == graph
+    assert (counts["_contracted_outer"], counts["tables"]) == (48, 96)
+
+
+def test_the_foundation_is_found_without_the_component_order(monkeypatch):
+    closure = saturate(path(40))[0]
+    tree = decompose(closure)
+    orders = []
+    order = cathedral.canonical._poset
+    monkeypatch.setattr(
+        cathedral.canonical, "_poset", lambda *args: orders.append(args) or order(*args)
+    )
+    assert decompose(closure) == tree
+    assert construct_tree(tree) == closure
+    assert foundation_via_ge(closure) == tree.foundation_vertices
+    assert orders == []
 
 
 def test_trial_context_artifacts_share_one_table(monkeypatch):
