@@ -30,7 +30,7 @@ from .errors import (
     PartialOrderViolation,
 )
 from .gallai_edmonds import GEPartition, _deletion_partitions
-from .graph import Edge, Graph, complement_pairs, connected_components, induced_subgraph, neighbors
+from .graph import Edge, Graph, complement_pairs, connected_components, neighbors
 from .matching import ExposableAfterDeletion, is_factorizable
 from .matching import _contracted_outer, _contracts_to_factor_critical
 
@@ -359,7 +359,7 @@ def up_sets(
     for j in strict:
         upper_vertices |= comps[j]
     assigned: set[int] = set()
-    for piece in connected_components(induced_subgraph(graph, upper_vertices)):
+    for piece in connected_components(graph, upper_vertices):
         ps = frozenset(piece)
         touched = {partition.class_of[w] for w in neighbors(graph, ps) & base_vertices}
         if len(touched) != 1:

@@ -36,7 +36,6 @@ from .graph import (
     add_edges,
     complement_pairs,
     connected_components,
-    delete_vertices,
     edge,
     induced_subgraph,
     neighbors,
@@ -128,7 +127,7 @@ def _decompose_saturated(level: GraphStructure) -> CathedralTree:
     if not foundation.saturated:
         raise PartNotSaturated("foundation failed the saturation test")
     towers: dict[frozenset[int], GraphStructure] = {}
-    for piece in connected_components(delete_vertices(graph, fv)):
+    for piece in connected_components(graph, graph.vertex_set - fv):
         ps = frozenset(piece)
         nb = neighbors(graph, ps)
         if not nb <= fv:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DeficiencyViolation
-from .graph import Graph, connected_components, induced_subgraph, neighbors
+from .graph import Graph, connected_components, neighbors
 from .matching import ExposableAfterDeletion, exposable_vertices, matching_number
 
 
@@ -34,9 +34,10 @@ def _checked_partition(
 ) -> GEPartition:
     """D, its neighbors and the rest, in the graph less ``removed``, where a
     maximum matching exposes ``exposed`` vertices: one per component of
-    G[D], less |A|."""
+    G[D], less |A|.  The components of G[D] are counted on G's adjacency,
+    so checking a partition builds no graph."""
     a = neighbors(graph, d) - removed
-    parts = len(connected_components(induced_subgraph(graph, d)))
+    parts = len(connected_components(graph, d))
     if exposed != parts - len(a):
         raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = {len(a)}")
     return GEPartition(d, a, graph.vertex_set - d - a - removed)

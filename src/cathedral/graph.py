@@ -200,9 +200,21 @@ def neighbors(graph: Graph, around: Iterable[int]) -> frozenset[int]:
     return frozenset(w for x in xs for w in adj[x] if w not in xs)
 
 
-def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connectivity classes, each ascending, ordered by minimum id."""
+def connected_components(
+    graph: Graph, kept: Iterable[int] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Connectivity classes of the graph, or of the subgraph induced by
+    ``kept``, each ascending, ordered by minimum id.
+
+    The subgraph is walked on the host's own adjacency, with every vertex
+    outside ``kept`` marked seen from the start, so no graph is built for it.
+    """
     seen: set[int] = set()
+    if kept is not None:
+        ks = frozenset(kept)
+        if not ks <= graph.vertex_set:
+            raise ValueError("subgraph vertices must come from the host graph")
+        seen = set(graph.vertex_set - ks)
     out: list[tuple[int, ...]] = []
     adj = graph.adjacency
     for start in graph.vertices:

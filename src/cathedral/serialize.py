@@ -34,6 +34,14 @@ def tree_to_dict(tree: CathedralTree) -> dict[str, Any]:
     }
 
 
+def _integers(value: Any, what: str) -> list[int]:
+    """A JSON list of integers, as given; ``int()`` would also take "01", 1.7
+    and true, and build a graph the file does not describe."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise GraphFormatError(f"malformed {what}: expected a list of integers")
+    return value
+
+
 def tree_from_dict(data: Any) -> CathedralTree:
     if not isinstance(data, dict) or "foundation" not in data or "classes" not in data:
         raise GraphFormatError("tree object needs 'foundation' and 'classes'")
@@ -44,13 +52,11 @@ def tree_from_dict(data: Any) -> CathedralTree:
         or "edges" not in foundation
     ):
         raise GraphFormatError("'foundation' needs 'vertices' and 'edges'")
-    try:
-        vertices = frozenset(int(v) for v in foundation["vertices"])
-        edges = frozenset(
-            (min(int(u), int(v)), max(int(u), int(v))) for u, v in foundation["edges"]
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GraphFormatError(f"malformed foundation: {exc}") from None
+    vertices = frozenset(_integers(foundation["vertices"], "foundation vertices"))
+    pairs = foundation["edges"]
+    if not isinstance(pairs, list) or any(len(_integers(e, "foundation edge")) != 2 for e in pairs):
+        raise GraphFormatError("malformed foundation edges: expected a list of integer pairs")
+    edges = frozenset((min(u, v), max(u, v)) for u, v in pairs)
     classes: list[tuple[frozenset[int], CathedralTree | None]] = []
     if not isinstance(data["classes"], list):
         raise GraphFormatError("'classes' must be a list")
@@ -58,10 +64,7 @@ def tree_from_dict(data: Any) -> CathedralTree:
     for entry in data["classes"]:
         if not isinstance(entry, dict) or "class" not in entry or "tower" not in entry:
             raise GraphFormatError("each class entry needs 'class' and 'tower'")
-        try:
-            cls = frozenset(int(v) for v in entry["class"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GraphFormatError(f"malformed class: {exc}") from None
+        cls = frozenset(_integers(entry["class"], "class"))
         # a repeated class would leave only its last tower in the construction
         if not cls or cls & listed:
             raise GraphFormatError(f"class {sorted(cls)} is empty or repeats vertices of another class")

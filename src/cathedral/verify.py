@@ -28,16 +28,15 @@ from .canonical import (
     allowed_edges,
     canonical_partition,
     component_leq,
-    component_poset,
     factor_components,
     minimum_component,
     up_sets,
 )
 from .construction import (
     CathedralTree,
+    _decompose_saturated,
     _foundation_via_ge,
     construct_tree,
-    decompose,
     is_saturated,
     saturate,
 )
@@ -218,11 +217,16 @@ class _TrialContext(GraphStructure):
 
     @cached_property
     def tree(self) -> CathedralTree:
-        return decompose(self.graph)
+        # every reader has run require_saturated
+        return _decompose_saturated(self)
 
     @cached_property
     def rebuilt(self) -> Graph:
         return construct_tree(self.tree)
+
+    @cached_property
+    def rebuilt_structure(self) -> GraphStructure:
+        return GraphStructure(self.rebuilt)
 
     @cached_property
     def foundation_via_ge(self) -> frozenset[int]:
@@ -269,7 +273,7 @@ class _TrialContext(GraphStructure):
         fv = self.components.components[low]
         pieces = tuple(
             frozenset(p)
-            for p in connected_components(delete_vertices(self.graph, fv))
+            for p in connected_components(self.graph, self.graph.vertex_set - fv)
         )
         return fv, pieces
 
@@ -750,18 +754,18 @@ def _check_construction_minimum(ctx: _TrialContext) -> None:
     ctx.require_saturated()
     if ctx.graph.order == 0:
         return
-    built = ctx.rebuilt
-    comps = factor_components(built)
+    built = ctx.rebuilt_structure
+    comps = built.components
     if ctx.tree.foundation_vertices not in comps.components:
         _fail("foundation is not a component of the rebuilt graph")
-    low = minimum_component(component_poset(built, comps))
+    low = minimum_component(built.poset)
     if low is None or comps.components[low] != ctx.tree.foundation_vertices:
         _fail("foundation is not the minimum component of the rebuilt graph")
 
 
 def _check_construction_saturated(ctx: _TrialContext) -> None:
     ctx.require_saturated()
-    if not is_saturated(ctx.rebuilt):
+    if not ctx.rebuilt_structure.saturated:
         _fail("rebuilt graph is not saturated")
 
 

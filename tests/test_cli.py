@@ -92,6 +92,14 @@ def _tree(vertices, classes):
     }
 
 
+def _k2(vertices: str, edge: str, first_class: str) -> str:
+    """Tree JSON of the K2 on {0, 1} with the given raw JSON fragments."""
+    return (
+        f'{{"foundation": {{"vertices": {vertices}, "edges": [{edge}]}}, '
+        f'"classes": [{{"class": {first_class}, "tower": null}}, {{"class": [1], "tower": null}}]}}'
+    )
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -109,8 +117,25 @@ def _tree(vertices, classes):
         ('{"a": ' * 3000 + "1" + "}" * 3000, "nested too deeply"),
         (json.dumps(_tree([5, 7], [([5], None), ([7], None)])), "dense vertex ids"),
         ('{"foundation": {"vertices": [Infinity], "edges": []}, "classes": []}', "malformed foundation"),
+        # int() would read each of these as the K2 on {0, 1} and exit 0
+        (_k2('"01"', "[0, 1]", "[0]"), "malformed foundation vertices"),
+        (_k2("[0, 1.7]", "[0, 1]", "[0]"), "malformed foundation vertices"),
+        (_k2("[0, true]", "[0, 1]", "[0]"), "malformed foundation vertices"),
+        (_k2("[0, 1]", '"01"', "[0]"), "malformed foundation edge"),
+        (_k2("[0, 1]", "[0, 1]", '["0"]'), "malformed class"),
     ],
-    ids=["repeated-class", "overlapping-class", "deep-nesting", "sparse-ids", "infinite-id"],
+    ids=[
+        "repeated-class",
+        "overlapping-class",
+        "deep-nesting",
+        "sparse-ids",
+        "infinite-id",
+        "string-vertices",
+        "float-id",
+        "boolean-id",
+        "string-edge",
+        "string-class-member",
+    ],
 )
 def test_construct_rejects_malformed_trees_with_exit_2(tmp_path, capsys, text, fragment):
     spec = tmp_path / "tree.json"

@@ -1,7 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cathedral.canonical import factor_components
 from cathedral.errors import GraphFormatError
+from cathedral.gallai_edmonds import deletion_partitions
 from cathedral.graph import (
     Graph,
     add_edges,
@@ -15,7 +18,17 @@ from cathedral.graph import (
     render_edge_list,
 )
 
-from helpers import C4, E0, K2, P4, T, graphs
+from helpers import (
+    C4,
+    E0,
+    K2,
+    P4,
+    T,
+    factorizable_graphs,
+    graphs,
+    mid_size_graphs,
+    sparse_many_component_graphs,
+)
 from oracles import contract_by_rewrite
 
 
@@ -145,6 +158,35 @@ def test_connected_components_cases():
     assert connected_components(P4) == ((0, 1, 2, 3),)
     assert connected_components(delete_vertices(P4, {1})) == ((0,), (2, 3))
     assert connected_components(E0) == ()
+    assert connected_components(P4, {0, 2, 3}) == ((0,), (2, 3))
+    assert connected_components(P4, ()) == ()
+    assert connected_components(T, iter([3, 0, 1])) == ((0, 1), (3,))
+
+
+def test_connected_components_of_a_subset_reject_foreign_vertices():
+    with pytest.raises(ValueError, match="host graph"):
+        connected_components(P4, {0, 9})
+
+
+def _walked_subsets(g: Graph) -> list[frozenset[int]]:
+    """The subsets production code walks: D(G-x) for every x, and the
+    complement of every factor-component."""
+    subsets = [ge.d for ge in deletion_partitions(g).values()]
+    subsets += [g.vertex_set - comp for comp in factor_components(g).components]
+    return subsets
+
+
+def test_connected_components_of_a_subset_match_the_induced_subgraph():
+    for g in sparse_many_component_graphs(20) + mid_size_graphs(20):
+        for kept in _walked_subsets(g):
+            assert connected_components(g, kept) == connected_components(induced_subgraph(g, kept))
+
+
+@given(factorizable_graphs(), st.sets(st.integers(min_value=0, max_value=7)))
+@settings(max_examples=60)
+def test_connected_components_of_a_subset_match_the_induced_subgraph_fuzz(g, drawn):
+    for kept in [drawn & g.vertex_set, *_walked_subsets(g)]:
+        assert connected_components(g, kept) == connected_components(induced_subgraph(g, kept))
 
 
 def test_complement_pairs_cases():

@@ -2,13 +2,14 @@
 
 Every reader of the canonical structures holds one per-graph structure, so
 an `analyze` request fills one deletion table, computes one perfect matching
-and checks factorizability once.  `decompose` and `construct_tree` build two
+and checks factorizability once, and its deletion partitions build no graph.  `decompose` and `construct_tree` build two
 tables per level, the level graph's and its foundation's, and find each
 foundation with contraction searches instead of computing the component
 order.  The counts are taken on every cathedral binding of the counted
 functions.
 """
 
+import json
 import random
 import sys
 from collections import Counter
@@ -24,7 +25,7 @@ from cathedral.errors import ComponentLimitError
 from cathedral.graph import Graph, render_edge_list
 from cathedral.matching import ExposableAfterDeletion
 from cathedral.serialize import analysis_dict
-from cathedral.verify import TrialConfig, _TrialContext
+from cathedral.verify import _CHECKS, TrialConfig, _run_one, _TrialContext, random_factorizable_graph
 
 from helpers import chain_tree, path
 
@@ -46,7 +47,7 @@ SPARSE = _seeded(18, 0.1, 2, lambda k: k >= 4)
 
 
 def _count(monkeypatch) -> Counter:
-    """Count deletion tables built and calls of `is_factorizable`,
+    """Count deletion tables and graphs built and calls of `is_factorizable`,
     `_blossom_matching` and the contraction search `_contracted_outer` from
     now on."""
     counts: Counter = Counter()
@@ -66,6 +67,12 @@ def _count(monkeypatch) -> Counter:
     monkeypatch.setattr(
         ExposableAfterDeletion, "__init__", lambda self, g: counts.update(["tables"]) or init(self, g)
     )
+    build = Graph.__init__
+    monkeypatch.setattr(
+        Graph,
+        "__init__",
+        lambda self, *args, **kwargs: counts.update(["graphs"]) or build(self, *args, **kwargs),
+    )
     return counts
 
 
@@ -77,6 +84,17 @@ def test_analyze_reads_one_table(monkeypatch, graph, ge):
     analysis = analysis_dict(graph, include_deleted_partitions=ge)
     assert (counts["tables"], counts["is_factorizable"], counts["_blossom_matching"]) == (1, 1, 1)
     assert ("deleted_partitions" in analysis) == ge
+
+
+def test_analyze_ge_builds_no_graph_per_deletion(monkeypatch, tmp_path, capsys):
+    # the parse and the allowed-edge skeleton; the deficiency check of each
+    # G-x counts the components of G[D] on G's own adjacency
+    path = tmp_path / "elementary.edges"
+    path.write_text(render_edge_list(ELEMENTARY))
+    counts = _count(monkeypatch)
+    assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["deleted_partitions"]) == ELEMENTARY.order
+    assert (counts["graphs"], counts["tables"]) == (2, 1)
 
 
 def test_decompose_builds_two_tables_per_level(monkeypatch):
@@ -128,6 +146,23 @@ def test_trial_context_artifacts_share_one_table(monkeypatch):
     for artifact in ("components", "partition", "poset", "saturated", "deletion_partitions"):
         getattr(ctx, artifact)
     assert counts["tables"] == 1
+
+
+def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
+    # the tree decomposes from the context's own structure, and both
+    # construction checks read one structure of the rebuilt graph
+    config = TrialConfig(seed=0)
+    closure = saturate(random_factorizable_graph(config, 0))[0]
+    ctx = _TrialContext(closure, config)
+    counts = _count(monkeypatch)
+    tables = {}
+    for name, check in _CHECKS:
+        before = counts["tables"]
+        assert _run_one(name, check, ctx)[0].status != "fail"
+        tables[name] = counts["tables"] - before
+    assert tables["construction-foundation-minimum"] == 1
+    assert tables["construction-output-saturated"] == 0
+    assert sum(tables.values()) == 32
 
 
 def test_saturate_fills_one_growing_table(monkeypatch):
