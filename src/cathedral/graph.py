@@ -46,6 +46,16 @@ class Graph:
         object.__setattr__(self, "vertices", tuple(vs))
         object.__setattr__(self, "edges", frozenset(es))
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], edges: frozenset[Edge]) -> Graph:
+        """A graph from parts already in normal form: ascending ids and
+        normalized edges between them, as an operation on a valid graph
+        produces them.  Nothing is checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertices", vertices)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     @property
     def order(self) -> int:
         return len(self.vertices)
@@ -135,7 +145,10 @@ def induced_subgraph(graph: Graph, kept: Iterable[int]) -> Graph:
     ks = frozenset(kept)
     if not ks <= graph.vertex_set:
         raise ValueError("subgraph vertices must come from the host graph")
-    return Graph(ks, (e for e in graph.edges if e[0] in ks and e[1] in ks))
+    return Graph._trusted(
+        tuple(v for v in graph.vertices if v in ks),
+        frozenset(e for e in graph.edges if e[0] in ks and e[1] in ks),
+    )
 
 
 def delete_vertices(graph: Graph, removed: Iterable[int]) -> Graph:
@@ -188,7 +201,7 @@ def add_edges(graph: Graph, pairs: Iterable[Iterable[int]]) -> Graph:
         if e in edges:
             raise ValueError(f"edge {e} is already present")
         edges.add(e)
-    return Graph(graph.vertices, edges)
+    return Graph._trusted(graph.vertices, frozenset(edges))
 
 
 def neighbors(graph: Graph, around: Iterable[int]) -> frozenset[int]:

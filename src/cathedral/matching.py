@@ -5,7 +5,11 @@ The enumeration and the exhaustive path searches are the oracles the rest of
 the package is checked against, so this module favors exact, deterministic
 answers: ties break by ascending vertex id everywhere, and the walker visits
 every simple alternating path (with an expansion budget that aborts loudly
-instead of guessing).
+instead of guessing).  A path search given ``kept`` (as in
+``graph.connected_components``) runs in the subgraph induced by it: on the
+host's index arrays, cached on the matching, with every other vertex
+blocked, so it visits what a search of that subgraph under the matching's
+edges inside it would, and builds neither.
 """
 
 from __future__ import annotations
@@ -57,6 +61,19 @@ class Matching:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "edges", frozenset(es))
 
+    @classmethod
+    def _trusted(
+        cls, graph: Graph, edges: frozenset[Edge], indexed: tuple[dict[int, int], list[list[int]]]
+    ) -> Matching:
+        """A matching whose normalized edges are known to be disjoint edges of
+        ``graph``, sharing the graph's positions and index adjacency
+        ``indexed``, which no search mutates.  Nothing is checked."""
+        matching = object.__new__(cls)
+        object.__setattr__(matching, "graph", graph)
+        object.__setattr__(matching, "edges", edges)
+        matching.__dict__["_host_index"] = indexed  # fills the cached property
+        return matching
+
     @cached_property
     def partner(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -75,6 +92,19 @@ class Matching:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+    @cached_property
+    def _host_index(self) -> tuple[dict[int, int], list[list[int]]]:
+        """The host's positions and index adjacency, for the path searches."""
+        return _indexed(self.graph)
+
+    @cached_property
+    def _mate(self) -> list[int]:
+        index = self._host_index[0]
+        mate = [-1] * len(index)
+        for u, v in self.partner.items():
+            mate[index[u]] = index[v]
+        return mate
 
 
 def restrict_matching(matching: Matching, subgraph: Graph) -> Matching:
@@ -311,54 +341,72 @@ class PerfectMatchingEnumeration:
 def enumerate_perfect_matchings(
     graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> PerfectMatchingEnumeration:
-    """Backtracking enumeration: repeatedly match the least uncovered vertex."""
+    """Backtracking enumeration: repeatedly match the least uncovered vertex,
+    trying its uncovered neighbours in ascending order.  Runs on positions,
+    with the covered vertices as a bitmask."""
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
     if graph.order % 2 == 1:
         return PerfectMatchingEnumeration((), False)
     vs = graph.vertices
-    adj = graph.adjacency
-    covered: set[int] = set()
+    indexed = _indexed(graph)
+    adj = indexed[1]
+    full = (1 << len(vs)) - 1
     current: list[Edge] = []
-    found: list[tuple[Edge, ...]] = []
+    found: list[frozenset[Edge]] = []
     truncated = False
 
-    def extend() -> None:
+    def extend(covered: int) -> None:
         nonlocal truncated
-        if truncated:
-            return
-        v = next((u for u in vs if u not in covered), None)
-        if v is None:
+        if covered == full:
             if len(found) == cap:
                 truncated = True
             else:
-                found.append(tuple(current))
+                found.append(frozenset(current))
             return
-        covered.add(v)
+        v = (~covered & (covered + 1)).bit_length() - 1  # least uncovered position
+        covered |= 1 << v
         for w in adj[v]:
-            if w in covered:
+            if covered >> w & 1:
                 continue
-            covered.add(w)
-            current.append(edge(v, w))
-            extend()
+            # every uncovered position exceeds v, so the edge is normalized
+            current.append((vs[v], vs[w]))
+            extend(covered | 1 << w)
             current.pop()
-            covered.discard(w)
             if truncated:
                 break
-        covered.discard(v)
 
-    extend()
-    return PerfectMatchingEnumeration(tuple(Matching(graph, m) for m in found), truncated)
+    extend(0)
+    return PerfectMatchingEnumeration(
+        tuple(Matching._trusted(graph, m, indexed) for m in found), truncated
+    )
 
 
-def _search_arrays(graph: Graph, matching: Matching) -> tuple[list[list[int]], list[int], dict[int, int]]:
+def _confined(graph: Graph, kept: Iterable[int] | None) -> frozenset[int]:
+    """The vertices a search may visit: ``kept``, which must lie in the
+    graph, or the whole graph."""
+    if kept is None:
+        return graph.vertex_set
+    ks = frozenset(kept)
+    if not ks <= graph.vertex_set:
+        raise ValueError("subgraph vertices must come from the host graph")
+    return ks
+
+
+def _search_arrays(
+    graph: Graph, matching: Matching, within: frozenset[int] | None = None
+) -> tuple[list[list[int]], list[int], dict[int, int], int]:
+    """The host's index adjacency, the matching's mate array and the host's
+    positions, all cached on the matching, and the bitmask of the positions
+    outside ``within`` (if given)."""
     if matching.graph != graph:
         raise ValueError("matching does not belong to this graph")
-    index, adj = _indexed(graph)
-    mate = [-1] * len(adj)
-    for u, v in matching.partner.items():
-        mate[index[u]] = index[v]
-    return adj, mate, index
+    index, adj = matching._host_index
+    blocked = 0
+    if within is not None:
+        for v in graph.vertex_set - within:
+            blocked |= 1 << index[v]
+    return adj, matching._mate, index, blocked
 
 
 def _walk(
@@ -367,21 +415,29 @@ def _walk(
     """Depth-first over the simple alternating walks from ``start`` whose
     first step is matched iff ``first`` and that avoid the ``blocked``
     bitmask.  Each step spends one expansion of the shared ``budget[0]`` and
-    yields the live path and whether the step was matched."""
+    yields the live path and whether the step was matched.
+
+    A matched step has one candidate, the mate.  An unmatched step tries
+    every neighbour: past the start, the vertex's mate is the one before it
+    on the path, so only the start needs its mate skipped."""
+    single = [() if m < 0 else (m,) for m in mate]
     path = [start]
-    stack = [(first, blocked | (1 << start), iter(adj[start]))]
+    if first:
+        steps = iter(single[start])
+    else:
+        steps = (w for w in adj[start] if w != mate[start])
+    stack = [(first, blocked | (1 << start), steps)]
     while stack:
         need, mask, it = stack[-1]
-        v = path[-1]
         for w in it:
-            if mask & (1 << w) or (mate[v] == w) != need:
+            if mask & (1 << w):
                 continue
             budget[0] -= 1
             if budget[0] < 0:
                 raise SearchBudgetExceeded("alternating-path search exceeded its expansion budget")
             path.append(w)
             yield path, need
-            stack.append((not need, mask | (1 << w), iter(adj[w])))
+            stack.append((not need, mask | (1 << w), iter(adj[w] if need else single[w])))
             break
         else:
             stack.pop()
@@ -403,23 +459,33 @@ class AlternatingReach:
 
 
 def alternating_reachability(
-    graph: Graph, matching: Matching, *, budget: int = DEFAULT_SEARCH_BUDGET
+    graph: Graph,
+    matching: Matching,
+    *,
+    kept: Iterable[int] | None = None,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AlternatingReach:
-    """Sweep every simple alternating path once per source vertex."""
-    adj, mate, _ = _search_arrays(graph, matching)
+    """Sweep every simple alternating path once per source vertex.
+
+    With ``kept``, the sweep is that of the subgraph induced by ``kept`` with
+    the matching's edges inside it, run on the host's arrays with every
+    other vertex blocked: the same paths in the same order for the same
+    expansions, and only ``kept`` as sources and keys."""
+    within = _confined(graph, kept)
+    adj, mate, _, blocked = _search_arrays(graph, matching, within)
     vs = graph.vertices
-    n = len(vs)
-    sat: list[set[int]] = [set() for _ in range(n)]
-    bal: list[set[int]] = [{i} for i in range(n)]
-    exp: list[set[int]] = [set() for _ in range(n)]
+    sources = [i for i, v in enumerate(vs) if v in within]
+    sat: list[set[int]] = [set() for _ in vs]
+    bal: list[set[int]] = [{i} for i in range(len(vs))]
+    exp: list[set[int]] = [set() for _ in vs]
     left = [budget]
-    for s in range(n):
-        for path, matched in _walk(adj, mate, s, True, 0, left):
+    for s in sources:
+        for path, matched in _walk(adj, mate, s, True, blocked, left):
             (sat if matched else bal)[s].add(path[-1])
-        for path, matched in _walk(adj, mate, s, False, 0, left):
+        for path, matched in _walk(adj, mate, s, False, blocked, left):
             if not matched:
                 exp[s].add(path[-1])
-    wrap = lambda sets: {vs[i]: frozenset(vs[j] for j in sets[i]) for i in range(n)}
+    wrap = lambda sets: {vs[i]: frozenset(vs[j] for j in sets[i]) for i in sources}
     return AlternatingReach(wrap(sat), wrap(bal), wrap(exp))
 
 
@@ -430,18 +496,22 @@ def alternating_path_exists(
     target: int,
     kind: PathKind,
     *,
+    kept: Iterable[int] | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> bool:
-    """Exhaustive search for one simple alternating path of the given kind."""
-    if source not in graph.vertex_set or target not in graph.vertex_set:
+    """Exhaustive search for one simple alternating path of the given kind,
+    inside the subgraph induced by ``kept`` if given (as in
+    ``alternating_reachability``)."""
+    within = _confined(graph, kept)
+    if source not in within or target not in within:
         raise ValueError("path query outside the host graph")
     if source == target:
         if kind is PathKind.BALANCED:
             return True
         raise ValueError(f"{kind.value} paths need distinct endpoints")
-    adj, mate, index = _search_arrays(graph, matching)
+    adj, mate, index, blocked = _search_arrays(graph, matching, within)
     t, last_matched = index[target], kind is PathKind.SATURATED
-    walks = _walk(adj, mate, index[source], kind is not PathKind.EXPOSED, 0, [budget])
+    walks = _walk(adj, mate, index[source], kind is not PathKind.EXPOSED, blocked, [budget])
     return any(path[-1] == t and matched == last_matched for path, matched in walks)
 
 
@@ -451,16 +521,19 @@ def iter_saturated_paths(
     source: int,
     target: int,
     *,
+    kept: Iterable[int] | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every simple saturated path between two vertices, as vertex
-    tuples, in ascending DFS order."""
-    if source == target or source not in graph.vertex_set or target not in graph.vertex_set:
+    tuples, in ascending DFS order; inside the subgraph induced by ``kept``
+    if given (as in ``alternating_reachability``)."""
+    within = _confined(graph, kept)
+    if source == target or source not in within or target not in within:
         raise ValueError("saturated paths need two distinct host vertices")
-    adj, mate, index = _search_arrays(graph, matching)
+    adj, mate, index, blocked = _search_arrays(graph, matching, within)
     vs = graph.vertices
     t = index[target]
-    for path, matched in _walk(adj, mate, index[source], True, 0, [budget]):
+    for path, matched in _walk(adj, mate, index[source], True, blocked, [budget]):
         if matched and path[-1] == t:
             yield tuple(vs[i] for i in path)
 
@@ -481,7 +554,7 @@ def alternating_circuit_exists(
     e = edge(int(x), int(y))
     if e not in graph.edges:
         raise ValueError(f"{e} is not an edge of the host graph")
-    adj, mate, index = _search_arrays(graph, matching)
+    adj, mate, index, _ = _search_arrays(graph, matching)
     xi, yi = index[e[0]], index[e[1]]
     closing = mate[xi] != yi  # the closing edge at x is matched iff the circuit edge is not
     # x is reserved as the closing target: block it from the walk entirely.

@@ -25,10 +25,9 @@ from typing import Callable, Iterable
 from .canonical import (
     GraphStructure,
     UpSets,
+    _above,
     allowed_edges,
     canonical_partition,
-    component_leq,
-    factor_components,
     minimum_component,
     up_sets,
 )
@@ -70,7 +69,6 @@ from .matching import (
     is_factor_critical,
     is_factorizable,
     iter_saturated_paths,
-    restrict_matching,
     PathKind,
 )
 
@@ -255,7 +253,9 @@ class _TrialContext(GraphStructure):
             partner = m0.partner[x]
             rest = delete_vertices(self.graph, (x,))
             m = Matching(rest, (e for e in m0.edges if x not in e))
-            reach = alternating_reachability(rest, m, budget=self.config.path_budget)
+            reach = alternating_reachability(
+                self.graph, m0, kept=rest.vertex_set, budget=self.config.path_budget
+            )
             self._deleted[x] = (rest, m, partner, reach)
         return self._deleted[x]
 
@@ -408,15 +408,15 @@ def _check_ear_ends_share_class(ctx: _TrialContext) -> None:
             outside_vertices = ctx.graph.vertex_set - comp
             if not outside_vertices:
                 continue
-            outside = induced_subgraph(ctx.graph, outside_vertices)
-            m_out = restrict_matching(m, outside)
-            reach = alternating_reachability(outside, m_out, budget=ctx.config.path_budget)
+            reach = alternating_reachability(
+                ctx.graph, m, kept=outside_vertices, budget=ctx.config.path_budget
+            )
             for u, w in combinations(sorted(outside_vertices), 2):
                 if w not in reach.saturated[u]:
                     continue
                 count = 0
                 for path in iter_saturated_paths(
-                    outside, m_out, u, w, budget=ctx.config.path_budget
+                    ctx.graph, m, u, w, kept=outside_vertices, budget=ctx.config.path_budget
                 ):
                     count += 1
                     if count > _PATHS_PER_PAIR:
@@ -452,13 +452,13 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
             ]
             witness = None
             for e, f in product(cands, repeat=2):
-                grown = add_edges(ctx.graph, (e,) if e == f else (e, f))
-                grown_comps = factor_components(grown)
-                if set(grown_comps.components) != old_sets:
+                grown = GraphStructure(add_edges(ctx.graph, (e,) if e == f else (e, f)))
+                grown_comps = grown.components.components
+                if set(grown_comps) != old_sets:
                     continue
-                gi = grown_comps.components.index(comps[i])
-                gj = grown_comps.components.index(comps[j])
-                if component_leq(grown, grown_comps, gi, gj):
+                gi = grown_comps.index(comps[i])
+                gj = grown_comps.index(comps[j])
+                if gj in _above(grown.table, grown.components, [gi])[0]:
                     witness = (e, f)
                     break
             if witness is None:
@@ -528,14 +528,13 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
                     continue
                 found = False
                 for v in sorted(cls):
-                    area = up_s | {v}
-                    sub = induced_subgraph(ctx.graph, area | {u})
                     if alternating_path_exists(
-                        sub,
-                        restrict_matching(m, sub),
+                        ctx.graph,
+                        m,
                         u,
                         v,
                         PathKind.BALANCED,
+                        kept=up_s | {u, v},
                         budget=ctx.config.path_budget,
                     ):
                         found = True
@@ -547,12 +546,16 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
                 if t == s:
                     continue
                 avoid_region = us.upper_closure_vertices() - up_s
-                sub = induced_subgraph(ctx.graph, avoid_region)
-                sub_m = restrict_matching(m, sub)
                 for u in sorted(cls):
                     for v in sorted(us.up_star_vertices(t)):
                         if not alternating_path_exists(
-                            sub, sub_m, u, v, PathKind.SATURATED, budget=ctx.config.path_budget
+                            ctx.graph,
+                            m,
+                            u,
+                            v,
+                            PathKind.SATURATED,
+                            kept=avoid_region,
+                            budget=ctx.config.path_budget,
                         ):
                             _fail(
                                 f"no confined saturated path from {u} across to {v}"

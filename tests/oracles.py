@@ -2,9 +2,10 @@
 the package's algorithms: matchings come from subset recursion over the edge
 list, perfect matchings from combination filtering, factorizability from
 trying every partner of the least vertex, contraction from a literal edge
-rewrite.  The deletion structures follow their definitions, one vertex or
-pair deletion at a time, and the alternating-walk references are the
-per-query depth-first loops, counting their expansions.  The component
+rewrite; the enumeration's order and truncation are those of its former
+set-based backtracking.  The deletion structures follow their definitions,
+one vertex or pair deletion at a time, and the alternating-walk references
+are the per-query depth-first loops, counting their expansions.  The component
 order has two references: the per-pair search, which tries every union
 containing both components (its factor-criticality test is the package's,
 itself checked against ``deletion_is_factor_critical``), and the sweep, which
@@ -70,6 +71,48 @@ def brute_perfect_matchings(graph: Graph) -> list[tuple[tuple[int, int], ...]]:
         for combo in combinations(sorted(graph.edges), k)
         if len({v for e in combo for v in e}) == n
     )
+
+
+def set_perfect_matchings(graph: Graph, cap: int) -> tuple[list[tuple[Edge, ...]], bool]:
+    """The package's enumeration as it ran on vertex sets: match the least
+    uncovered vertex to each uncovered neighbour in ascending order, keep at
+    most ``cap`` matchings (edges in the order chosen), and flag truncation
+    when one more exists."""
+    if graph.order % 2:
+        return [], False
+    vs = graph.vertices
+    adj = graph.adjacency
+    covered: set[int] = set()
+    current: list[Edge] = []
+    found: list[tuple[Edge, ...]] = []
+    truncated = False
+
+    def extend() -> None:
+        nonlocal truncated
+        if truncated:
+            return
+        v = next((u for u in vs if u not in covered), None)
+        if v is None:
+            if len(found) == cap:
+                truncated = True
+            else:
+                found.append(tuple(current))
+            return
+        covered.add(v)
+        for w in adj[v]:
+            if w in covered:
+                continue
+            covered.add(w)
+            current.append((min(v, w), max(v, w)))
+            extend()
+            current.pop()
+            covered.discard(w)
+            if truncated:
+                break
+        covered.discard(v)
+
+    extend()
+    return found, truncated
 
 
 def brute_is_factorizable(graph: Graph) -> bool:

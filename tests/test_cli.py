@@ -207,8 +207,14 @@ def test_verify_json_deterministic_across_runs(tmp_path):
             ["--seed", "3", "--trials", "40", "--max-n", "10", "--p", "0.4"],
             "bf154348ee29874c748213595472f74583663aded660826f7d50b493386a2c19",
         ),
+        (
+            # orders above the exhaustive-matching limit check the first
+            # perfect matching only
+            ["--seed", "0", "--trials", "30", "--max-n", "12"],
+            "75f848889d751fcc2ccaa3900783bd0388d2c3d7ddece25dd4845c42a07c535b",
+        ),
     ],
-    ids=["seed0", "seed3"],
+    ids=["seed0", "seed3", "seed0-n12"],
 )
 def test_verify_json_bytes_are_pinned(tmp_path, args, digest):
     out = tmp_path / "report.json"

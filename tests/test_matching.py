@@ -176,6 +176,25 @@ def test_budget_aborts_instead_of_answering():
         alternating_path_exists(K4, m, 0, 3, PathKind.SATURATED, budget=1)
 
 
+K8 = Graph(range(8), combinations(range(8), 2))
+PETERSEN = Graph(
+    range(10),
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize("g, spent", [(K8, 3128), (PETERSEN, 690)], ids=["K8", "Petersen"])
+def test_reachability_completes_on_a_pinned_budget(g, spent):
+    # the sweep's expansion count: every simple alternating path from every
+    # source, one expansion per step
+    m = maximum_matching(g)
+    assert alternating_reachability(g, m, budget=spent) is not None
+    with pytest.raises(SearchBudgetExceeded):
+        alternating_reachability(g, m, budget=spent - 1)
+
+
 @given(factorizable_graphs())
 @settings(max_examples=60)
 def test_saturated_path_equals_deletion_reduction(g):

@@ -6,7 +6,10 @@ contracted subgraphs whose vertex ids are not 0..n-1: allowed edges, the
 canonical partition and the pairwise same-class test, saturation, and the
 partition of every single-vertex deletion.  The alternating walker
 must spend exactly the expansions the per-query loops spent, so every query
-aborts at the same budget threshold.
+aborts at the same budget threshold, and a search confined to a vertex set
+must answer, at the same threshold, as the search of the induced subgraph
+under the restricted matching.  The perfect-matching enumeration must list
+what its set-based version listed, in the same order.
 """
 
 import importlib
@@ -18,6 +21,7 @@ import cathedral.matching
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cathedral.canonical import (
     allowed_edges,
@@ -31,6 +35,7 @@ from cathedral.errors import DeficiencyViolation, SearchBudgetExceeded, Structur
 from cathedral.gallai_edmonds import deletion_partitions, gallai_edmonds
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
+    Matching,
     PathKind,
     _blossom_matching,
     _contracts_to_factor_critical,
@@ -42,6 +47,8 @@ from cathedral.matching import (
     is_factor_critical,
     is_factorizable,
     iter_saturated_paths,
+    maximum_matching,
+    restrict_matching,
 )
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
@@ -57,6 +64,7 @@ from oracles import (
     reachability_expansions,
     restart_saturate,
     saturated_paths,
+    set_perfect_matchings,
 )
 
 CORPORA = {101: 300, 303: 200}
@@ -151,8 +159,12 @@ def _count_order_searches(monkeypatch):
     component (as its merged positions) of every contracted search."""
     built, searches, lowers = [], [], []
     init, search = Graph.__init__, cathedral.matching._edmonds_search
+    trusted = Graph._trusted.__func__
     outer = cathedral.canonical._contracted_outer
     monkeypatch.setattr(Graph, "__init__", lambda *args, **kw: built.append(args) or init(*args, **kw))
+    monkeypatch.setattr(
+        Graph, "_trusted", classmethod(lambda *args: built.append(args) or trusted(*args))
+    )
     monkeypatch.setattr(
         cathedral.matching,
         "_edmonds_search",
@@ -250,3 +262,89 @@ def test_walker_aborts_at_the_loop_thresholds(g):
                 *circuit_search(g, m, e),
             )
 
+
+def _confinements(g: Graph, draw: int) -> list[frozenset[int]]:
+    """Vertex sets a search is confined to, as the verifier confines them:
+    all but one vertex, all but one factor-component, and a subset drawn
+    from ``draw``'s bits; none for the empty graph."""
+    if not g.order:
+        return []
+    comp = next(c for c in factor_components(g).components if g.vertices[0] in c)
+    return [
+        g.vertex_set - {g.vertices[draw % g.order]},
+        g.vertex_set - comp,
+        frozenset(v for i, v in enumerate(g.vertices) if draw >> i & 1),
+    ]
+
+
+def _assert_confined_equals_subgraph(g, m, kept, pairs):
+    """``kept=`` on the host answers as the induced subgraph with the
+    restricted matching does, on the same smallest completing budget: the
+    reachability sweep, and each path kind between the given pairs."""
+    sub = induced_subgraph(g, kept)
+    sub_m = restrict_matching(m, sub)
+    reach = alternating_reachability(sub, sub_m)
+    spent = reachability_expansions(sub, sub_m)
+    for query in (
+        lambda b: alternating_reachability(g, m, kept=kept, budget=b),
+        lambda b: alternating_reachability(sub, sub_m, budget=b),
+    ):
+        _assert_threshold(query, reach, spent)
+    for u, v in pairs:
+        for kind, (first, last) in PARITIES.items():
+            verdict, spent = path_search(sub, sub_m, u, v, first, last)
+            for query in (
+                lambda b: alternating_path_exists(g, m, u, v, kind, kept=kept, budget=b),
+                lambda b: alternating_path_exists(sub, sub_m, u, v, kind, budget=b),
+            ):
+                _assert_threshold(query, verdict, spent)
+        paths, spent = saturated_paths(sub, sub_m, u, v)
+        for query in (
+            lambda b: list(iter_saturated_paths(g, m, u, v, kept=kept, budget=b)),
+            lambda b: list(iter_saturated_paths(sub, sub_m, u, v, budget=b)),
+        ):
+            _assert_threshold(query, paths, spent)
+
+
+@pytest.mark.parametrize("seed", sorted(CORPORA))
+def test_confined_searches_equal_the_induced_subgraph(seed):
+    # pairs from the least kept vertex to every other, so the queries per
+    # graph stay linear; the fuzzed twin takes every pair
+    for i, g in enumerate(_corpus(seed)):
+        for h in _factorizable_family(g):
+            m = maximum_matching(h)
+            for kept in _confinements(h, i):
+                if kept:
+                    low = min(kept)
+                    pairs = [(low, v) for v in sorted(kept) if v != low]
+                    _assert_confined_equals_subgraph(h, m, kept, pairs)
+
+
+@given(factorizable_graphs(max_vertices=8), st.integers(min_value=0, max_value=255))
+@settings(max_examples=40, deadline=None)
+def test_confined_searches_equal_the_induced_subgraph_fuzzed(g, draw):
+    for m in enumerate_perfect_matchings(g, cap=2).matchings:
+        for kept in _confinements(g, draw):
+            _assert_confined_equals_subgraph(g, m, kept, combinations(sorted(kept), 2))
+
+
+def _assert_enumeration_equals_the_set_version(g):
+    for cap in (1, 2, 64):
+        enum = enumerate_perfect_matchings(g, cap)
+        found, truncated = set_perfect_matchings(g, cap)
+        assert [m.edges for m in enum] == [frozenset(pm) for pm in found], (sorted(g.edges), cap)
+        assert enum.truncated == truncated, (sorted(g.edges), cap)
+        assert all(m == Matching(g, m.edges) for m in enum)
+
+
+@pytest.mark.parametrize("seed", sorted(CORPORA))
+def test_enumeration_equals_the_set_version(seed):
+    for g in _corpus(seed):
+        for h in _factorizable_family(g):
+            _assert_enumeration_equals_the_set_version(h)
+
+
+@given(factorizable_graphs(max_vertices=10))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_equals_the_set_version_fuzzed(g):
+    _assert_enumeration_equals_the_set_version(g)

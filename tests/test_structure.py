@@ -5,8 +5,10 @@ an `analyze` request fills one deletion table, computes one perfect matching
 and checks factorizability once, and its deletion partitions build no graph.  `decompose` and `construct_tree` build two
 tables per level, the level graph's and its foundation's, and find each
 foundation with contraction searches instead of computing the component
-order.  The counts are taken on every cathedral binding of the counted
-functions.
+order.  The verifier reads one table per graph it grows, and its confined
+path searches build no subgraph.  The counts are taken on every cathedral
+binding of the counted functions, and graphs are counted on both
+constructors, the checked one and the unchecked `Graph._trusted`.
 """
 
 import json
@@ -17,6 +19,7 @@ from collections import Counter
 import pytest
 
 import cathedral.canonical
+import cathedral.graph
 import cathedral.matching
 from cathedral.canonical import factor_components
 from cathedral.cli import main
@@ -25,7 +28,14 @@ from cathedral.errors import ComponentLimitError
 from cathedral.graph import Graph, render_edge_list
 from cathedral.matching import ExposableAfterDeletion
 from cathedral.serialize import analysis_dict
-from cathedral.verify import _CHECKS, TrialConfig, _run_one, _TrialContext, random_factorizable_graph
+from cathedral.verify import (
+    _CHECKS,
+    TrialConfig,
+    _check_upward_reachability,
+    _run_one,
+    _TrialContext,
+    random_factorizable_graph,
+)
 
 from helpers import chain_tree, path
 
@@ -47,7 +57,7 @@ SPARSE = _seeded(18, 0.1, 2, lambda k: k >= 4)
 
 
 def _count(monkeypatch) -> Counter:
-    """Count deletion tables and graphs built and calls of `is_factorizable`,
+    """Count deletion tables and graphs built (checked or not) and calls of `is_factorizable`,
     `_blossom_matching` and the contraction search `_contracted_outer` from
     now on."""
     counts: Counter = Counter()
@@ -72,6 +82,13 @@ def _count(monkeypatch) -> Counter:
         Graph,
         "__init__",
         lambda self, *args, **kwargs: counts.update(["graphs"]) or build(self, *args, **kwargs),
+    )
+    # the unchecked constructor behind induced_subgraph and add_edges
+    trusted = Graph._trusted.__func__
+    monkeypatch.setattr(
+        Graph,
+        "_trusted",
+        classmethod(lambda cls, *args: counts.update(["graphs"]) or trusted(cls, *args)),
     )
     return counts
 
@@ -163,6 +180,47 @@ def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
     assert tables["construction-foundation-minimum"] == 1
     assert tables["construction-output-saturated"] == 0
     assert sum(tables.values()) == 32
+
+
+def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
+    # each grown graph's components and order come from one structure
+    config = TrialConfig(seed=0)
+    ctx = _TrialContext(random_factorizable_graph(config, 0), config)
+    counts = _count(monkeypatch)
+    tables = {}
+    for name, check in _CHECKS:
+        before = counts["tables"]
+        assert _run_one(name, check, ctx)[0].status != "fail"
+        tables[name] = counts["tables"] - before
+    assert tables["incomparable-pair-edge-witness"] == 52
+    assert sum(tables.values()) == 61
+
+
+def test_confined_path_queries_build_no_subgraph(monkeypatch):
+    # both confined queries of the upward check walk the host's arrays with
+    # the vertices outside the region blocked
+    config = TrialConfig(seed=0)
+    ctx = _TrialContext(saturate(random_factorizable_graph(config, 0))[0], config)
+    for base in range(len(ctx.poset)):
+        ctx.upsets(base)
+    ctx.reach(0)
+    calls: Counter = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cathedral"]
+    for name in ("induced_subgraph", "restrict_matching", "alternating_path_exists"):
+        original = getattr(cathedral.graph, name, None) or getattr(cathedral.matching, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    counts = _count(monkeypatch)
+    _check_upward_reachability(ctx)
+    assert calls["alternating_path_exists"] > 0
+    assert calls["induced_subgraph"] == calls["restrict_matching"] == counts["graphs"] == 0
 
 
 def test_saturate_fills_one_growing_table(monkeypatch):
