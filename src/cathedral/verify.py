@@ -7,6 +7,9 @@ Checks whose hypotheses a graph does not meet (saturated-only statements on
 an unsaturated graph, minimum-element statements on an antichain) are
 reported as skipped and re-run on the graph's saturation closure.
 
+The graph's context holds each definitional artifact once (pair-deletion
+verdicts, part contexts, reachability sweeps, closures) for every check.
+
 A failing check ships a replayable counterexample: the graph is greedily
 shrunk (edge removals, then vertex-pair removals) while the failure
 persists, relabeled to dense ids, re-verified, and rendered as edge-list
@@ -17,17 +20,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, product
-from typing import Callable, Iterable
+from itertools import chain, combinations, combinations_with_replacement, product
+from typing import Callable, Iterable, Iterator
 
 from .canonical import (
     GraphStructure,
-    UpSets,
     _above,
-    allowed_edges,
-    canonical_partition,
     minimum_component,
     up_sets,
 )
@@ -36,7 +36,6 @@ from .construction import (
     _decompose_saturated,
     _foundation_via_ge,
     construct_tree,
-    is_saturated,
     saturate,
 )
 from .errors import (
@@ -149,15 +148,12 @@ class SuiteReport:
 
 
 class _CheckFailed(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
-        self.detail = detail
+    pass
 
 
 class _SkipCheck(Exception):
     def __init__(self, reason: str, rerun_on_closure: bool = True):
         super().__init__(reason)
-        self.reason = reason
         self.rerun_on_closure = rerun_on_closure
 
 
@@ -174,15 +170,25 @@ def _relabel_dense(graph: Graph) -> Graph:
     return Graph(range(graph.order), ((remap[u], remap[v]) for u, v in graph.edges))
 
 
+class _Table(dict):
+    """A dict that fills each missing entry on first lookup, as ``ExposableAfterDeletion`` does."""
+
+    def __init__(self, fill: Callable) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class _TrialContext(GraphStructure):
     """Shared, lazily computed artifacts for one graph under test, on top of
-    the graph's canonical structures."""
+    the graph's canonical structures, each held once and read by every check
+    that needs it.  A table's fill closes over the artifacts it reads, not
+    over the context, so no reference cycle keeps a finished context alive."""
 
     config: TrialConfig
-    _reach: dict[int, AlternatingReach] = field(default_factory=dict)
-    _deleted: dict[int, tuple[Graph, Matching, int, AlternatingReach]] = field(default_factory=dict)
-    _upsets: dict[int, UpSets] = field(default_factory=dict)
 
     @cached_property
     def enumeration(self) -> PerfectMatchingEnumeration:
@@ -197,6 +203,11 @@ class _TrialContext(GraphStructure):
         if self.graph.order <= _EXHAUSTIVE_ORDER:
             return self.matchings
         return self.matchings[:1]
+
+    def checked_reaches(self) -> Iterator[tuple[Matching, AlternatingReach]]:
+        """Each checked perfect matching with its reachability sweep."""
+        for mi, m in enumerate(self.matchings_checked):
+            yield m, self.reach[mi]
 
     def require_complete_enumeration(self) -> None:
         if self.enumeration.truncated:
@@ -230,34 +241,75 @@ class _TrialContext(GraphStructure):
     def foundation_via_ge(self) -> frozenset[int]:
         return _foundation_via_ge(self)
 
-    def reach(self, matching_index: int) -> AlternatingReach:
-        if matching_index not in self._reach:
-            self._reach[matching_index] = alternating_reachability(
-                self.graph,
-                self.matchings[matching_index],
-                budget=self.config.path_budget,
-            )
-        return self._reach[matching_index]
+    @cached_property
+    def foundation_parts(self) -> tuple[frozenset[int], ...]:
+        """The minimum component's vertices, then each tower's: the connected
+        pieces of the rest."""
+        fv = self.components.components[self.require_minimum()]
+        pieces = connected_components(self.graph, self.graph.vertex_set - fv)
+        return (fv, *(frozenset(p) for p in pieces))
 
-    def upsets(self, base: int) -> UpSets:
-        if base not in self._upsets:
-            self._upsets[base] = up_sets(self.graph, self.poset, self.partition, base)
-        return self._upsets[base]
+    @cached_property
+    def tower_classes(self) -> tuple[frozenset[int], ...]:
+        """For each tower, the classes that its neighbours lie in."""
+        return tuple(
+            frozenset(self.partition.class_of[w] for w in neighbors(self.graph, tower))
+            for tower in self.foundation_parts[1:]
+        )
 
-    def deleted_instance(self, x: int) -> tuple[Graph, Matching, int, AlternatingReach]:
-        """The graph minus x, a maximum matching of it derived from the first
-        perfect matching, the vertex that matching leaves exposed, and its
-        reachability sweep."""
-        if x not in self._deleted:
-            m0 = self.matchings[0]
-            partner = m0.partner[x]
-            rest = delete_vertices(self.graph, (x,))
+    @cached_property
+    def reach(self) -> _Table:
+        """The reachability sweep under each perfect matching, by its index."""
+        graph, matchings, budget = self.graph, self.matchings, self.config.path_budget
+        return _Table(lambda mi: alternating_reachability(graph, matchings[mi], budget=budget))
+
+    @cached_property
+    def upsets(self) -> _Table:
+        """The up-sets above each component, by its index."""
+        graph, poset, partition = self.graph, self.poset, self.partition
+        return _Table(lambda base: up_sets(graph, poset, partition, base))
+
+    @cached_property
+    def deleted_instance(self) -> _Table:
+        """For each vertex x: the graph minus x, a maximum matching of it
+        derived from the first perfect matching, the vertex that matching
+        leaves exposed, and its reachability sweep."""
+        graph, m0, budget = self.graph, self.matchings[0], self.config.path_budget
+
+        def fill(x: int) -> tuple[Graph, Matching, int, AlternatingReach]:
+            # G-x rebuilt for the gallai_edmonds and is_factor_critical cross-checks
+            rest = delete_vertices(graph, (x,))
             m = Matching(rest, (e for e in m0.edges if x not in e))
-            reach = alternating_reachability(
-                self.graph, m0, kept=rest.vertex_set, budget=self.config.path_budget
-            )
-            self._deleted[x] = (rest, m, partner, reach)
-        return self._deleted[x]
+            reach = alternating_reachability(graph, m0, kept=rest.vertex_set, budget=budget)
+            return rest, m, m0.partner[x], reach
+
+        return _Table(fill)
+
+    @cached_property
+    def pair_factorizable(self) -> _Table:
+        """Whether G-u-v is factorizable, by the unordered pair ``edge(u, v)``."""
+        graph = self.graph
+        # G-u-v rebuilt for the same-class relation and the saturated-path criterion
+        return _Table(lambda pair: is_factorizable(delete_vertices(graph, pair)))
+
+    @cached_property
+    def parts(self) -> _Table:
+        """A from-scratch context of the subgraph induced on each vertex set,
+        never this one, so that no check compares an artifact with itself."""
+        graph, config = self.graph, self.config
+        # G[S] rebuilt for the checks that compare G with its components, foundation and towers
+        return _Table(lambda vertex_set: _TrialContext(induced_subgraph(graph, vertex_set), config))
+
+    @cached_property
+    def closures(self) -> _Table:
+        """A context of the saturation closure and its added edges, by ``descending``."""
+        graph, config = self.graph, self.config
+
+        def fill(descending: bool) -> tuple[_TrialContext, tuple[Edge, ...]]:
+            closed, added = saturate(graph, descending=descending)
+            return _TrialContext(closed, config), added
+
+        return _Table(fill)
 
     def require_saturated(self) -> None:
         if not self.saturated:
@@ -268,15 +320,6 @@ class _TrialContext(GraphStructure):
             raise _SkipCheck("component order has no minimum element")
         return self.order_minimum
 
-    def foundation_pieces(self) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-        low = self.require_minimum()
-        fv = self.components.components[low]
-        pieces = tuple(
-            frozenset(p)
-            for p in connected_components(self.graph, self.graph.vertex_set - fv)
-        )
-        return fv, pieces
-
 
 # --- individual checks ------------------------------------------------------
 
@@ -286,9 +329,9 @@ def _check_exposure_partition_paths(ctx: _TrialContext) -> None:
     from the exposed set, on the graph itself and on every single deletion."""
     instances = []
     if ctx.graph.order:
-        instances.append((ctx.graph, ctx.matchings[0], ctx.reach(0)))
+        instances.append((ctx.graph, ctx.matchings[0], ctx.reach[0]))
     for x in ctx.graph.vertices:
-        rest, m, _, reach = ctx.deleted_instance(x)
+        rest, m, _, reach = ctx.deleted_instance[x]
         instances.append((rest, m, reach))
     for host, m, reach in instances:
         ge = gallai_edmonds(host)
@@ -304,8 +347,7 @@ def _check_exposure_partition_paths(ctx: _TrialContext) -> None:
 def _check_deleted_partition_paths(ctx: _TrialContext) -> None:
     """Membership in the deletion partition of G-x is equivalent to saturated
     and balanced reachability from x, for every perfect matching."""
-    for mi, _ in enumerate(ctx.matchings_checked):
-        reach = ctx.reach(mi)
+    for _, reach in ctx.checked_reaches():
         for x in ctx.graph.vertices:
             ge = ctx.deletion_partitions[x]
             for u in ctx.graph.vertices:
@@ -347,7 +389,7 @@ def _check_partition_equivalence(ctx: _TrialContext) -> None:
             elif comp_of[u] != comp_of[v]:
                 rel[u, v] = False
             else:
-                rel[u, v] = not is_factorizable(delete_vertices(ctx.graph, (u, v)))
+                rel[u, v] = not ctx.pair_factorizable[edge(u, v)]
     for u in ctx.graph.vertices:
         for v in ctx.graph.vertices:
             if rel[u, v] != rel[v, u]:
@@ -364,8 +406,7 @@ def _check_partition_refinement(ctx: _TrialContext) -> None:
     """Within each component, same class in the whole graph implies same
     class in the component's own partition."""
     for comp in ctx.components.components:
-        sub = induced_subgraph(ctx.graph, comp)
-        sub_part = canonical_partition(sub)
+        sub_part = ctx.parts[comp].partition
         for u, v in combinations(sorted(comp), 2):
             if ctx.partition.class_of[u] == ctx.partition.class_of[v]:
                 if sub_part.class_of[u] != sub_part.class_of[v]:
@@ -376,8 +417,7 @@ def _check_same_class_no_saturated_path(ctx: _TrialContext) -> None:
     """Two vertices of one component share a class iff no saturated path
     joins them, for every perfect matching."""
     comp_of = ctx.components.component_of
-    for mi, _ in enumerate(ctx.matchings_checked):
-        reach = ctx.reach(mi)
+    for _, reach in ctx.checked_reaches():
         for u, v in combinations(ctx.graph.vertices, 2):
             if comp_of[u] != comp_of[v]:
                 continue
@@ -390,7 +430,7 @@ def _check_upper_single_class(ctx: _TrialContext) -> None:
     """Every connected piece above a component attaches to exactly one of its
     classes, and the assignment covers the strict upper bounds."""
     for base in range(len(ctx.poset)):
-        us = ctx.upsets(base)  # raises ClassAssignmentViolation on failure
+        us = ctx.upsets[base]  # raises ClassAssignmentViolation on failure
         union: set[int] = set()
         for members in us.per_class.values():
             if union & members:
@@ -398,6 +438,18 @@ def _check_upper_single_class(ctx: _TrialContext) -> None:
             union |= members
         if frozenset(union) != us.strict_upper_components():
             _fail(f"class assignments miss components above component {base}")
+
+
+def _saturated_paths(
+    ctx: _TrialContext, m: Matching, u: int, v: int, kept: frozenset[int] | None, kind: str
+) -> Iterator[tuple[int, ...]]:
+    """The saturated u-v paths inside ``kept``; the check is skipped when
+    there are more than ``_PATHS_PER_PAIR`` of them."""
+    paths = iter_saturated_paths(ctx.graph, m, u, v, kept=kept, budget=ctx.config.path_budget)
+    for count, path in enumerate(paths, 1):
+        if count > _PATHS_PER_PAIR:
+            raise _SkipCheck(f"too many {kind} paths", rerun_on_closure=False)
+        yield path
 
 
 def _check_ear_ends_share_class(ctx: _TrialContext) -> None:
@@ -414,13 +466,7 @@ def _check_ear_ends_share_class(ctx: _TrialContext) -> None:
             for u, w in combinations(sorted(outside_vertices), 2):
                 if w not in reach.saturated[u]:
                     continue
-                count = 0
-                for path in iter_saturated_paths(
-                    ctx.graph, m, u, w, kept=outside_vertices, budget=ctx.config.path_budget
-                ):
-                    count += 1
-                    if count > _PATHS_PER_PAIR:
-                        raise _SkipCheck("too many interior paths", rerun_on_closure=False)
+                for path in _saturated_paths(ctx, m, u, w, outside_vertices, "interior"):
                     heads = neighbors(ctx.graph, (path[0],)) & comp
                     tails = neighbors(ctx.graph, (path[-1],)) & comp
                     for a in heads:
@@ -450,8 +496,7 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
                 for y in sorted(comps[j])
                 if not ctx.graph.has_edge(x, y)
             ]
-            witness = None
-            for e, f in product(cands, repeat=2):
+            for e, f in combinations_with_replacement(cands, 2):
                 grown = GraphStructure(add_edges(ctx.graph, (e,) if e == f else (e, f)))
                 grown_comps = grown.components.components
                 if set(grown_comps) != old_sets:
@@ -459,9 +504,8 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
                 gi = grown_comps.index(comps[i])
                 gj = grown_comps.index(comps[j])
                 if gj in _above(grown.table, grown.components, [gi])[0]:
-                    witness = (e, f)
                     break
-            if witness is None:
+            else:
                 _fail(
                     f"no edge pair relates component {sorted(comps[i])} below {sorted(comps[j])}"
                 )
@@ -471,15 +515,13 @@ def _check_elementary_reachability(ctx: _TrialContext) -> None:
     """Inside one component, every ordered vertex pair is joined by a
     saturated path or by a balanced path."""
     for comp in ctx.components.components:
-        sub = induced_subgraph(ctx.graph, comp)
-        enum = enumerate_perfect_matchings(sub, ctx.config.enumeration_cap)
-        matchings = enum.matchings
-        if ctx.graph.order > _EXHAUSTIVE_ORDER:
-            matchings = matchings[:1]
-        for m in matchings:
-            reach = alternating_reachability(sub, m, budget=ctx.config.path_budget)
-            for u in sub.vertices:
-                for v in sub.vertices:
+        part = ctx.parts[comp]
+        # the host's order decides, as it does for the host's own matchings
+        checked = part.matchings if ctx.graph.order <= _EXHAUSTIVE_ORDER else part.matchings[:1]
+        for mi, _ in enumerate(checked):
+            reach = part.reach[mi]
+            for u in part.graph.vertices:
+                for v in part.graph.vertices:
                     if u == v:
                         continue
                     if v not in reach.saturated[u] and v not in reach.balanced[u]:
@@ -488,13 +530,12 @@ def _check_elementary_reachability(ctx: _TrialContext) -> None:
 
 def _upper_bound_instances(ctx: _TrialContext):
     """Common iteration for the upper-bound reachability checks: yields
-    (matching index, reach, base component, its class indices, up-sets)."""
-    for mi, _ in enumerate(ctx.matchings_checked):
-        reach = ctx.reach(mi)
+    (matching, reach, base component, its class indices, up-sets)."""
+    for m, reach in ctx.checked_reaches():
         for base in range(len(ctx.poset)):
-            us = ctx.upsets(base)
+            us = ctx.upsets[base]
             class_ids = ctx.partition.classes_within(ctx.components.components[base])
-            yield mi, reach, base, class_ids, us
+            yield m, reach, base, class_ids, us
 
 
 def _check_upward_reachability(ctx: _TrialContext) -> None:
@@ -502,8 +543,7 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
     balanced paths reach down into the class (inside the assigned region),
     saturated paths reach everything outside the class's closure, and
     nothing alternating goes from the class up."""
-    for mi, reach, base, class_ids, us in _upper_bound_instances(ctx):
-        m = ctx.matchings_checked[mi]
+    for m, reach, base, class_ids, us in _upper_bound_instances(ctx):
         for s in class_ids:
             cls = ctx.partition.classes[s]
             up_s = us.up_vertices(s)
@@ -526,7 +566,6 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
             for u in up_star_s:
                 if u in cls:
                     continue
-                found = False
                 for v in sorted(cls):
                     if alternating_path_exists(
                         ctx.graph,
@@ -537,9 +576,8 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
                         kept=up_s | {u, v},
                         budget=ctx.config.path_budget,
                     ):
-                        found = True
                         break
-                if not found:
+                else:
                     _fail(f"no confined balanced path from {u} down to class {sorted(cls)}")
             # class across to other classes' closures, avoiding this region
             for t in class_ids:
@@ -567,7 +605,7 @@ def _check_combined_reachability(ctx: _TrialContext) -> None:
     region and class both reach everything outside the class closure by
     saturated paths; region reaches its class only by balanced paths; the
     class reaches its region by neither."""
-    for mi, reach, base, class_ids, us in _upper_bound_instances(ctx):
+    for _, reach, base, class_ids, us in _upper_bound_instances(ctx):
         closure = us.upper_closure_vertices()
         for s in class_ids:
             cls = ctx.partition.classes[s]
@@ -601,7 +639,7 @@ def _check_deleted_partition_vs_up_sets(ctx: _TrialContext) -> None:
     deletion partition exactly to the up-set structure; deleting above S
     gives the three containments."""
     low = ctx.require_minimum()
-    us = ctx.upsets(low)
+    us = ctx.upsets[low]
     everything = us.upper_closure_vertices()
     for s in ctx.partition.classes_within(ctx.components.components[low]):
         cls = ctx.partition.classes[s]
@@ -642,37 +680,35 @@ def _check_saturated_partition_matches_parts(ctx: _TrialContext) -> None:
     ctx.require_saturated()
     for comp in ctx.components.components:
         restricted = ctx.partition.restricted_to(comp)
-        own = set(canonical_partition(induced_subgraph(ctx.graph, comp)).classes)
+        own = set(ctx.parts[comp].partition.classes)
         if restricted != own:
             _fail(f"partition restricted to {sorted(comp)} differs from its own partition")
 
 
 def _check_parts_saturated(ctx: _TrialContext) -> None:
     ctx.require_saturated()
-    fv, pieces = ctx.foundation_pieces()
-    if not is_saturated(induced_subgraph(ctx.graph, fv)):
+    fv, *towers = ctx.foundation_parts
+    if not ctx.parts[fv].saturated:
         _fail("foundation is not saturated")
     claimed: set[int] = set()
-    for ps in pieces:
-        touched = {ctx.partition.class_of[w] for w in neighbors(ctx.graph, ps)}
+    for ps, touched in zip(towers, ctx.tower_classes):
         if len(touched) != 1:
             _fail(f"tower {sorted(ps)} touches {len(touched)} classes")
-        s = touched.pop()
+        (s,) = touched
         if s in claimed:
             _fail(f"two towers attach to class {sorted(ctx.partition.classes[s])}")
         claimed.add(s)
-        if not is_saturated(induced_subgraph(ctx.graph, ps)):
+        if not ctx.parts[ps].saturated:
             _fail(f"tower {sorted(ps)} is not saturated")
 
 
 def _check_tower_join_complete(ctx: _TrialContext) -> None:
     ctx.require_saturated()
-    fv, pieces = ctx.foundation_pieces()
-    for ps in pieces:
-        touched = {ctx.partition.class_of[w] for w in neighbors(ctx.graph, ps)}
+    for ps, touched in zip(ctx.foundation_parts[1:], ctx.tower_classes):
         if len(touched) != 1:
             _fail(f"tower {sorted(ps)} touches {len(touched)} classes")
-        cls = ctx.partition.classes[touched.pop()]
+        (attached,) = touched
+        cls = ctx.partition.classes[attached]
         for s in cls:
             for t in ps:
                 if not ctx.graph.has_edge(s, t):
@@ -681,8 +717,7 @@ def _check_tower_join_complete(ctx: _TrialContext) -> None:
 
 def _check_foundation_contraction_critical(ctx: _TrialContext) -> None:
     ctx.require_saturated()
-    fv, _ = ctx.foundation_pieces()
-    if not is_factor_critical(contract(ctx.graph, fv).graph):
+    if not is_factor_critical(contract(ctx.graph, ctx.foundation_parts[0]).graph):
         _fail("collapsing the foundation is not factor-critical")
 
 
@@ -704,10 +739,9 @@ def _check_allowed_from_parts(ctx: _TrialContext) -> None:
     """In a saturated graph the allowed edges are exactly the allowed edges
     of the foundation and of each tower."""
     ctx.require_saturated()
-    fv, pieces = ctx.foundation_pieces()
-    union: set[Edge] = set(allowed_edges(induced_subgraph(ctx.graph, fv)))
-    for ps in pieces:
-        union |= allowed_edges(induced_subgraph(ctx.graph, ps))
+    union: set[Edge] = set()
+    for vertex_set in ctx.foundation_parts:
+        union |= ctx.parts[vertex_set].allowed
     if frozenset(union) != ctx.allowed:
         _fail("allowed edges differ from the union over foundation and towers")
 
@@ -717,14 +751,10 @@ def _check_matchings_product(ctx: _TrialContext) -> None:
     perfect matchings of its foundation and towers, and conversely."""
     ctx.require_saturated()
     ctx.require_complete_enumeration()
-    fv, pieces = ctx.foundation_pieces()
-    parts = [induced_subgraph(ctx.graph, fv)] + [
-        induced_subgraph(ctx.graph, ps) for ps in pieces
-    ]
     per_part: list[tuple[frozenset[Edge], ...]] = []
     total = 1
-    for part in parts:
-        enum = enumerate_perfect_matchings(part, ctx.config.enumeration_cap)
+    for vertex_set in ctx.foundation_parts:
+        enum = ctx.parts[vertex_set].enumeration
         if enum.truncated:
             raise _SkipCheck("part enumeration exceeded the cap", rerun_on_closure=False)
         per_part.append(tuple(m.edges for m in enum.matchings))
@@ -776,7 +806,7 @@ def _check_factor_critical_balanced(ctx: _TrialContext) -> None:
     """A graph with a near-perfect matching is factor-critical iff every
     vertex has a balanced path to the exposed one."""
     for x in ctx.graph.vertices:
-        rest, m, partner, reach = ctx.deleted_instance(x)
+        rest, m, partner, reach = ctx.deleted_instance[x]
         critical = is_factor_critical(rest)
         reachable = all(partner in reach.balanced[u] for u in rest.vertices)
         if critical != reachable:
@@ -787,8 +817,7 @@ def _check_allowed_circuit_path(ctx: _TrialContext) -> None:
     """For an unmatched edge: allowed (by enumeration), on an alternating
     circuit, and joined by a saturated path are all equivalent."""
     ctx.require_complete_enumeration()
-    for mi, m in enumerate(ctx.matchings_checked):
-        reach = ctx.reach(mi)
+    for m, reach in ctx.checked_reaches():
         for e in sorted(ctx.graph.edges - m.edges):
             a = e in ctx.allowed_union
             b = e[1] in reach.saturated[e[0]]
@@ -800,12 +829,9 @@ def _check_allowed_circuit_path(ctx: _TrialContext) -> None:
 def _check_saturated_path_deletion(ctx: _TrialContext) -> None:
     """A saturated path joins two vertices iff deleting both leaves the graph
     factorizable, independently of the matching."""
-    for mi, _ in enumerate(ctx.matchings_checked):
-        reach = ctx.reach(mi)
+    for _, reach in ctx.checked_reaches():
         for u, v in combinations(ctx.graph.vertices, 2):
-            if (v in reach.saturated[u]) != is_factorizable(
-                delete_vertices(ctx.graph, (u, v))
-            ):
+            if (v in reach.saturated[u]) != ctx.pair_factorizable[edge(u, v)]:
                 _fail(f"saturated-path criterion disagrees with deletion at {u}, {v}")
 
 
@@ -815,25 +841,16 @@ def _check_path_separator_split(ctx: _TrialContext) -> None:
     separators = {comp for comp in ctx.components.components}
     whole = ctx.graph.vertex_set
     for comp in ctx.components.components:
-        rest = whole - comp
-        if rest:
-            separators.add(rest)
+        separators.add(whole - comp)
     separators = {s for s in separators if s and s != whole}
     if not separators:
         raise _SkipCheck("graph has a single component", rerun_on_closure=False)
-    for mi, m in enumerate(ctx.matchings_checked):
-        reach = ctx.reach(mi)
+    for m, reach in ctx.checked_reaches():
         mate = m.partner
         for u, v in combinations(ctx.graph.vertices, 2):
             if v not in reach.saturated[u]:
                 continue
-            count = 0
-            for path in iter_saturated_paths(
-                ctx.graph, m, u, v, budget=ctx.config.path_budget
-            ):
-                count += 1
-                if count > _PATHS_PER_PAIR:
-                    raise _SkipCheck("too many saturated paths", rerun_on_closure=False)
+            for path in _saturated_paths(ctx, m, u, v, None, "saturated"):
                 for sep in separators:
                     _assert_split_shape(ctx, path, sep, mate)
 
@@ -893,8 +910,7 @@ def _check_new_matching_iff_path(ctx: _TrialContext) -> None:
         if enum.truncated:
             raise _SkipCheck("grown enumeration exceeded the cap", rerun_on_closure=False)
         creates = len(enum.matchings) > base_count
-        for mi, _ in enumerate(ctx.matchings_checked):
-            reach = ctx.reach(mi)
+        for _, reach in ctx.checked_reaches():
             if creates != (pair[1] in reach.saturated[pair[0]]):
                 _fail(f"new-matching criterion disagrees at pair {pair}")
 
@@ -912,10 +928,10 @@ def _check_cross_matching_balanced(ctx: _TrialContext) -> None:
     perfect matchings (never asserted)."""
     if len(ctx.matchings_checked) < 2:
         return
-    base = ctx.reach(0)
+    base = ctx.reach[0]
     disagreements = []
     for mi in range(1, len(ctx.matchings_checked)):
-        other = ctx.reach(mi)
+        other = ctx.reach[mi]
         for u in ctx.graph.vertices:
             if base.balanced[u] != other.balanced[u]:
                 disagreements.append((mi, u))
@@ -931,12 +947,12 @@ def _check_closure_saturated_preserving(ctx: _TrialContext) -> None:
     the input's perfect matchings; the added edges are recorded."""
     notes = []
     for descending in (False, True):
-        closed, added = saturate(ctx.graph, descending=descending)
+        closed, added = ctx.closures[descending]
         notes.append(f"{'desc' if descending else 'asc'} adds {list(added)}")
-        if not is_saturated(closed):
+        if not closed.saturated:
             _fail(f"closure ({notes[-1]}) is not saturated")
         if not ctx.enumeration.truncated:
-            enum = enumerate_perfect_matchings(closed, 2 * ctx.config.enumeration_cap)
+            enum = enumerate_perfect_matchings(closed.graph, 2 * ctx.config.enumeration_cap)
             if not enum.truncated and enum.edge_sets() != ctx.enumeration.edge_sets():
                 _fail(f"closure ({notes[-1]}) changed the perfect matchings")
 
@@ -1014,38 +1030,27 @@ def _run_one(
     try:
         fn(ctx)
     except _SkipCheck as skip:
-        return CheckResult(name, "skip", skip.reason, millis=took()), skip.rerun_on_closure
+        return CheckResult(name, "skip", str(skip), millis=took()), skip.rerun_on_closure
     except SearchBudgetExceeded:
         return CheckResult(name, "skip", "search budget exceeded", millis=took()), False
-    except _CheckFailed as failure:
-        counterexample = _shrink(name, fn, ctx.graph, ctx.config)
-        return CheckResult(name, "fail", failure.detail, counterexample, millis=took()), False
-    except StructureViolation as violation:
-        counterexample = _shrink(name, fn, ctx.graph, ctx.config)
-        return CheckResult(name, "fail", str(violation), counterexample, millis=took()), False
+    except (_CheckFailed, StructureViolation) as failure:
+        counterexample = _shrink(fn, ctx.graph, ctx.config)
+        return CheckResult(name, "fail", str(failure), counterexample, millis=took()), False
     return CheckResult(name, "pass", millis=took()), False
 
 
-def _fails(
-    name: str, fn: Callable[[_TrialContext], None], graph: Graph, config: TrialConfig
-) -> bool:
-    if not is_factorizable(graph):
-        return False
+def _fails(fn: Callable[[_TrialContext], None], graph: Graph, config: TrialConfig) -> bool:
     try:
         fn(_TrialContext(graph, config))
     except (_CheckFailed, StructureViolation):
         return True
-    except (_SkipCheck, SearchBudgetExceeded):
+    except (NotFactorizableError, _SkipCheck, SearchBudgetExceeded):
         return False
     return False
 
 
 def _shrink(
-    name: str,
-    fn: Callable[[_TrialContext], None],
-    graph: Graph,
-    config: TrialConfig,
-    attempt_limit: int = 400,
+    fn: Callable[[_TrialContext], None], graph: Graph, config: TrialConfig, attempt_limit: int = 400
 ) -> str:
     """Greedy minimization preserving the failure, re-verified at each step."""
     current = graph
@@ -1053,28 +1058,21 @@ def _shrink(
     changed = True
     while changed and attempts < attempt_limit:
         changed = False
-        for e in current.sorted_edges():
+        # smaller counterexample candidates: every edge removal, then every vertex-pair removal
+        candidates = chain(
+            (Graph(current.vertices, current.edges - {e}) for e in current.sorted_edges()),
+            (delete_vertices(current, pair) for pair in combinations(current.vertices, 2)),
+        )
+        for candidate in candidates:
             attempts += 1
-            candidate = Graph(current.vertices, current.edges - {e})
-            if _fails(name, fn, candidate, config):
-                current = candidate
-                changed = True
-                break
-            if attempts >= attempt_limit:
-                break
-        if changed or attempts >= attempt_limit:
-            continue
-        for pair in combinations(current.vertices, 2):
-            attempts += 1
-            candidate = delete_vertices(current, pair)
-            if candidate.order and _fails(name, fn, candidate, config):
+            if candidate.order and _fails(fn, candidate, config):
                 current = candidate
                 changed = True
                 break
             if attempts >= attempt_limit:
                 break
     dense = _relabel_dense(current)
-    if not _fails(name, fn, dense, config):
+    if not _fails(fn, dense, config):
         dense = _relabel_dense(graph)
     return render_edge_list(dense)
 
@@ -1105,11 +1103,10 @@ def run_suite(
         if rerun:
             closure_runs.append((name, fn))
     if closure_runs:
-        closed, _ = saturate(graph)
-        if closed != graph:
-            closure_ctx = _TrialContext(closed, config)
+        closed, _ = ctx.closures[False]
+        if closed.graph != graph:
             for name, fn in closure_runs:
-                result, _ = _run_one(name, fn, closure_ctx)
+                result, _ = _run_one(name, fn, closed)
                 results.append(replace(result, check=f"{name}@closure"))
     return SuiteReport(_graph_text(graph), config, tuple(results))
 

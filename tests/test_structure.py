@@ -5,8 +5,9 @@ an `analyze` request fills one deletion table, computes one perfect matching
 and checks factorizability once, and its deletion partitions build no graph.  `decompose` and `construct_tree` build two
 tables per level, the level graph's and its foundation's, and find each
 foundation with contraction searches instead of computing the component
-order.  The verifier reads one table per graph it grows, and its confined
-path searches build no subgraph.  The counts are taken on every cathedral
+order.  The verifier reads one table per graph it grows, builds each
+induced part and tests each G-u-v once per context, and its confined path
+searches build no subgraph.  The counts are taken on every cathedral
 binding of the counted functions, and graphs are counted on both
 constructors, the checked one and the unchecked `Graph._trusted`.
 """
@@ -21,6 +22,7 @@ import pytest
 import cathedral.canonical
 import cathedral.graph
 import cathedral.matching
+import cathedral.verify
 from cathedral.canonical import factor_components
 from cathedral.cli import main
 from cathedral.construction import construct_tree, decompose, foundation_via_ge, saturate
@@ -35,6 +37,7 @@ from cathedral.verify import (
     _run_one,
     _TrialContext,
     random_factorizable_graph,
+    run_trials,
 )
 
 from helpers import chain_tree, path
@@ -166,8 +169,9 @@ def test_trial_context_artifacts_share_one_table(monkeypatch):
 
 
 def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
-    # the tree decomposes from the context's own structure, and both
-    # construction checks read one structure of the rebuilt graph
+    # the tree decomposes from the context's own structure, both
+    # construction checks read one structure of the rebuilt graph, and the
+    # part checks read one context per component, foundation and tower
     config = TrialConfig(seed=0)
     closure = saturate(random_factorizable_graph(config, 0))[0]
     ctx = _TrialContext(closure, config)
@@ -179,11 +183,13 @@ def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
         tables[name] = counts["tables"] - before
     assert tables["construction-foundation-minimum"] == 1
     assert tables["construction-output-saturated"] == 0
-    assert sum(tables.values()) == 32
+    assert tables["saturated-partition-matches-parts"] == tables["allowed-edges-from-parts"] == 0
+    assert sum(tables.values()) == 26
 
 
 def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
-    # each grown graph's components and order come from one structure
+    # each grown graph's components and order come from one structure, and
+    # each set of one or two added edges is tried once
     config = TrialConfig(seed=0)
     ctx = _TrialContext(random_factorizable_graph(config, 0), config)
     counts = _count(monkeypatch)
@@ -192,8 +198,46 @@ def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
         before = counts["tables"]
         assert _run_one(name, check, ctx)[0].status != "fail"
         tables[name] = counts["tables"] - before
-    assert tables["incomparable-pair-edge-witness"] == 52
-    assert sum(tables.values()) == 61
+    assert tables["incomparable-pair-edge-witness"] == 40
+    assert sum(tables.values()) == 49
+
+
+def _record(monkeypatch, name: str) -> list:
+    """The arguments of every call of `cathedral.verify.<name>` from now on;
+    holding them keeps every graph alive, so no graph's id is reused."""
+    calls = []
+    original = getattr(cathedral.verify, name)
+    monkeypatch.setattr(cathedral.verify, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_verify_asks_each_pair_and_builds_each_part_once(monkeypatch):
+    # the only is_factorizable calls of a context test G-u-v, once per
+    # unordered pair, and the only induced_subgraph calls build its parts
+    pairs = _record(monkeypatch, "is_factorizable")
+    parts = _record(monkeypatch, "induced_subgraph")
+    config = TrialConfig(seed=0)
+    graph = random_factorizable_graph(config, 0)
+    for ctx in (_TrialContext(graph, config), _TrialContext(saturate(graph)[0], config)):
+        pairs.clear()
+        parts.clear()
+        for name, check in _CHECKS:
+            assert _run_one(name, check, ctx)[0].status != "fail"
+        n = ctx.graph.order
+        assert len({rest.vertex_set for rest, in pairs}) == len(pairs) == n * (n - 1) // 2
+        assert len({kept for _, kept in parts}) == len(parts) == len(ctx.parts)
+    # the closure's four components, one of them the foundation, and its one
+    # tower, the union of the other three
+    assert len(ctx.components) == 4 and len(parts) == 5
+    pairs.clear()
+    parts.clear()
+    trials = 100
+    reports = run_trials(TrialConfig(seed=0, trials=trials, max_vertices=8))
+    assert all(report.ok for report in reports)
+    # one precondition check per trial, then one test per distinct pair of
+    # each context: 3374 tests of 1201 distinct pairs when each check asked
+    assert len(pairs) == trials + 1201
+    assert len({(id(host), frozenset(kept)) for host, kept in parts}) == len(parts) == 396
 
 
 def test_confined_path_queries_build_no_subgraph(monkeypatch):
@@ -202,8 +246,8 @@ def test_confined_path_queries_build_no_subgraph(monkeypatch):
     config = TrialConfig(seed=0)
     ctx = _TrialContext(saturate(random_factorizable_graph(config, 0))[0], config)
     for base in range(len(ctx.poset)):
-        ctx.upsets(base)
-    ctx.reach(0)
+        ctx.upsets[base]
+    ctx.reach[0]
     calls: Counter = Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cathedral"]
     for name in ("induced_subgraph", "restrict_matching", "alternating_path_exists"):

@@ -1,12 +1,16 @@
 import pytest
 
+from cathedral.canonical import CanonicalPartition
 from cathedral.errors import NotFactorizableError
 from cathedral.graph import Graph
 from cathedral.serialize import report_json
 from cathedral.verify import (
+    _CHECKS,
     CHECK_IDS,
     PATH_CHECK_IDS,
     TrialConfig,
+    _run_one,
+    _TrialContext,
     random_factorizable_graph,
     run_suite,
     run_trials,
@@ -116,3 +120,39 @@ def test_failure_reporting_carries_counterexample(monkeypatch):
     assert failures[0].check == "always-broken"
     assert failures[0].reason == "induced failure"
     assert failures[0].counterexample.startswith("vertices ")
+
+
+# C4 plus the chord 0-2: saturated and elementary, with classes {0, 2}, {1}, {3}
+DIAMOND = Graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "artifact, wrong, checks",
+    [
+        (
+            "partition",
+            CanonicalPartition((frozenset({0, 2}), frozenset({1, 3}))),
+            (
+                "canonical-partition-equivalence",
+                "partition-refines-subgraph-partition",
+                "saturated-partition-matches-parts",
+            ),
+        ),
+        (
+            "allowed",
+            frozenset({(1, 2), (2, 3), (0, 3)}),
+            ("allowed-edges-from-parts", "allowed-edges-enumeration-agreement"),
+        ),
+    ],
+    ids=["merged-classes", "dropped-edge"],
+)
+def test_a_planted_fault_fails_each_check_that_compares_it(artifact, wrong, checks):
+    # a part context is rebuilt from scratch even when the part is the whole
+    # graph, so the host's wrong artifact is never compared with itself
+    ctx = _TrialContext(DIAMOND, TrialConfig(seed=0))
+    assert ctx.saturated and len(ctx.components) == 1
+    assert ctx.partition.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+    assert ctx.allowed == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    ctx.__dict__[artifact] = wrong
+    run = dict(_CHECKS)
+    assert [_run_one(name, run[name], ctx)[0].status for name in checks] == ["fail"] * len(checks)
