@@ -119,8 +119,8 @@ class GraphStructure:
     def minimum(self) -> int | None:
         """Index of the component below every other, if any: the first at which
         the whole graph contracts to a factor-critical graph (``_above``'s first search)."""
-        table = self.table
-        parts = [[table.index[v] for v in sorted(comp)] for comp in self.components.components]
+        table, index = self.table, self.graph.positions
+        parts = [[index[v] for v in sorted(comp)] for comp in self.components.components]
         for i, part in enumerate(parts):
             rest = [v for j, other in enumerate(parts) if j != i for v in other]
             if _contracts_to_factor_critical(table.adj, table.mate, part, rest):
@@ -167,7 +167,7 @@ def canonical_partition(graph: Graph, comps: FactorComponents | None = None) -> 
 
 
 def _partition(exposable: ExposableAfterDeletion, comps: FactorComponents) -> CanonicalPartition:
-    vertices = exposable.vertices
+    vertices = exposable.graph.vertices
     related: dict[int, set[int]] = {v: {v} for v in vertices}
     for u, v in combinations(vertices, 2):
         if comps.component_of[u] == comps.component_of[v] and v not in exposable[u]:
@@ -215,7 +215,7 @@ def _above(
     components, so only components outside X drop; once none drops, every
     vertex is outer and the union is X.  Each search but the last drops one.
     The searches run on the table's index adjacency and perfect matching."""
-    index, adj, mate = exposable.index, exposable.adj, exposable.mate
+    index, adj, mate = exposable.graph.positions, exposable.adj, exposable.mate
     parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
     out = []
     for lower in lowers:

@@ -17,6 +17,10 @@ from .errors import GraphFormatError
 
 Edge = tuple[int, int]
 
+# the largest vertex count the edge-list format accepts; one Graph of this
+# order and its tables take a few hundred megabytes
+MAX_VERTICES = 1_000_000
+
 
 def edge(u: int, v: int) -> Edge:
     """Normalized undirected edge: smaller endpoint first, no self-loops."""
@@ -72,6 +76,18 @@ class Graph:
             nbr[v].append(u)
         return {v: tuple(sorted(ws)) for v, ws in nbr.items()}
 
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Each vertex's position in ``vertices``; read-only."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def index_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency`` by position, one ascending tuple per vertex: what
+        every matching search of this graph runs on, and none grows."""
+        pos, adj = self.positions, self.adjacency
+        return tuple([tuple([pos[w] for w in adj[v]]) for v in self.vertices])
+
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (min(u, v), max(u, v)) in self.edges
 
@@ -86,8 +102,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
     Lines starting with ``#`` are comments.  The first non-comment line must
-    be ``vertices <n>``, declaring ids 0..n-1 (isolated vertices included);
-    every following line is one edge ``<u> <v>``.
+    be ``vertices <n>``, declaring ids 0..n-1 (isolated vertices included)
+    with n at most ``MAX_VERTICES``; every following line is one edge
+    ``<u> <v>``.
     """
     count: int | None = None
     seen: set[Edge] = set()
@@ -106,6 +123,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: vertex count is not an integer") from None
             if count < 0:
                 raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
+            if count > MAX_VERTICES:
+                raise GraphFormatError(f"line {lineno}: vertex count exceeds {MAX_VERTICES}")
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected '<u> <v>', got {line!r}")

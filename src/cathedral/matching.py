@@ -7,7 +7,7 @@ answers: ties break by ascending vertex id everywhere, and the walker visits
 every simple alternating path (with an expansion budget that aborts loudly
 instead of guessing).  A path search given ``kept`` (as in
 ``graph.connected_components``) runs in the subgraph induced by it: on the
-host's index arrays, cached on the matching, with every other vertex
+host's index adjacency, cached on the graph, with every other vertex
 blocked, so it visits what a search of that subgraph under the matching's
 edges inside it would, and builds neither.
 """
@@ -18,10 +18,13 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFactorizableError, SearchBudgetExceeded
 from .graph import Edge, Graph, edge
+
+# an index adjacency: a graph's own tuples, or a grown deletion table's lists
+Rows = Sequence[Sequence[int]]
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 DEFAULT_ENUMERATION_CAP = 10_000
@@ -62,16 +65,12 @@ class Matching:
         object.__setattr__(self, "edges", frozenset(es))
 
     @classmethod
-    def _trusted(
-        cls, graph: Graph, edges: frozenset[Edge], indexed: tuple[dict[int, int], list[list[int]]]
-    ) -> Matching:
+    def _trusted(cls, graph: Graph, edges: frozenset[Edge]) -> Matching:
         """A matching whose normalized edges are known to be disjoint edges of
-        ``graph``, sharing the graph's positions and index adjacency
-        ``indexed``, which no search mutates.  Nothing is checked."""
+        ``graph``.  Nothing is checked."""
         matching = object.__new__(cls)
         object.__setattr__(matching, "graph", graph)
         object.__setattr__(matching, "edges", edges)
-        matching.__dict__["_host_index"] = indexed  # fills the cached property
         return matching
 
     @cached_property
@@ -94,13 +93,8 @@ class Matching:
         return sorted(self.edges)
 
     @cached_property
-    def _host_index(self) -> tuple[dict[int, int], list[list[int]]]:
-        """The host's positions and index adjacency, for the path searches."""
-        return _indexed(self.graph)
-
-    @cached_property
     def _mate(self) -> list[int]:
-        index = self._host_index[0]
+        index = self.graph.positions
         mate = [-1] * len(index)
         for u, v in self.partner.items():
             mate[index[u]] = index[v]
@@ -113,15 +107,7 @@ def restrict_matching(matching: Matching, subgraph: Graph) -> Matching:
     return Matching(subgraph, (e for e in matching.edges if e[0] in kept and e[1] in kept))
 
 
-def _indexed(graph: Graph) -> tuple[dict[int, int], list[list[int]]]:
-    # positions 0..n-1 of the ascending vertex ids, and adjacency by position
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    return index, [[index[w] for w in graph.adjacency[v]] for v in graph.vertices]
-
-
-def _edmonds_search(
-    adj: list[list[int]], mate: list[int], root: int, hidden: int = -1
-) -> list[bool] | None:
+def _edmonds_search(adj: Rows, mate: list[int], root: int, hidden: int = -1) -> list[bool] | None:
     """Search from the exposed ``root``, shrinking blossoms, with ``hidden``
     (if any) deleted.  Flip an augmenting path into ``mate`` and return None,
     or return the outer marks: the vertices even alternating paths reach."""
@@ -187,9 +173,7 @@ def _edmonds_search(
     return outer
 
 
-def _contracted_outer(
-    adj: list[list[int]], mate: list[int], merged: list[int], kept: list[int]
-) -> list[bool]:
+def _contracted_outer(adj: Rows, mate: list[int], merged: list[int], kept: list[int]) -> list[bool]:
     """The outer marks of G[merged ∪ kept] with ``merged`` contracted to one
     vertex H (H at 0, then ``kept`` in order), given G's index adjacency
     ``adj``, a perfect matching ``mate`` of G, and two disjoint unions of
@@ -212,13 +196,13 @@ def _contracted_outer(
 
 
 def _contracts_to_factor_critical(
-    adj: list[list[int]], mate: list[int], merged: list[int], kept: list[int]
+    adj: Rows, mate: list[int], merged: list[int], kept: list[int]
 ) -> bool:
     """Whether G[merged ∪ kept]/merged is factor-critical: all of it outer."""
     return all(_contracted_outer(adj, mate, merged, kept))
 
 
-def _greedy_mate(adj: list[list[int]]) -> list[int]:
+def _greedy_mate(adj: Rows) -> list[int]:
     mate = [-1] * len(adj)
     for v, ws in enumerate(adj):
         if mate[v] == -1:
@@ -230,7 +214,7 @@ def _greedy_mate(adj: list[list[int]]) -> list[int]:
     return mate
 
 
-def _blossom_matching(adj: list[list[int]]) -> list[int]:
+def _blossom_matching(adj: Rows) -> list[int]:
     # greedy start, then one search from each exposed vertex in ascending
     # order; an isolated root can neither augment nor change mate
     mate = _greedy_mate(adj)
@@ -243,7 +227,7 @@ def _blossom_matching(adj: list[list[int]]) -> list[int]:
 def maximum_matching(graph: Graph) -> Matching:
     """A maximum-cardinality matching, deterministic for a fixed input."""
     vs = graph.vertices
-    mate = _blossom_matching(_indexed(graph)[1])
+    mate = _blossom_matching(graph.index_adjacency)
     return Matching(graph, ((vs[i], vs[m]) for i, m in enumerate(mate) if m > i))
 
 
@@ -260,7 +244,7 @@ def is_factorizable(graph: Graph) -> bool:
     """
     if graph.order % 2:
         return False
-    adj = _indexed(graph)[1]
+    adj = graph.index_adjacency
     mate = _greedy_mate(adj)
     for v, ws in enumerate(adj):
         if mate[v] == -1 and (not ws or _edmonds_search(adj, mate, v) is not None):
@@ -277,7 +261,7 @@ def is_factor_critical(graph: Graph) -> bool:
     """
     if graph.order % 2 == 0:
         return False
-    adj = _indexed(graph)[1]
+    adj = graph.index_adjacency
     mate = _blossom_matching(adj)
     exposed = [v for v, m in enumerate(mate) if m == -1]
     return len(exposed) == 1 and all(_edmonds_search(adj, mate, exposed[0]))
@@ -286,7 +270,7 @@ def is_factor_critical(graph: Graph) -> bool:
 def exposable_vertices(graph: Graph) -> frozenset[int]:
     """Vertices some maximum matching leaves exposed: the outer vertices of
     one search from each vertex a maximum matching exposes."""
-    adj = _indexed(graph)[1]
+    adj = graph.index_adjacency
     mate = _blossom_matching(adj)
     marks = [_edmonds_search(adj, mate, root) for root, m in enumerate(mate) if m == -1]
     return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
@@ -296,28 +280,31 @@ class ExposableAfterDeletion(dict[int, frozenset[int]]):
     """``self[u]`` is D(G-u) for a vertex u of a factorizable graph G: the
     vertices v with G-u-v factorizable.  Each is searched on first lookup,
     building no graph: drop u and its edge in the perfect matching ``mate``,
-    then search from u's former partner.  ``index`` and ``adj`` are G's
-    positions and index adjacency.  ``add_edge`` grows G, which keeps
+    then search ``adj`` from u's former partner.  ``adj`` is G's own index
+    adjacency until the first ``add_edge`` copies it to grow G, which keeps
     ``mate`` perfect but leaves the sets already looked up as they were."""
 
     def __init__(self, graph: Graph) -> None:
-        self.vertices = graph.vertices
-        self.index, self.adj = _indexed(graph)
+        self.graph = graph
+        self.adj: Rows = graph.index_adjacency
         self.mate = _blossom_matching(self.adj)
         if -1 in self.mate:
             raise NotFactorizableError("deletion searches need a graph with a perfect matching")
 
     def __missing__(self, u: int) -> frozenset[int]:
-        i = self.index[u]
+        i = self.graph.positions[u]
         near = self.mate[:]
         near[i] = near[self.mate[i]] = -1
         outer = _edmonds_search(self.adj, near, self.mate[i], hidden=i)
-        found = self[u] = frozenset(v for v, o in zip(self.vertices, outer) if o)
+        found = self[u] = frozenset(v for v, o in zip(self.graph.vertices, outer) if o)
         return found
 
     def add_edge(self, u: int, v: int) -> None:
-        self.adj[self.index[u]].append(self.index[v])
-        self.adj[self.index[v]].append(self.index[u])
+        if self.adj is self.graph.index_adjacency:
+            self.adj = [list(row) for row in self.adj]
+        i, j = self.graph.positions[u], self.graph.positions[v]
+        self.adj[i].append(j)
+        self.adj[j].append(i)
 
 
 @dataclass(frozen=True)
@@ -349,8 +336,7 @@ def enumerate_perfect_matchings(
     if graph.order % 2 == 1:
         return PerfectMatchingEnumeration((), False)
     vs = graph.vertices
-    indexed = _indexed(graph)
-    adj = indexed[1]
+    adj = graph.index_adjacency
     full = (1 << len(vs)) - 1
     current: list[Edge] = []
     found: list[frozenset[Edge]] = []
@@ -378,7 +364,7 @@ def enumerate_perfect_matchings(
 
     extend(0)
     return PerfectMatchingEnumeration(
-        tuple(Matching._trusted(graph, m, indexed) for m in found), truncated
+        tuple(Matching._trusted(graph, m) for m in found), truncated
     )
 
 
@@ -395,22 +381,22 @@ def _confined(graph: Graph, kept: Iterable[int] | None) -> frozenset[int]:
 
 def _search_arrays(
     graph: Graph, matching: Matching, within: frozenset[int] | None = None
-) -> tuple[list[list[int]], list[int], dict[int, int], int]:
-    """The host's index adjacency, the matching's mate array and the host's
-    positions, all cached on the matching, and the bitmask of the positions
-    outside ``within`` (if given)."""
+) -> tuple[Rows, list[int], dict[int, int], int]:
+    """The host's index adjacency and positions, cached on the graph, the
+    matching's mate array, cached on the matching, and the bitmask of the
+    positions outside ``within`` (if given)."""
     if matching.graph != graph:
         raise ValueError("matching does not belong to this graph")
-    index, adj = matching._host_index
+    index = graph.positions
     blocked = 0
     if within is not None:
         for v in graph.vertex_set - within:
             blocked |= 1 << index[v]
-    return adj, matching._mate, index, blocked
+    return graph.index_adjacency, matching._mate, index, blocked
 
 
 def _walk(
-    adj: list[list[int]], mate: list[int], start: int, first: bool, blocked: int, budget: list[int]
+    adj: Rows, mate: list[int], start: int, first: bool, blocked: int, budget: list[int]
 ) -> Iterator[tuple[list[int], bool]]:
     """Depth-first over the simple alternating walks from ``start`` whose
     first step is matched iff ``first`` and that avoid the ``blocked``

@@ -30,7 +30,6 @@ from cathedral.graph import (
 from cathedral.matching import (
     _blossom_matching,
     _contracts_to_factor_critical,
-    _indexed,
     is_factor_critical,
 )
 
@@ -367,7 +366,7 @@ def sweep_order(graph, comps) -> tuple[tuple[bool, ...], ...]:
     bitmask order, each once; one whose members are all known to be above
     already cannot add any and is skipped.  Each try is one search on index
     arrays from one perfect matching of the graph."""
-    index, adj = _indexed(graph)
+    index, adj = graph.positions, graph.index_adjacency
     mate = _blossom_matching(adj)
     parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
     k = len(parts)

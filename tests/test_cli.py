@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cathedral
 import cathedral.cli
 from cathedral.cli import main
 from cathedral.errors import StructureViolation
@@ -49,6 +55,27 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     bad.write_text("vertices 2\n0 0\n")
     assert main(["analyze", str(bad)]) == 2
     assert "self-loop" in capsys.readouterr().err
+
+
+def test_a_huge_vertex_count_is_refused_before_it_is_built(tmp_path):
+    # a 22-byte file declaring 10^10 vertices; the CLI runs in its own
+    # process under a 1.5 GB address-space limit, so a build of that graph
+    # fails there instead of exhausting the machine
+    huge = tmp_path / "huge.edges"
+    huge.write_text("vertices 10000000000\n0 1\n")
+    limit = 1536 * 2**20
+    paths = [str(Path(cathedral.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from cathedral.cli import main; sys.exit(main())"]
+        + ["analyze", str(huge)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: line 1: vertex count exceeds 1000000\n"
 
 
 def test_non_factorizable_analyze_exits_3(tmp_path, capsys):

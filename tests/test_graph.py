@@ -6,6 +6,7 @@ from cathedral.canonical import factor_components
 from cathedral.errors import GraphFormatError
 from cathedral.gallai_edmonds import deletion_partitions
 from cathedral.graph import (
+    MAX_VERTICES,
     Graph,
     add_edges,
     complement_pairs,
@@ -56,11 +57,20 @@ def test_parse_comments_and_isolated_vertices():
         ("vertices two\n", "integer"),
         ("vertices 2\n0\n", "<u> <v>"),
         ("", "missing"),
+        (f"vertices {MAX_VERTICES + 1}\n", "exceeds"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         parse_edge_list(text)
+
+
+def test_index_adjacency_lists_each_vertex_by_position():
+    # ids 1, 3, 4, 7 sit at positions 0..3; each row ascends
+    g = Graph([7, 1, 4, 3], [(1, 7), (7, 3), (4, 1), (3, 1)])
+    assert g.positions == {1: 0, 3: 1, 4: 2, 7: 3}
+    assert g.index_adjacency == ((1, 2, 3), (0, 3), (0,), (0, 1))
+    assert g.index_adjacency is g.index_adjacency
 
 
 def test_render_requires_dense_ids():

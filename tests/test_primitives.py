@@ -39,7 +39,6 @@ from cathedral.matching import (
     PathKind,
     _blossom_matching,
     _contracts_to_factor_critical,
-    _indexed,
     alternating_circuit_exists,
     alternating_path_exists,
     alternating_reachability,
@@ -121,6 +120,24 @@ def test_deletion_structures_match_their_definitions(seed):
 
 
 @pytest.mark.parametrize("seed", sorted(CORPORA))
+def test_saturate_grows_a_copy_of_the_graph_rows(seed):
+    # the deletion table searches the graph's own rows until its first added
+    # edge, then a copy it grows (whose verdicts the restart oracle checks
+    # above): the graph's rows stay as built and refuse a stray append
+    grew = 0
+    for i, g in enumerate(_corpus(seed)):
+        rows = g.index_adjacency
+        for descending in (False, True):
+            grew += len(saturate(g, descending=descending)[1]) > 1
+        assert g.index_adjacency is rows, i
+        assert rows == Graph(g.vertices, g.edges).index_adjacency, i
+        assert all(type(row) is tuple for row in rows), i
+    assert grew
+    with pytest.raises(AttributeError):
+        rows[0].append(0)
+
+
+@pytest.mark.parametrize("seed", sorted(CORPORA))
 def test_exposable_sets_match_their_definitions(seed):
     for i, g in enumerate(_corpus(seed)):
         for h in [g, *_deficient_family(g)]:
@@ -140,7 +157,7 @@ def test_each_union_verdict_matches_its_contraction(source):
         graphs = [h for g in _corpus(source) for h in _factorizable_family(g)]
     for i, g in enumerate(graphs):
         for h in (g, saturate(g)[0]):
-            index, adj = _indexed(h)
+            index, adj = h.positions, h.index_adjacency
             mate = _blossom_matching(adj)
             comps = factor_components(h).components
             for lower in comps:

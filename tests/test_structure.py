@@ -7,7 +7,8 @@ tables per level, the level graph's and its foundation's, and find each
 foundation with contraction searches instead of computing the component
 order.  The verifier reads one table per graph it grows, builds each
 induced part and tests each G-u-v once per context, and its confined path
-searches build no subgraph.  The counts are taken on every cathedral
+searches build no subgraph.  Every search reads its graph's one position
+index, built on first use.  The counts are taken on every cathedral
 binding of the counted functions, and graphs are counted on both
 constructors, the checked one and the unchecked `Graph._trusted`.
 """
@@ -37,6 +38,7 @@ from cathedral.verify import (
     _run_one,
     _TrialContext,
     random_factorizable_graph,
+    run_suite,
     run_trials,
 )
 
@@ -115,6 +117,25 @@ def test_analyze_ge_builds_no_graph_per_deletion(monkeypatch, tmp_path, capsys):
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["deleted_partitions"]) == ELEMENTARY.order
     assert (counts["graphs"], counts["tables"]) == (2, 1)
+
+
+def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
+    # the precondition, the table and the structure's readers share the
+    # parsed graph's index; the allowed-edge skeleton is never searched.
+    # Holding every indexed graph keeps its id from being reused
+    indexed = []
+    prop = Graph.__dict__["index_adjacency"]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda graph: indexed.append(graph) or build(graph))
+    path = tmp_path / "elementary.edges"
+    path.write_text(render_edge_list(ELEMENTARY))
+    assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
+    assert len(indexed) == 1
+    # the suite searches 125 graphs, 84 of them distinct edge sets
+    indexed.clear()
+    config = TrialConfig(seed=0)
+    run_suite(random_factorizable_graph(config, 0), config)
+    assert len(indexed) == len({id(graph) for graph in indexed}) == 125
 
 
 def test_decompose_builds_two_tables_per_level(monkeypatch):
