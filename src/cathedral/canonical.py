@@ -117,12 +117,16 @@ class GraphStructure:
 
     @cached_property
     def minimum(self) -> int | None:
-        """Index of the component below every other, if any: the first at which
-        the whole graph contracts to a factor-critical graph (``_above``'s first search)."""
-        table, index = self.table, self.graph.positions
-        parts = [[index[v] for v in sorted(comp)] for comp in self.components.components]
-        for i, part in enumerate(parts):
-            rest = [v for j, other in enumerate(parts) if j != i for v in other]
+        """Index of the component below every other, if any."""
+        return self.minimum_of(range(len(self.components)))
+
+    def minimum_of(self, level: Iterable[int]) -> int | None:
+        """The first of the components ``level`` at which the graph their union
+        induces contracts to a factor-critical graph (``_above``'s first search)."""
+        table, index, comps = self.table, self.graph.positions, self.components.components
+        parts = {i: [index[v] for v in sorted(comps[i])] for i in sorted(level)}
+        for i, part in parts.items():
+            rest = [v for j, other in parts.items() if j != i for v in other]
             if _contracts_to_factor_critical(table.adj, table.mate, part, rest):
                 return i
         return None

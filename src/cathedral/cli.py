@@ -48,9 +48,12 @@ def _load_graph(path: str) -> Graph:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise GraphFormatError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _even(value: str) -> int:
@@ -89,12 +92,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_saturated(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.file)
-    if is_saturated(graph):
-        sys.stdout.write("saturated\n")
-        return 0
-    sys.stdout.write("not saturated\n")
-    return 1
+    saturated = is_saturated(_load_graph(args.file))
+    _emit("saturated\n" if saturated else "not saturated\n", args.output)
+    return 0 if saturated else 1
 
 
 def _cmd_saturate(args: argparse.Namespace) -> int:

@@ -1,10 +1,11 @@
 """Saturation testing, saturation closure, and the two-way bridge between
 saturated graphs and their foundation/towers decomposition.
 
-decompose doubles as a falsification harness: every guarantee it relies on (a
-minimum component, at which the graph contracts to a factor-critical graph;
-partition restriction; one tower per class; complete class-tower joins;
-saturated parts) is re-checked, and a failure raises StructureViolation.
+decompose reads every level off the input's one structure and doubles as a
+falsification harness: what that does not settle (each level's minimum
+component; one class per tower; one tower per class; complete class-tower
+joins) is re-checked, and a failure raises StructureViolation.  construct and
+the verifier re-check the parts' own structures from scratch.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import (
     NoMinimumComponent,
     NotFactorizableError,
     NotSaturatedError,
-    PartNotSaturated,
-    PartitionMismatch,
     TowerAssignmentViolation,
     TowerNotSaturated,
     VertexIdCollision,
@@ -37,7 +36,6 @@ from .graph import (
     complement_pairs,
     connected_components,
     edge,
-    induced_subgraph,
     neighbors,
 )
 from .matching import ExposableAfterDeletion, is_factorizable
@@ -104,32 +102,35 @@ def decompose(graph: Graph) -> CathedralTree:
     structure = GraphStructure(graph)
     if not structure.saturated:
         raise NotSaturatedError("input is not saturated")
-    return _decompose_saturated(structure)
+    return _decompose_saturated(structure, frozenset(range(len(structure.components))))
 
 
-def _decompose_saturated(level: GraphStructure) -> CathedralTree:
-    # one structure per level graph and one per foundation; each tower's,
-    # built for its saturation check, is the next level's
-    graph = level.graph
-    if graph.order == 0:
+def _decompose_saturated(structure: GraphStructure, level: frozenset[int]) -> CathedralTree:
+    """The tree of the level made of the components ``level`` of the saturated
+    graph G.  Each level H and its foundation H0 read G's structure cut to them,
+    by this lemma for a saturated H and a perfect matching M, whose edges lie in
+    components: H-u-v is factorizable iff an M-alternating u-v path with end
+    edges in M exists.  Tower T joined to class C: D(T-u) = D(H-u) ∩ V(T), as a
+    path that left T would leave and re-enter through s != s' in C, and its
+    stretch from s to s' would start and end with M-edges, so H-s-s' would be
+    factorizable although s ~ s'.  Foundation: D(H0-u) = D(H-u) ∩ V(H0), as a
+    detour s, t, ..., t', s' through a tower has s != u and s' != v (the end
+    edges are M-edges in H0) and s ~ s', so ss' is an edge (H is saturated)
+    outside M, and replacing the detour by it keeps the path alternating,
+    simple and M-ended.  A tower's non-edges are H's, so it is saturated too,
+    and the lemma holds at every depth."""
+    graph, comps, partition = structure.graph, structure.components, structure.partition
+    if not level:
         return CathedralTree(frozenset(), frozenset(), ())
-    low = level.minimum
+    low = structure.minimum_of(level)
     if low is None:
         raise MinimumComponentMissing("saturated graph has no minimum component")
-    fv = level.components.components[low]
-    partition = level.partition
-    restricted = partition.restricted_to(fv)
-    foundation = GraphStructure(induced_subgraph(graph, fv))
-    if restricted != set(foundation.partition.classes):
-        raise PartitionMismatch(
-            "partition restricted to the foundation disagrees with the foundation's own partition"
-        )
-    if not foundation.saturated:
-        raise PartNotSaturated("foundation failed the saturation test")
-    towers: dict[frozenset[int], GraphStructure] = {}
-    for piece in connected_components(graph, graph.vertex_set - fv):
+    fv = comps.components[low]
+    vertices = frozenset().union(*(comps.components[i] for i in level))
+    towers: dict[frozenset[int], frozenset[int]] = {}
+    for piece in connected_components(graph, vertices - fv):
         ps = frozenset(piece)
-        nb = neighbors(graph, ps)
+        nb = neighbors(graph, ps) & vertices
         if not nb <= fv:
             raise TowerAssignmentViolation(
                 f"tower {sorted(ps)} has neighbors outside the foundation"
@@ -148,15 +149,13 @@ def _decompose_saturated(level: GraphStructure) -> CathedralTree:
                     raise JoinEdgeMissing(
                         f"class vertex {s} and tower vertex {t} are not adjacent"
                     )
-        tower = GraphStructure(induced_subgraph(graph, ps))
-        if not tower.saturated:
-            raise PartNotSaturated(f"tower {sorted(ps)} failed the saturation test")
-        towers[cls] = tower
+        towers[cls] = frozenset(comps.component_of[v] for v in ps)
     entries = tuple(
-        (cls, _decompose_saturated(towers[cls]) if cls in towers else None)
-        for cls in sorted(restricted, key=min)
+        (cls, _decompose_saturated(structure, towers[cls]) if cls in towers else None)
+        for cls in sorted(partition.restricted_to(fv), key=min)
     )
-    return CathedralTree(fv, foundation.graph.edges, entries)
+    edges = frozenset((s, t) for s in fv for t in graph.adjacency[s] if s < t and t in fv)
+    return CathedralTree(fv, edges, entries)
 
 
 def _saturated_structure(graph: Graph, error: ConstructionError) -> GraphStructure:

@@ -93,10 +93,6 @@ class MinimumComponentMissing(StructureViolation):
     """A saturated graph's component order lacked a minimum element."""
 
 
-class PartitionMismatch(StructureViolation):
-    """Restricting the partition to a part disagreed with the part's own partition."""
-
-
 class TowerAssignmentViolation(StructureViolation):
     """A tower's neighborhood did not select exactly one foundation class."""
 
@@ -107,10 +103,6 @@ class MultipleTowersPerClass(StructureViolation):
 
 class JoinEdgeMissing(StructureViolation):
     """A class vertex and a tower vertex of a saturated graph are not adjacent."""
-
-
-class PartNotSaturated(StructureViolation):
-    """A foundation or tower of a saturated graph failed the saturation test."""
 
 
 class ConstructionViolation(StructureViolation):

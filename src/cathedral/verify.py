@@ -39,6 +39,7 @@ from .construction import (
     saturate,
 )
 from .errors import (
+    ConstructionError,
     NotFactorizableError,
     SearchBudgetExceeded,
     StructureViolation,
@@ -227,11 +228,15 @@ class _TrialContext(GraphStructure):
     @cached_property
     def tree(self) -> CathedralTree:
         # every reader has run require_saturated
-        return _decompose_saturated(self)
+        return _decompose_saturated(self, frozenset(range(len(self.components))))
 
     @cached_property
     def rebuilt(self) -> Graph:
-        return construct_tree(self.tree)
+        # construct re-checks the tree from scratch, so a refusal is a failure
+        try:
+            return construct_tree(self.tree)
+        except ConstructionError as refused:
+            raise _CheckFailed(f"construct refused the decomposition: {refused}") from None
 
     @cached_property
     def rebuilt_structure(self) -> GraphStructure:

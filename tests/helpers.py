@@ -84,3 +84,12 @@ def chain_tree(depth: int, level: int = 0) -> CathedralTree | None:
         frozenset({(s, t)}),
         ((frozenset({s}), chain_tree(depth, level + 1)), (frozenset({t}), None)),
     )
+
+
+def chain_graph(depth: int) -> Graph:
+    """The graph ``chain_tree(depth)`` constructs, built directly: each
+    foundation edge {2i, 2i+1}, and 2i joined to every deeper vertex."""
+    n = 2 * depth
+    edges = {(s, s + 1) for s in range(0, n, 2)}
+    edges |= {(s, t) for s in range(0, n, 2) for t in range(s + 2, n)}
+    return Graph(range(n), edges)

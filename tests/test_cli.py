@@ -50,6 +50,23 @@ def test_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "verb", ["analyze", "saturated", "saturate", "decompose", "construct", "hasse", "verify"]
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_unwritable_output_exits_2_on_one_line(tmp_path, capsys, verb, target):
+    edges = tmp_path / "t.edges"
+    edges.write_text(render_edge_list(T))
+    tree = tmp_path / "t.json"
+    assert main(["decompose", str(edges), "-o", str(tree)]) == 0
+    source = {"construct": [str(tree)], "verify": ["--trials", "1"]}.get(verb, [str(edges)])
+    out = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    capsys.readouterr()
+    assert main([verb, *source, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("vertices 2\n0 0\n")

@@ -27,10 +27,22 @@ from cathedral.errors import (
     VertexIdCollision,
 )
 from cathedral.graph import Graph, add_edges, induced_subgraph, render_edge_list
-from cathedral.matching import enumerate_perfect_matchings
+from cathedral.matching import ExposableAfterDeletion, enumerate_perfect_matchings
 from cathedral.serialize import tree_from_json, tree_to_json
+from cathedral.verify import TrialConfig, random_factorizable_graph
 
-from helpers import C4, C5, E0, K2, K4, P4, T, factorizable_graphs
+from helpers import (
+    C4,
+    C5,
+    E0,
+    K2,
+    K4,
+    P4,
+    T,
+    factorizable_graphs,
+    mid_size_graphs,
+    sparse_many_component_graphs,
+)
 
 
 def test_is_saturated_fixtures():
@@ -195,6 +207,58 @@ def test_closure_round_trip_and_foundation_agreement(g):
     for comp in factor_components(closed).components:
         own = set(canonical_partition(induced_subgraph(closed, comp)).classes)
         assert part.restricted_to(comp) == own
+
+
+def _vertices(tree: CathedralTree) -> frozenset[int]:
+    return tree.foundation_vertices.union(*(_vertices(sub) for _, sub in tree.classes if sub))
+
+
+def _parts(tree: CathedralTree):
+    """The vertex set of the tree's level and of its foundation, then of
+    every deeper level and foundation."""
+    yield _vertices(tree)
+    yield tree.foundation_vertices
+    for _, sub in tree.classes:
+        if sub is not None:
+            yield from _parts(sub)
+
+
+def _assert_parts_cut_the_table(closure: Graph) -> int:
+    """Every level and foundation of the closure's decomposition has, from
+    scratch, the D(G-u) of the whole cut to it; returns the vertices checked."""
+    table = ExposableAfterDeletion(closure)
+    checked = 0
+    for part in _parts(decompose(closure)):
+        own = ExposableAfterDeletion(induced_subgraph(closure, part))
+        for u in part:
+            assert own[u] == table[u] & part
+        checked += len(part)
+    return checked
+
+
+_LEMMA_CORPUS = (
+    sparse_many_component_graphs(40)
+    + mid_size_graphs(60)
+    + [
+        random_factorizable_graph(TrialConfig(seed=0, max_vertices=12, edge_probability=0.25), t)
+        for t in range(300)
+    ]
+)
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_every_level_and_foundation_reads_the_closure_table(descending):
+    # the lemma decompose rests on, against from-scratch tables of the parts
+    checked = sum(
+        _assert_parts_cut_the_table(saturate(g, descending=descending)[0]) for g in _LEMMA_CORPUS
+    )
+    assert checked > 10_000
+
+
+@given(factorizable_graphs(max_vertices=12))
+@settings(max_examples=60, deadline=None)
+def test_closure_parts_read_the_closure_table(g):
+    _assert_parts_cut_the_table(saturate(g)[0])
 
 
 def test_tree_json_round_trip():

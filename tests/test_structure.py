@@ -2,10 +2,11 @@
 
 Every reader of the canonical structures holds one per-graph structure, so
 an `analyze` request fills one deletion table, computes one perfect matching
-and checks factorizability once, and its deletion partitions build no graph.  `decompose` and `construct_tree` build two
-tables per level, the level graph's and its foundation's, and find each
-foundation with contraction searches instead of computing the component
-order.  The verifier reads one table per graph it grows, builds each
+and checks factorizability once, and its deletion partitions build no graph.
+`decompose` reads every level and foundation off the input's one table, and
+`construct_tree` fills two tables per level, the level graph's and its
+foundation's; both find each foundation with contraction searches instead
+of computing the component order.  The verifier reads one table per graph it grows, builds each
 induced part and tests each G-u-v once per context, and its confined path
 searches build no subgraph.  Every search reads its graph's one position
 index, built on first use.  The counts are taken on every cathedral
@@ -42,7 +43,7 @@ from cathedral.verify import (
     run_trials,
 )
 
-from helpers import chain_tree, path
+from helpers import chain_graph, chain_tree, path
 
 
 def _seeded(n: int, p: float, seed: int, keep) -> Graph:
@@ -131,14 +132,14 @@ def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
     path.write_text(render_edge_list(ELEMENTARY))
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
     assert len(indexed) == 1
-    # the suite searches 125 graphs, 84 of them distinct edge sets
+    # the suite searches 118 graphs, 84 of them distinct
     indexed.clear()
     config = TrialConfig(seed=0)
     run_suite(random_factorizable_graph(config, 0), config)
-    assert len(indexed) == len({id(graph) for graph in indexed}) == 125
+    assert len(indexed) == len({id(graph) for graph in indexed}) == 118
 
 
-def test_decompose_builds_two_tables_per_level(monkeypatch):
+def test_decompose_fills_one_table(monkeypatch):
     closure = saturate(path(40))[0]
     counts = _count(monkeypatch)
     tree = decompose(closure)
@@ -151,7 +152,7 @@ def test_decompose_builds_two_tables_per_level(monkeypatch):
         levels += 1
         (tree,) = [sub for _, sub in tree.classes if sub is not None] or [None]
     assert levels == 20
-    assert decomposed == counts["tables"] == 2 * levels
+    assert (decomposed, counts["tables"]) == (1, 2 * levels)
 
 
 def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
@@ -159,12 +160,28 @@ def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
     # finds it and no component order is computed
     tree = chain_tree(48)
     graph = construct_tree(tree)
+    assert graph == chain_graph(48)
     counts = _count(monkeypatch)
     assert decompose(graph) == tree
-    assert (counts["_contracted_outer"], counts["tables"]) == (48, 96)
+    assert (counts["_contracted_outer"], counts["tables"]) == (48, 1)
     counts.clear()
     assert construct_tree(tree) == graph
     assert (counts["_contracted_outer"], counts["tables"]) == (48, 96)
+
+
+def test_a_deep_chain_tree_runs_one_deletion_search_per_vertex(monkeypatch):
+    # every level reads the input's table, so each vertex is searched once
+    graph = chain_graph(96)
+    counts = _count(monkeypatch)
+    missing = ExposableAfterDeletion.__missing__
+    monkeypatch.setattr(
+        ExposableAfterDeletion,
+        "__missing__",
+        lambda self, u: counts.update(["deletions"]) or missing(self, u),
+    )
+    assert decompose(graph) == chain_tree(96)
+    assert counts["tables"] == 1
+    assert counts["deletions"] <= 192 and counts["_contracted_outer"] <= 96
 
 
 def test_the_foundation_is_found_without_the_component_order(monkeypatch):
@@ -190,7 +207,7 @@ def test_trial_context_artifacts_share_one_table(monkeypatch):
 
 
 def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
-    # the tree decomposes from the context's own structure, both
+    # the tree decomposes on the context's own table, both
     # construction checks read one structure of the rebuilt graph, and the
     # part checks read one context per component, foundation and tower
     config = TrialConfig(seed=0)
@@ -205,7 +222,7 @@ def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
     assert tables["construction-foundation-minimum"] == 1
     assert tables["construction-output-saturated"] == 0
     assert tables["saturated-partition-matches-parts"] == tables["allowed-edges-from-parts"] == 0
-    assert sum(tables.values()) == 26
+    assert sum(tables.values()) == 19
 
 
 def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
+import cathedral.verify
 from cathedral.canonical import CanonicalPartition
+from cathedral.construction import saturate
 from cathedral.errors import NotFactorizableError
 from cathedral.graph import Graph
 from cathedral.serialize import report_json
@@ -120,6 +124,30 @@ def test_failure_reporting_carries_counterexample(monkeypatch):
     assert failures[0].check == "always-broken"
     assert failures[0].reason == "induced failure"
     assert failures[0].counterexample.startswith("vertices ")
+
+
+def test_a_decomposition_construct_refuses_fails_the_checks_that_rebuild_it(monkeypatch):
+    # a tree with two foundation classes merged: construct raises
+    # ClassKeyMismatch, which is the decomposition's fault, not the input's
+    decompose = cathedral.verify._decompose_saturated
+
+    def merged(*args):
+        tree = decompose(*args)
+        (first, tower), (second, _), *rest = tree.classes
+        return replace(tree, classes=((first | second, tower), *rest))
+
+    monkeypatch.setattr(cathedral.verify, "_decompose_saturated", merged)
+    config = TrialConfig(seed=0)
+    report = run_suite(saturate(random_factorizable_graph(config, 0))[0], config)
+    failures = report.failures()
+    assert [f.check for f in failures] == [
+        "decomposition-round-trip",
+        "construction-foundation-minimum",
+        "construction-output-saturated",
+    ]
+    for failure in failures:
+        assert failure.reason.startswith("construct refused the decomposition: ")
+        assert failure.counterexample.startswith("vertices ")
 
 
 # C4 plus the chord 0-2: saturated and elementary, with classes {0, 2}, {1}, {3}
