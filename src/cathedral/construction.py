@@ -173,16 +173,17 @@ def construct(spec: ConstructionSpec) -> Graph:
     """Join every vertex of each foundation class to every vertex of its
     tower; validates the input, then re-checks the output's guarantees
     (saturated, foundation is a factor-component and the minimum element)."""
-    return _construct(spec, towers_built=False)
+    return _construct(spec, towers_built=False).graph
 
 
-def _construct(spec: ConstructionSpec, towers_built: bool) -> Graph:
+def _construct(spec: ConstructionSpec, towers_built: bool) -> GraphStructure:
+    """The output graph's structure, on which its guarantees were checked."""
     # towers built by construct_tree are outputs of _construct, checked saturated
     foundation = spec.foundation
     if foundation.order == 0:
         if spec.towers:
             raise ClassKeyMismatch("an empty foundation admits no tower classes")
-        return Graph()
+        return GraphStructure(Graph())
     base = _saturated_structure(foundation, FoundationNotSaturated("foundation must be saturated"))
     if len(base.components) != 1:
         raise FoundationNotElementary(
@@ -225,11 +226,15 @@ def _construct(spec: ConstructionSpec, towers_built: bool) -> Graph:
         raise ConstructionViolation(
             "foundation is not the minimum component of the output"
         )
-    return built
+    return out
 
 
 def construct_tree(tree: CathedralTree) -> Graph:
     """Rebuild a graph from its decomposition, bottom up."""
+    return _construct_tree(tree).graph
+
+
+def _construct_tree(tree: CathedralTree) -> GraphStructure:
     towers = {
         cls: construct_tree(sub) if sub is not None else Graph()
         for cls, sub in tree.classes

@@ -432,16 +432,15 @@ def _walk(
 
 @dataclass(frozen=True)
 class AlternatingReach:
-    """All-pairs alternating reachability for one fixed matching.
+    """All-pairs reachability under one matching, by paths that start matched.
 
-    ``saturated[u]`` and ``exposed[u]`` hold the other endpoints of such
-    paths (both symmetric); ``balanced[u]`` holds the directed targets and
-    always contains ``u`` itself (the trivial path).
+    ``saturated[u]`` holds the other endpoints of saturated paths (symmetric);
+    ``balanced[u]`` holds the targets of balanced paths and always contains
+    ``u`` itself (the trivial path).
     """
 
     saturated: dict[int, frozenset[int]]
     balanced: dict[int, frozenset[int]]
-    exposed: dict[int, frozenset[int]]
 
 
 def alternating_reachability(
@@ -451,7 +450,8 @@ def alternating_reachability(
     kept: Iterable[int] | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AlternatingReach:
-    """Sweep every simple alternating path once per source vertex.
+    """Sweep every simple alternating path that starts matched, in one walk
+    per source vertex.
 
     With ``kept``, the sweep is that of the subgraph induced by ``kept`` with
     the matching's edges inside it, run on the host's arrays with every
@@ -463,16 +463,12 @@ def alternating_reachability(
     sources = [i for i, v in enumerate(vs) if v in within]
     sat: list[set[int]] = [set() for _ in vs]
     bal: list[set[int]] = [{i} for i in range(len(vs))]
-    exp: list[set[int]] = [set() for _ in vs]
     left = [budget]
     for s in sources:
         for path, matched in _walk(adj, mate, s, True, blocked, left):
             (sat if matched else bal)[s].add(path[-1])
-        for path, matched in _walk(adj, mate, s, False, blocked, left):
-            if not matched:
-                exp[s].add(path[-1])
     wrap = lambda sets: {vs[i]: frozenset(vs[j] for j in sets[i]) for i in sources}
-    return AlternatingReach(wrap(sat), wrap(bal), wrap(exp))
+    return AlternatingReach(wrap(sat), wrap(bal))
 
 
 def alternating_path_exists(

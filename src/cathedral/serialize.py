@@ -79,7 +79,10 @@ def tree_from_dict(data: Any) -> CathedralTree:
 
 
 def tree_to_json(tree: CathedralTree) -> str:
-    return json.dumps(tree_to_dict(tree), indent=2) + "\n"
+    try:
+        return json.dumps(tree_to_dict(tree), indent=2) + "\n"
+    except RecursionError:
+        raise GraphFormatError("tree is nested too deeply to write as JSON") from None
 
 
 def tree_from_json(text: str) -> CathedralTree:

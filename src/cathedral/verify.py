@@ -33,9 +33,9 @@ from .canonical import (
 )
 from .construction import (
     CathedralTree,
+    _construct_tree,
     _decompose_saturated,
     _foundation_via_ge,
-    construct_tree,
     saturate,
 )
 from .errors import (
@@ -231,16 +231,13 @@ class _TrialContext(GraphStructure):
         return _decompose_saturated(self, frozenset(range(len(self.components))))
 
     @cached_property
-    def rebuilt(self) -> Graph:
+    def rebuilt(self) -> GraphStructure:
+        """construct_tree's output, with the structure it was checked on."""
         # construct re-checks the tree from scratch, so a refusal is a failure
         try:
-            return construct_tree(self.tree)
+            return _construct_tree(self.tree)
         except ConstructionError as refused:
             raise _CheckFailed(f"construct refused the decomposition: {refused}") from None
-
-    @cached_property
-    def rebuilt_structure(self) -> GraphStructure:
-        return GraphStructure(self.rebuilt)
 
     @cached_property
     def foundation_via_ge(self) -> frozenset[int]:
@@ -276,19 +273,11 @@ class _TrialContext(GraphStructure):
 
     @cached_property
     def deleted_instance(self) -> _Table:
-        """For each vertex x: the graph minus x, a maximum matching of it
-        derived from the first perfect matching, the vertex that matching
-        leaves exposed, and its reachability sweep."""
-        graph, m0, budget = self.graph, self.matchings[0], self.config.path_budget
-
-        def fill(x: int) -> tuple[Graph, Matching, int, AlternatingReach]:
-            # G-x rebuilt for the gallai_edmonds and is_factor_critical cross-checks
-            rest = delete_vertices(graph, (x,))
-            m = Matching(rest, (e for e in m0.edges if x not in e))
-            reach = alternating_reachability(graph, m0, kept=rest.vertex_set, budget=budget)
-            return rest, m, m0.partner[x], reach
-
-        return _Table(fill)
+        """The graph minus each vertex x; its alternating paths are read off
+        ``reach[0]`` (see ``_check_exposure_partition_paths``)."""
+        graph = self.graph
+        # G-x rebuilt for the gallai_edmonds and is_factor_critical cross-checks
+        return _Table(lambda x: delete_vertices(graph, (x,)))
 
     @cached_property
     def pair_factorizable(self) -> _Table:
@@ -331,19 +320,26 @@ class _TrialContext(GraphStructure):
 
 def _check_exposure_partition_paths(ctx: _TrialContext) -> None:
     """The three-way deletion partition matches balanced/exposed reachability
-    from the exposed set, on the graph itself and on every single deletion."""
-    instances = []
-    if ctx.graph.order:
-        instances.append((ctx.graph, ctx.matchings[0], ctx.reach[0]))
+    from the exposed set, on the graph itself and on every single deletion.
+
+    The first perfect matching M exposes nothing, so D = A = ∅ in G.  In G-x,
+    M less xp exposes p alone and every other vertex keeps its mate, so a
+    balanced (exposed) u-p path of G-x, reversed and led by xp, is a
+    saturated (balanced) x-u path of G; every path from x starts with xp, and
+    dropping x inverts the map on simple paths.  p's trivial balanced path is
+    the edge xp.  So for u != x, u is in D(G-x) iff u is in saturated[x], and
+    in A(G-x) iff it is not but is in balanced[x]."""
+    if not ctx.graph.order:
+        return
+    reach = ctx.reach[0]
+    instances = [(ctx.graph, frozenset(), frozenset())]
     for x in ctx.graph.vertices:
-        rest, m, _, reach = ctx.deleted_instance[x]
-        instances.append((rest, m, reach))
-    for host, m, reach in instances:
+        sat = reach.saturated[x]
+        instances.append((ctx.deleted_instance[x], sat, reach.balanced[x] - sat))
+    for host, d, a in instances:
         ge = gallai_edmonds(host)
-        exposed = m.exposed
         for u in host.vertices:
-            in_d = bool(reach.balanced[u] & exposed)
-            in_a = not in_d and bool(reach.exposed[u] & exposed)
+            in_d, in_a = u in d, u in a
             in_c = not in_d and not in_a
             if (u in ge.d) != in_d or (u in ge.a) != in_a or (u in ge.c) != in_c:
                 _fail(f"partition of {sorted(host.vertices)} disagrees with paths at {u}")
@@ -491,6 +487,8 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
     k = len(comps)
     minimal = [i for i in range(k) if not any(j != i and leq[j][i] for j in range(k))]
     old_sets = set(comps)
+    # the two ordered pairs of two components try the same edge sets
+    grown_by = _Table(lambda added: GraphStructure(add_edges(ctx.graph, added)))
     for i in minimal:
         for j in range(k):
             if i == j or leq[i][j]:
@@ -502,7 +500,7 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
                 if not ctx.graph.has_edge(x, y)
             ]
             for e, f in combinations_with_replacement(cands, 2):
-                grown = GraphStructure(add_edges(ctx.graph, (e,) if e == f else (e, f)))
+                grown = grown_by[tuple(sorted({e, f}))]
                 grown_comps = grown.components.components
                 if set(grown_comps) != old_sets:
                     continue
@@ -784,7 +782,7 @@ def _check_foundation_unique_via_ge(ctx: _TrialContext) -> None:
 
 def _check_round_trip(ctx: _TrialContext) -> None:
     ctx.require_saturated()
-    if ctx.rebuilt != ctx.graph:
+    if ctx.rebuilt.graph != ctx.graph:
         _fail("rebuilding the decomposition did not reproduce the graph")
 
 
@@ -792,7 +790,7 @@ def _check_construction_minimum(ctx: _TrialContext) -> None:
     ctx.require_saturated()
     if ctx.graph.order == 0:
         return
-    built = ctx.rebuilt_structure
+    built = ctx.rebuilt
     comps = built.components
     if ctx.tree.foundation_vertices not in comps.components:
         _fail("foundation is not a component of the rebuilt graph")
@@ -803,17 +801,18 @@ def _check_construction_minimum(ctx: _TrialContext) -> None:
 
 def _check_construction_saturated(ctx: _TrialContext) -> None:
     ctx.require_saturated()
-    if not ctx.rebuilt_structure.saturated:
+    if not ctx.rebuilt.saturated:
         _fail("rebuilt graph is not saturated")
 
 
 def _check_factor_critical_balanced(ctx: _TrialContext) -> None:
     """A graph with a near-perfect matching is factor-critical iff every
-    vertex has a balanced path to the exposed one."""
+    vertex has a balanced path to the exposed one.  Asked of each G-x, whose
+    paths are read off G's sweep as in ``_check_exposure_partition_paths``."""
     for x in ctx.graph.vertices:
-        rest, m, partner, reach = ctx.deleted_instance[x]
+        rest = ctx.deleted_instance[x]
         critical = is_factor_critical(rest)
-        reachable = all(partner in reach.balanced[u] for u in rest.vertices)
+        reachable = ctx.reach[0].saturated[x] >= rest.vertex_set
         if critical != reachable:
             _fail(f"factor-criticality of G-{x} disagrees with balanced reachability")
 

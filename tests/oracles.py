@@ -232,22 +232,22 @@ def _walk_arrays(graph, matching) -> tuple[list[list[int]], list[int], dict[int,
 
 
 def reachability_expansions(graph, matching) -> int:
-    """Expansions of the full saturated/balanced/exposed sweep."""
+    """Expansions of the saturated/balanced sweep: every walk from every
+    source that starts matched."""
     adj, mate, _ = _walk_arrays(graph, matching)
     spent = 0
     for s in range(graph.order):
-        for first_matched in (True, False):
-            stack = [(s, first_matched, 1 << s, iter(adj[s]))]
-            while stack:
-                v, need, mask, it = stack[-1]
-                for w in it:
-                    if mask & (1 << w) or (mate[v] == w) != need:
-                        continue
-                    spent += 1
-                    stack.append((w, not need, mask | (1 << w), iter(adj[w])))
-                    break
-                else:
-                    stack.pop()
+        stack = [(s, True, 1 << s, iter(adj[s]))]
+        while stack:
+            v, need, mask, it = stack[-1]
+            for w in it:
+                if mask & (1 << w) or (mate[v] == w) != need:
+                    continue
+                spent += 1
+                stack.append((w, not need, mask | (1 << w), iter(adj[w])))
+                break
+            else:
+                stack.pop()
     return spent
 
 

@@ -14,7 +14,7 @@ from cathedral.cli import main
 from cathedral.errors import StructureViolation
 from cathedral.graph import Graph, parse_edge_list, render_edge_list
 
-from helpers import C4, P4, T
+from helpers import C4, P4, T, chain_tree
 
 
 @pytest.fixture
@@ -202,6 +202,15 @@ def test_internal_errors_exit_4_on_one_line(edge_files, monkeypatch, capsys, err
     assert main(["saturated", edge_files["t"]]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(error) in err and "internal" in err
+
+
+def test_a_tree_too_deep_to_write_exits_2_on_one_line(edge_files, monkeypatch, capsys):
+    # decompose itself finishes far deeper than the JSON encoder can nest
+    monkeypatch.setattr(cathedral.cli, "decompose", lambda graph: chain_tree(400))
+    assert main(["decompose", edge_files["t"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tree is nested too deeply to write as JSON\n"
 
 
 def test_hasse_output(edge_files, capsys):

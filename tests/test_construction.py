@@ -39,6 +39,7 @@ from helpers import (
     K4,
     P4,
     T,
+    chain_tree,
     factorizable_graphs,
     mid_size_graphs,
     sparse_many_component_graphs,
@@ -264,6 +265,13 @@ def test_closure_parts_read_the_closure_table(g):
 def test_tree_json_round_trip():
     tree = decompose(T)
     assert tree_from_json(tree_to_json(tree)) == tree
+
+
+def test_a_tree_too_deep_to_write_is_a_format_error():
+    from cathedral.errors import GraphFormatError
+
+    with pytest.raises(GraphFormatError, match="nested too deeply to write"):
+        tree_to_json(chain_tree(400))
 
 
 def test_tree_json_rejects_malformed_shapes():

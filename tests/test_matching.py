@@ -185,10 +185,10 @@ PETERSEN = Graph(
 )
 
 
-@pytest.mark.parametrize("g, spent", [(K8, 3128), (PETERSEN, 690)], ids=["K8", "Petersen"])
+@pytest.mark.parametrize("g, spent", [(K8, 1256), (PETERSEN, 330)], ids=["K8", "Petersen"])
 def test_reachability_completes_on_a_pinned_budget(g, spent):
     # the sweep's expansion count: every simple alternating path from every
-    # source, one expansion per step
+    # source that starts matched, one expansion per step
     m = maximum_matching(g)
     assert alternating_reachability(g, m, budget=spent) is not None
     with pytest.raises(SearchBudgetExceeded):
@@ -222,9 +222,6 @@ def test_reachability_agrees_with_single_queries(g):
             )
             assert (v in reach.balanced[u]) == alternating_path_exists(
                 g, m, u, v, PathKind.BALANCED
-            )
-            assert (v in reach.exposed[u]) == alternating_path_exists(
-                g, m, u, v, PathKind.EXPOSED
             )
 
 

@@ -8,8 +8,10 @@ partition of every single-vertex deletion.  The alternating walker
 must spend exactly the expansions the per-query loops spent, so every query
 aborts at the same budget threshold, and a search confined to a vertex set
 must answer, at the same threshold, as the search of the induced subgraph
-under the restricted matching.  The perfect-matching enumeration must list
-what its set-based version listed, in the same order.
+under the restricted matching.  The paths of every single deletion G-x
+must be those the sweep of G finds from x, under each perfect matching.  The
+perfect-matching enumeration must list what its set-based version listed,
+in the same order.
 """
 
 import importlib
@@ -51,7 +53,13 @@ from cathedral.matching import (
 )
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
-from helpers import C5, P4, factorizable_graphs, sparse_many_component_graphs
+from helpers import (
+    C5,
+    P4,
+    factorizable_graphs,
+    mid_size_graphs,
+    sparse_many_component_graphs,
+)
 from oracles import (
     circuit_search,
     deletion_allowed_edges,
@@ -343,6 +351,53 @@ def test_confined_searches_equal_the_induced_subgraph_fuzzed(g, draw):
     for m in enumerate_perfect_matchings(g, cap=2).matchings:
         for kept in _confinements(g, draw):
             _assert_confined_equals_subgraph(g, m, kept, combinations(sorted(kept), 2))
+
+
+def _assert_deletion_paths_are_the_sweep_from_x(g: Graph, cap: int) -> int:
+    """Under each of the first ``cap`` perfect matchings M of G and each
+    vertex x, M less its edge xp exposes p in G-x, and u has a balanced or an
+    exposed path to p in G-x, by the oracle's search, iff the sweep of G
+    under M finds a saturated or a balanced path from x to u (p's trivial
+    balanced path is the edge xp).  Returns the vertices checked."""
+    checked = 0
+    for m in enumerate_perfect_matchings(g, cap).matchings:
+        reach = alternating_reachability(g, m)
+        for x in g.vertices:
+            p = m.partner[x]
+            rest = delete_vertices(g, (x,))
+            near = Matching(rest, (e for e in m.edges if x not in e))
+            for u in rest.vertices:
+                if u == p:
+                    balanced, exposed = True, False
+                else:
+                    balanced = path_search(rest, near, u, p, True, False)[0]
+                    exposed = path_search(rest, near, u, p, False, False)[0]
+                assert balanced == (u in reach.saturated[x]), (sorted(g.edges), x, u)
+                assert exposed == (u in reach.balanced[x]), (sorted(g.edges), x, u)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize(
+    "corpus, cap",
+    [(lambda: sparse_many_component_graphs(40), 2), (lambda: mid_size_graphs(10), 1)],
+    ids=["sparse", "mid-size"],
+)
+def test_deletion_paths_are_the_sweep_from_x(corpus, cap):
+    # the graphs and their closures; the exhaustive oracle searches bound
+    # how many of each corpus, and of their matchings, fit in the suite
+    checked = sum(
+        _assert_deletion_paths_are_the_sweep_from_x(h, cap)
+        for g in corpus()
+        for h in (g, saturate(g)[0])
+    )
+    assert checked > 7000
+
+
+@given(factorizable_graphs(max_vertices=8))
+@settings(max_examples=60, deadline=None)
+def test_deletion_paths_are_the_sweep_from_x_fuzzed(g):
+    _assert_deletion_paths_are_the_sweep_from_x(g, 8)
 
 
 def _assert_enumeration_equals_the_set_version(g):
