@@ -12,6 +12,7 @@ a ValueError escaped, which means a bug in this package, not in the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable
 
@@ -39,6 +40,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise GraphFormatError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -143,7 +146,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built on the first call.
+
+    Every caller receives the same object, so none may mutate it.  Building
+    the tree costs about a millisecond, so repeated ``main()`` calls in one
+    process share it; importing this module does not build it."""
     parser = argparse.ArgumentParser(
         prog="cathedral",
         description=(

@@ -8,7 +8,8 @@ an unsaturated graph, minimum-element statements on an antichain) are
 reported as skipped and re-run on the graph's saturation closure.
 
 The graph's context holds each definitional artifact once (pair-deletion
-verdicts, part contexts, reachability sweeps, closures) for every check.
+verdicts, grown graphs, part contexts, reachability sweeps, closures) for
+every check.
 
 A failing check ships a replayable counterexample: the graph is greedily
 shrunk (edge removals, then vertex-pair removals) while the failure
@@ -287,6 +288,12 @@ class _TrialContext(GraphStructure):
         return _Table(lambda pair: is_factorizable(delete_vertices(graph, pair)))
 
     @cached_property
+    def grown(self) -> _Table:
+        """The graph plus each set of added edges, by the sorted tuple of them."""
+        graph = self.graph
+        return _Table(lambda added: add_edges(graph, added))
+
+    @cached_property
     def parts(self) -> _Table:
         """A from-scratch context of the subgraph induced on each vertex set,
         never this one, so that no check compares an artifact with itself."""
@@ -488,7 +495,7 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
     minimal = [i for i in range(k) if not any(j != i and leq[j][i] for j in range(k))]
     old_sets = set(comps)
     # the two ordered pairs of two components try the same edge sets
-    grown_by = _Table(lambda added: GraphStructure(add_edges(ctx.graph, added)))
+    grown_by = _Table(lambda added: GraphStructure(ctx.grown[added]))
     for i in minimal:
         for j in range(k):
             if i == j or leq[i][j]:
@@ -909,8 +916,7 @@ def _check_new_matching_iff_path(ctx: _TrialContext) -> None:
     ctx.require_complete_enumeration()
     base_count = len(ctx.matchings)
     for pair in complement_pairs(ctx.graph):
-        grown = add_edges(ctx.graph, (pair,))
-        enum = enumerate_perfect_matchings(grown, 2 * ctx.config.enumeration_cap)
+        enum = enumerate_perfect_matchings(ctx.grown[(pair,)], 2 * ctx.config.enumeration_cap)
         if enum.truncated:
             raise _SkipCheck("grown enumeration exceeded the cap", rerun_on_closure=False)
         creates = len(enum.matchings) > base_count

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import cathedral
 import cathedral.cli
-from cathedral.cli import main
+from cathedral.cli import build_parser, main
 from cathedral.errors import StructureViolation
 from cathedral.graph import Graph, parse_edge_list, render_edge_list
 
@@ -67,6 +68,16 @@ def test_an_unwritable_output_exits_2_on_one_line(tmp_path, capsys, verb, target
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["analyze", "construct"])
+def test_a_non_utf8_file_is_a_format_error(tmp_path, capsys, verb):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"vertices 2\n0 1\n\xff\n")
+    assert main([verb, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("vertices 2\n0 0\n")
@@ -93,6 +104,83 @@ def test_a_huge_vertex_count_is_refused_before_it_is_built(tmp_path):
     )
     assert done.returncode == 2, done.stderr
     assert done.stderr == "error: line 1: vertex count exceeds 1000000\n"
+
+
+def _fresh_cli(argv: list[str]) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of ``argv`` as a new interpreter's first call."""
+    paths = [str(Path(cathedral.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-m", "cathedral.cli", *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return done.stdout, done.stderr, done.returncode
+
+
+def _in_process_cli(argv: list[str], capsys) -> tuple[str, str, int]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def test_repeated_calls_share_one_parser(edge_files, tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    tree = tmp_path / "t.json"
+    assert main(["analyze", edge_files["t"]]) == 0
+    assert main(["saturated", edge_files["c4"]]) == 1
+    assert main(["saturate", edge_files["p4"]]) == 0
+    assert main(["decompose", edge_files["t"], "-o", str(tree)]) == 0
+    assert main(["hasse", edge_files["t"]]) == 0
+    # the root parser and one per verb: at most one tree in the process
+    assert len(built) <= 8
+
+
+def test_no_flag_leaks_from_one_call_into_the_next(edge_files, tmp_path, monkeypatch, capsys):
+    # a fixed width makes --help the same in and out of a terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    # every call below parses with this one parser
+    assert build_parser() is build_parser()
+    out = tmp_path / "analysis.txt"
+    requests = [
+        ["analyze", edge_files["t"], "--ge", "--format", "json"],
+        ["analyze", edge_files["t"], "--format", "json"],
+        ["analyze", edge_files["t"], "--max-components", "1"],
+        ["verify", "--max-n", "3"],
+        ["analyze", edge_files["t"], "-o", str(out)],
+        ["--help"],
+        ["--help"],
+    ]
+
+    def take_output() -> str | None:
+        if not out.exists():
+            return None
+        text = out.read_text()
+        out.unlink()
+        return text
+
+    answers = []
+    for argv in requests:
+        answer = _in_process_cli(argv, capsys)
+        assert (answer, take_output()) == (_fresh_cli(argv), take_output())
+        answers.append(answer)
+    assert "deleted_partitions" in json.loads(answers[0][0])
+    assert "deleted_partitions" not in json.loads(answers[1][0])
+    assert answers[2][2] == 3 and answers[2][1].startswith("error: ")
+    assert answers[3][2] == 2 and answers[3][1].startswith("usage: cathedral verify")
+    assert answers[4] == ("", "", 0)
+    assert answers[5] == answers[6] and answers[5][0].startswith("usage: cathedral")
 
 
 def test_non_factorizable_analyze_exits_3(tmp_path, capsys):
