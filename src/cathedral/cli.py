@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Callable
 
@@ -50,7 +51,14 @@ def _load_graph(path: str) -> Graph:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a full device or a closed pipe: send what stays buffered to
+            # devnull, so the flush at interpreter exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise GraphFormatError(f"cannot write stdout: {exc.strerror}") from None
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
@@ -107,7 +115,7 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
     comments.extend(f"added {u} {v}" for u, v in added)
     _emit(render_edge_list(closed, comments), args.output)
     if args.output is not None:
-        sys.stdout.write(f"{len(added)} edge(s) added\n")
+        _emit(f"{len(added)} edge(s) added\n", None)
     return 0
 
 

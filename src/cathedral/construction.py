@@ -5,12 +5,15 @@ decompose reads every level off the input's one structure and doubles as a
 falsification harness: what that does not settle (each level's minimum
 component; one class per tower; one tower per class; complete class-tower
 joins) is re-checked, and a failure raises StructureViolation.  construct and
-the verifier re-check the parts' own structures from scratch.
+construct_tree check each foundation on its own structure and the whole
+output on one, by the same lemma; the verifier re-checks the parts' own
+structures from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet, Collection, NamedTuple
 
 from .canonical import GraphStructure
 from .errors import (
@@ -169,77 +172,147 @@ def _saturated_structure(graph: Graph, error: ConstructionError) -> GraphStructu
     return structure
 
 
-def construct(spec: ConstructionSpec) -> Graph:
-    """Join every vertex of each foundation class to every vertex of its
-    tower; validates the input, then re-checks the output's guarantees
-    (saturated, foundation is a factor-component and the minimum element)."""
-    return _construct(spec, towers_built=False).graph
-
-
-def _construct(spec: ConstructionSpec, towers_built: bool) -> GraphStructure:
-    """The output graph's structure, on which its guarantees were checked."""
-    # towers built by construct_tree are outputs of _construct, checked saturated
-    foundation = spec.foundation
+def _checked_foundation(
+    foundation: Graph, classes: Collection[frozenset[int]]
+) -> GraphStructure | None:
+    """The foundation's own structure, once it is saturated and elementary and
+    ``classes`` are exactly its canonical classes; None for the empty one."""
     if foundation.order == 0:
-        if spec.towers:
+        if classes:
             raise ClassKeyMismatch("an empty foundation admits no tower classes")
-        return GraphStructure(Graph())
+        return None
     base = _saturated_structure(foundation, FoundationNotSaturated("foundation must be saturated"))
     if len(base.components) != 1:
         raise FoundationNotElementary(
             "foundation must consist of a single factor-connected component"
         )
-    if set(spec.towers) != set(base.partition.classes):
+    if set(classes) != set(base.partition.classes):
         raise ClassKeyMismatch(
             "tower keys must be exactly the foundation's canonical classes"
         )
-    used = set(foundation.vertex_set)
-    for cls in sorted(spec.towers, key=min):
-        tower = spec.towers[cls]
-        clash = used & tower.vertex_set
-        if clash:
-            raise VertexIdCollision(f"vertex ids {sorted(clash)} are reused across parts")
-        used |= tower.vertex_set
-        error = TowerNotSaturated(f"tower for class {sorted(cls)} must be saturated")
-        if not towers_built:
-            _saturated_structure(tower, error)
+    return base
 
-    vertices = set(foundation.vertices)
-    edges = set(foundation.edges)
-    for cls, tower in spec.towers.items():
-        vertices |= tower.vertex_set
-        edges |= tower.edges
-        for s in cls:
-            for t in tower.vertices:
-                edges.add(edge(s, t))
-    built = Graph(vertices, edges)
 
-    out = GraphStructure(built)
+def _claim(used: set[int], vertices: frozenset[int]) -> None:
+    """Add a part's vertices to those of the parts before it, which it may not reuse."""
+    clash = used & vertices
+    if clash:
+        raise VertexIdCollision(f"vertex ids {sorted(clash)} are reused across parts")
+    used |= vertices
+
+
+def _joined(
+    base: GraphStructure,
+    vertices: AbstractSet[int],
+    edges: set[Edge],
+    levels: list[tuple[frozenset[int], frozenset[int]]],
+) -> GraphStructure:
+    """The structure of the joined graph, checked on its one table: it is
+    saturated, and each level's foundation (``levels`` holds its vertices and
+    the level's, lower levels first) is a factor-component and the minimum of
+    the level's components.  By the lemma of ``_decompose_saturated``, the
+    level graphs of a saturated output read its table cut to them, so this
+    checks each level as its own structure would.  When every tower is empty
+    the output is the foundation itself, and ``base``, the foundation's own
+    structure, serves as the output's."""
+    out = base if len(vertices) == base.graph.order else GraphStructure(Graph(vertices, edges))
     if not out.saturated:
         raise ConstructionViolation("construction output failed the saturation test")
-    if foundation.vertex_set not in out.components.components:
-        raise ConstructionViolation(
-            "foundation is not a factor-connected component of the output"
-        )
-    low = out.minimum
-    if low is None or out.components.components[low] != foundation.vertex_set:
-        raise ConstructionViolation(
-            "foundation is not the minimum component of the output"
-        )
+    comps = out.components
+    index = {comp: i for i, comp in enumerate(comps.components)}
+    for foundation, level in levels:
+        if foundation not in index:
+            raise ConstructionViolation(
+                "foundation is not a factor-connected component of the output"
+            )
+        # the level's deeper foundations passed already, so it is a union of components
+        low = out.minimum_of({comps.component_of[v] for v in level})
+        if low != index[foundation]:
+            raise ConstructionViolation(
+                "foundation is not the minimum component of the output"
+            )
     return out
 
 
+def construct(spec: ConstructionSpec) -> Graph:
+    """Join every vertex of each foundation class to every vertex of its
+    tower; validates the input, each tower saturated on its own structure,
+    then checks the output once (saturated, foundation is a factor-component
+    and the minimum element).  With every tower empty the output is the
+    foundation, and one D(G-u) table serves both."""
+    foundation = spec.foundation
+    base = _checked_foundation(foundation, spec.towers)
+    if base is None:
+        return Graph()
+    vertices = set(foundation.vertex_set)
+    edges = set(foundation.edges)
+    for cls in sorted(spec.towers, key=min):
+        tower = spec.towers[cls]
+        _claim(vertices, tower.vertex_set)
+        error = TowerNotSaturated(f"tower for class {sorted(cls)} must be saturated")
+        _saturated_structure(tower, error)
+        edges |= tower.edges
+        edges.update(edge(s, t) for s in cls for t in tower.vertices)
+    return _joined(base, vertices, edges, [(foundation.vertex_set, frozenset(vertices))]).graph
+
+
+class _Level(NamedTuple):
+    """A level of a tree whose input checks passed: its foundation's own
+    structure, the level's vertices, and the level of each class's tower."""
+
+    base: GraphStructure
+    vertices: frozenset[int]
+    towers: dict[frozenset[int], "_Level | None"]
+
+
 def construct_tree(tree: CathedralTree) -> Graph:
-    """Rebuild a graph from its decomposition, bottom up."""
+    """Rebuild a graph from its decomposition: the input checks of every
+    level bottom up, then one join and one check of the whole output.  It
+    fills one D(G-u) table per foundation and one for the output, and a
+    one-level tree's output is its foundation, so it fills exactly one."""
     return _construct_tree(tree).graph
 
 
 def _construct_tree(tree: CathedralTree) -> GraphStructure:
+    """The output graph's structure, on which every level was checked."""
+    root = _checked_level(tree)
+    if root is None:
+        return GraphStructure(Graph())
+    edges: set[Edge] = set()
+    levels: list[tuple[frozenset[int], frozenset[int]]] = []
+    _join(root, edges, levels)
+    return _joined(root.base, root.vertices, edges, levels)
+
+
+def _checked_level(tree: CathedralTree) -> _Level | None:
+    """The level after its input checks, which run after those of its towers,
+    in the tree's order; None for an empty level."""
     towers = {
-        cls: construct_tree(sub) if sub is not None else Graph()
-        for cls, sub in tree.classes
+        cls: _checked_level(sub) if sub is not None else None for cls, sub in tree.classes
     }
-    return _construct(ConstructionSpec(tree.foundation_graph(), towers), towers_built=True)
+    foundation = tree.foundation_graph()
+    base = _checked_foundation(foundation, towers)
+    if base is None:
+        return None
+    used = set(foundation.vertex_set)
+    for cls in sorted(towers, key=min):
+        tower = towers[cls]
+        _claim(used, tower.vertices if tower is not None else frozenset())
+    return _Level(base, frozenset(used), towers)
+
+
+def _join(
+    level: _Level, edges: set[Edge], levels: list[tuple[frozenset[int], frozenset[int]]]
+) -> None:
+    """Add the level's edges, its towers' and their joins to ``edges``, and
+    each of its foundations with its level to ``levels``, lower levels first."""
+    for cls, tower in level.towers.items():
+        if tower is not None:
+            _join(tower, edges, levels)
+            edges.update(edge(s, t) for s in cls for t in tower.vertices)
+    foundation = level.base.graph
+    edges |= foundation.edges
+    levels.append((foundation.vertex_set, level.vertices))
 
 
 def foundation_via_ge(graph: Graph) -> frozenset[int]:

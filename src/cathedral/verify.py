@@ -173,13 +173,25 @@ def _relabel_dense(graph: Graph) -> Graph:
 
 
 class _Table(dict):
-    """A dict that fills each missing entry on first lookup, as ``ExposableAfterDeletion`` does."""
+    """A dict that fills each missing entry on first lookup, as ``ExposableAfterDeletion`` does.
+
+    A fill that exceeds its search budget is kept apart: its key stays out
+    of the dict, and every later lookup raises the same error without
+    filling again.  Only the message is kept, so no traceback holds the
+    table."""
 
     def __init__(self, fill: Callable) -> None:
         self.fill = fill
+        self.exceeded: dict = {}
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        if key in self.exceeded:
+            raise SearchBudgetExceeded(self.exceeded[key])
+        try:
+            value = self[key] = self.fill(key)
+        except SearchBudgetExceeded as exc:
+            self.exceeded[key] = str(exc)
+            raise
         return value
 
 

@@ -12,8 +12,10 @@ import pytest
 import cathedral
 import cathedral.cli
 from cathedral.cli import build_parser, main
+from cathedral.construction import decompose
 from cathedral.errors import StructureViolation
 from cathedral.graph import Graph, parse_edge_list, render_edge_list
+from cathedral.serialize import tree_to_json
 
 from helpers import C4, P4, T, chain_tree
 
@@ -85,6 +87,12 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+def _env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this cathedral."""
+    paths = [str(Path(cathedral.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_a_huge_vertex_count_is_refused_before_it_is_built(tmp_path):
     # a 22-byte file declaring 10^10 vertices; the CLI runs in its own
     # process under a 1.5 GB address-space limit, so a build of that graph
@@ -92,11 +100,10 @@ def test_a_huge_vertex_count_is_refused_before_it_is_built(tmp_path):
     huge = tmp_path / "huge.edges"
     huge.write_text("vertices 10000000000\n0 1\n")
     limit = 1536 * 2**20
-    paths = [str(Path(cathedral.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from cathedral.cli import main; sys.exit(main())"]
         + ["analyze", str(huge)],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        env=_env(),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         capture_output=True,
         text=True,
@@ -108,15 +115,47 @@ def test_a_huge_vertex_count_is_refused_before_it_is_built(tmp_path):
 
 def _fresh_cli(argv: list[str]) -> tuple[str, str, int]:
     """stdout, stderr and exit code of ``argv`` as a new interpreter's first call."""
-    paths = [str(Path(cathedral.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     done = subprocess.run(
         [sys.executable, "-m", "cathedral.cli", *argv],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
     return done.stdout, done.stderr, done.returncode
+
+
+@pytest.mark.parametrize("verb", ["analyze", "construct", "saturate"])
+@pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+def test_a_failed_stdout_write_exits_2_on_one_line(tmp_path, verb, sink):
+    # saturate -o writes its count line to stdout, after the file
+    edges = tmp_path / "t.edges"
+    edges.write_text(render_edge_list(T))
+    tree = tmp_path / "t.json"
+    tree.write_text(tree_to_json(decompose(T)))
+    argv = {
+        "analyze": [str(edges)],
+        "construct": [str(tree)],
+        "saturate": [str(edges), "-o", str(tmp_path / "closed.edges")],
+    }[verb]
+    if sink == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        stdout, reason = open("/dev/full", "w"), "No space left on device"
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        stdout, reason = os.fdopen(write, "w"), "Broken pipe"
+    with stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "cathedral.cli", verb, *argv],
+            env=_env(),
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert (done.returncode, done.stderr) == (2, f"error: cannot write stdout: {reason}\n")
 
 
 def _in_process_cli(argv: list[str], capsys) -> tuple[str, str, int]:

@@ -1,11 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
 import cathedral.canonical
-from cathedral.canonical import canonical_partition, factor_components
+from cathedral.canonical import GraphStructure, canonical_partition, factor_components
 from cathedral.cli import main
 from cathedral.construction import (
     CathedralTree,
+    _construct_tree,
     ConstructionSpec,
     construct,
     construct_tree,
@@ -260,6 +263,130 @@ def test_every_level_and_foundation_reads_the_closure_table(descending):
 @settings(max_examples=60, deadline=None)
 def test_closure_parts_read_the_closure_table(g):
     _assert_parts_cut_the_table(saturate(g)[0])
+
+
+def _level(vertices, edges, *classes) -> CathedralTree:
+    return CathedralTree(
+        frozenset(vertices),
+        frozenset(edges),
+        tuple((frozenset(cls), sub) for cls, sub in classes),
+    )
+
+
+def _k2(s: int, first=None, second=None) -> CathedralTree:
+    return _level([s, s + 1], [(s, s + 1)], ([s], first), ([s + 1], second))
+
+
+_C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+def _c4(s: int, *classes) -> CathedralTree:
+    """A foundation that is not saturated, on s..s+3."""
+    return _level(range(s, s + 4), [(s + u, s + v) for u, v in _C4_EDGES], *classes)
+
+
+_TWO_BAD_LEVELS = {
+    # the root lacks its class {1}; its tower's foundation is not saturated
+    "unsaturated-below-class-keys": (
+        _level([0, 1], [(0, 1)], ([0], _c4(2, ([2], None)))),
+        FoundationNotSaturated,
+        "foundation must be saturated",
+    ),
+    # the root's tower reuses vertex 1 of its foundation; that tower lacks its class {2}
+    "class-keys-below-collision": (
+        _level([0, 1], [(0, 1)], ([0], _level([1, 2], [(1, 2)], ([1], None))), ([1], None)),
+        ClassKeyMismatch,
+        "tower keys must be exactly the foundation's canonical classes",
+    ),
+    # the middle level's tower reuses its vertex 3; the root is not saturated
+    "collision-below-unsaturated": (
+        _c4(10, ([10], _k2(2, _k2(3)))),
+        VertexIdCollision,
+        "vertex ids [3] are reused across parts",
+    ),
+}
+
+
+@pytest.mark.parametrize("tree, error, message", _TWO_BAD_LEVELS.values(), ids=_TWO_BAD_LEVELS)
+def test_the_lowest_bad_level_is_reported_first(tree, error, message):
+    # every level's input checks run bottom up before anything is joined
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        construct_tree(tree)
+
+
+def test_the_output_check_reads_every_level(monkeypatch):
+    # planted faults in the output's structure, each first seen at a level
+    # below the root: construct_tree must refuse the tree
+    tree = chain_tree(3)
+    minimum_of = GraphStructure.minimum_of
+
+    def lower_levels_lose_their_minimum(self, level):
+        return None if len(level) < len(self.components) else minimum_of(self, level)
+
+    with monkeypatch.context() as planted:
+        planted.setattr(GraphStructure, "minimum_of", lower_levels_lose_their_minimum)
+        with pytest.raises(ConstructionViolation, match="^foundation is not the minimum component"):
+            construct_tree(tree)
+    with monkeypatch.context() as planted:
+        # every edge allowed: the output is one component, and no foundation is one
+        everything = property(lambda self: frozenset(self.graph.edges))
+        planted.setattr(GraphStructure, "allowed", everything)
+        with pytest.raises(ConstructionViolation, match="^foundation is not a factor-connected"):
+            construct_tree(tree)
+    assert decompose(construct_tree(tree)) == tree
+
+
+def _tower_tree(depth: int, start: int = 0) -> CathedralTree:
+    """A K4 foundation on start..start+3 whose first two classes carry a
+    tower of one level less, and whose other two carry none."""
+    fv = range(start, start + 4)
+    towers = [None] * 4
+    nxt = start + 4
+    if depth > 0:
+        for i in range(2):
+            towers[i] = _tower_tree(depth - 1, nxt)
+            nxt += len(_vertices(towers[i]))
+    edges = [(u, v) for u in fv for v in fv if u < v]
+    return _level(fv, edges, *(([v], sub) for v, sub in zip(fv, towers)))
+
+
+def _levels(tree: CathedralTree):
+    yield _vertices(tree)
+    for _, sub in tree.classes:
+        if sub is not None:
+            yield from _levels(sub)
+
+
+def _assert_levels_read_the_output_table(tree: CathedralTree) -> int:
+    """Every level's from-scratch structure has the components, classes and
+    minimum of the structure construct_tree checked its output on, cut to
+    the level; returns the levels checked."""
+    out = _construct_tree(tree)
+    comps, partition = out.components, out.partition
+    checked = 0
+    for level in _levels(tree):
+        own = GraphStructure(induced_subgraph(out.graph, level))
+        assert set(own.components.components) == {c for c in comps.components if c <= level}
+        assert set(own.partition.classes) == partition.restricted_to(level)
+        low = out.minimum_of({comps.component_of[v] for v in level})
+        assert own.components.components[own.minimum] == comps.components[low]
+        checked += 1
+    return checked
+
+
+def test_each_level_reads_the_output_table():
+    chains = [chain_tree(depth) for depth in (1, 2, 5, 24)]
+    towers = [_tower_tree(depth) for depth in range(4)]
+    for tree in chains + towers:
+        assert decompose(construct_tree(tree)) == tree
+    closures = [
+        decompose(saturate(random_factorizable_graph(config, t), descending=descending)[0])
+        for config in (TrialConfig(seed=0), TrialConfig(seed=0, max_vertices=12))
+        for t in range(100)
+        for descending in (False, True)
+    ]
+    checked = sum(_assert_levels_read_the_output_table(tree) for tree in chains + towers + closures)
+    assert checked > 500
 
 
 def test_tree_json_round_trip():

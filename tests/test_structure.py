@@ -4,11 +4,11 @@ Every reader of the canonical structures holds one per-graph structure, so
 an `analyze` request fills one deletion table, computes one perfect matching
 and checks factorizability once, and its deletion partitions build no graph.
 `decompose` reads every level and foundation off the input's one table, and
-`construct_tree` fills two tables per level, the level graph's and its
-foundation's; both find each foundation with contraction searches instead
-of computing the component order.  The verifier reads one table per graph it
-grows, reads the rebuilt graph's table off the structure `construct_tree`
-checked it on, builds each induced part and tests each G-u-v once per
+`construct_tree` fills one table per foundation and one for its whole output,
+which for a one-level tree is the foundation's; both find each foundation
+with contraction searches instead of computing the component order.  The
+verifier reads one table per graph it grows, reads the rebuilt graph's table
+off the structure `construct_tree` checked it on, builds each induced part and tests each G-u-v once per
 context, reads the paths of every G-x off the host's sweep, and its confined
 path searches build no subgraph.  Every search reads its graph's one position
 index, built on first use.  The counts are taken on every cathedral
@@ -29,7 +29,14 @@ import cathedral.matching
 import cathedral.verify
 from cathedral.canonical import factor_components
 from cathedral.cli import main
-from cathedral.construction import construct_tree, decompose, foundation_via_ge, saturate
+from cathedral.construction import (
+    ConstructionSpec,
+    construct,
+    construct_tree,
+    decompose,
+    foundation_via_ge,
+    saturate,
+)
 from cathedral.errors import ComponentLimitError
 from cathedral.graph import Graph, render_edge_list
 from cathedral.matching import ExposableAfterDeletion
@@ -134,11 +141,11 @@ def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
     path.write_text(render_edge_list(ELEMENTARY))
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
     assert len(indexed) == 1
-    # the suite searches 95 graphs, 84 of them distinct
+    # the suite searches 92 graphs, 84 of them distinct
     indexed.clear()
     config = TrialConfig(seed=0)
     run_suite(random_factorizable_graph(config, 0), config)
-    assert len(indexed) == len({id(graph) for graph in indexed}) == 95
+    assert len(indexed) == len({id(graph) for graph in indexed}) == 92
 
 
 def test_decompose_fills_one_table(monkeypatch):
@@ -146,7 +153,8 @@ def test_decompose_fills_one_table(monkeypatch):
     counts = _count(monkeypatch)
     tree = decompose(closure)
     decomposed = counts["tables"]
-    # construct_tree does not re-check the towers its own levels built
+    # construct_tree checks each foundation on its own table, then the
+    # whole output on one
     counts.clear()
     assert construct_tree(tree) == closure
     levels = 0
@@ -154,7 +162,7 @@ def test_decompose_fills_one_table(monkeypatch):
         levels += 1
         (tree,) = [sub for _, sub in tree.classes if sub is not None] or [None]
     assert levels == 20
-    assert (decomposed, counts["tables"]) == (1, 2 * levels)
+    assert (decomposed, counts["tables"]) == (1, levels + 1)
 
 
 def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
@@ -168,7 +176,37 @@ def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
     assert (counts["_contracted_outer"], counts["tables"]) == (48, 1)
     counts.clear()
     assert construct_tree(tree) == graph
-    assert (counts["_contracted_outer"], counts["tables"]) == (48, 96)
+    assert (counts["_contracted_outer"], counts["tables"]) == (48, 49)
+
+
+def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
+    # one search per vertex of each K2 foundation's table, one per vertex of
+    # the output's, and one contraction search per level: 383 of them, where
+    # a table per level output ran 9408
+    tree, graph = chain_tree(96), chain_graph(96)
+    searches = []
+    search = cathedral.matching._edmonds_search
+    monkeypatch.setattr(
+        cathedral.matching,
+        "_edmonds_search",
+        lambda *args, **kwargs: searches.append(args[2]) or search(*args, **kwargs),
+    )
+    assert construct_tree(tree) == graph
+    assert len(searches) <= 2 * graph.order
+
+
+def test_a_one_level_construction_fills_one_table(monkeypatch):
+    # with every tower empty the output is the foundation, read off its table
+    closure = saturate(ELEMENTARY)[0]
+    tree = decompose(closure)
+    assert all(sub is None for _, sub in tree.classes)
+    counts = _count(monkeypatch)
+    assert construct_tree(tree) == closure
+    assert counts["tables"] == 1
+    counts.clear()
+    spec = ConstructionSpec(closure, {cls: Graph() for cls, _ in tree.classes})
+    assert construct(spec) == closure
+    assert counts["tables"] == 1
 
 
 def test_a_deep_chain_tree_runs_one_deletion_search_per_vertex(monkeypatch):
@@ -224,7 +262,7 @@ def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
     assert tables["construction-foundation-minimum"] == 0
     assert tables["construction-output-saturated"] == 0
     assert tables["saturated-partition-matches-parts"] == tables["allowed-edges-from-parts"] == 0
-    assert sum(tables.values()) == 18
+    assert sum(tables.values()) == 15
 
 
 def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):

@@ -1,7 +1,9 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import cathedral.matching
 import cathedral.verify
 from cathedral.canonical import CanonicalPartition
 from cathedral.construction import saturate
@@ -100,6 +102,49 @@ def test_exhausted_search_budget_skips_instead_of_passing():
     (result,) = report.results
     assert result.status == "skip"
     assert result.reason == "search budget exceeded"
+
+
+def test_a_budget_bound_sweep_runs_once_per_matching(monkeypatch):
+    # the host's sweep runs out of its 20 expansions; the failure is kept,
+    # so each later check that reads it skips without walking again
+    budget = 20
+    config = TrialConfig(seed=0, path_budget=budget)
+    ctx = _TrialContext(random_factorizable_graph(config, 0), config)
+    spent: Counter = Counter()
+    swept: Counter = Counter()
+    current = []
+    sweep = cathedral.verify.alternating_reachability
+
+    def counted_sweep(graph, matching, **kwargs):
+        if kwargs.get("kept") is not None:
+            return sweep(graph, matching, **kwargs)
+        # every swept graph is held by the context, so no id is reused
+        key = (id(graph), matching.edges)
+        swept[key] += 1
+        current.append(key)
+        try:
+            return sweep(graph, matching, **kwargs)
+        finally:
+            current.pop()
+
+    walk = cathedral.matching._walk
+
+    def counted_walk(*args):
+        left = args[-1]
+        before = left[0]
+        try:
+            yield from walk(*args)
+        finally:
+            if current:
+                spent[current[-1]] += before - left[0]
+
+    monkeypatch.setattr(cathedral.verify, "alternating_reachability", counted_sweep)
+    monkeypatch.setattr(cathedral.matching, "_walk", counted_walk)
+    results = [_run_one(name, check, ctx)[0] for name, check in _CHECKS]
+    skipped = [r for r in results if r.reason == "search budget exceeded"]
+    assert len(skipped) == 10
+    assert set(swept.values()) == {1}
+    assert spent[id(ctx.graph), ctx.matchings[0].edges] == budget + 1
 
 
 def test_reports_are_replayable():
