@@ -27,12 +27,11 @@ from .serialize import (
     hasse_dot,
     report_json,
     report_text,
+    to_json,
     tree_from_json,
     tree_to_json,
 )
 from .verify import TrialConfig, run_trials
-
-import json
 
 
 def _read_text(path: str) -> str:
@@ -96,7 +95,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         max_components=args.max_components,
     )
     if args.format == "json":
-        _emit(json.dumps(analysis, indent=2) + "\n", args.output)
+        _emit(to_json(analysis), args.output)
     else:
         _emit(analysis_text(analysis), args.output)
     return 0
@@ -154,6 +153,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes its help through ``_emit``: argparse's own writer drops a
+    failed write and exits 0 as if the help had been shown."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one shared parser, built on the first call.
@@ -161,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     Every caller receives the same object, so none may mutate it.  Building
     the tree costs about a millisecond, so repeated ``main()`` calls in one
     process share it; importing this module does not build it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cathedral",
         description=(
             "Canonical matching structures of factorizable graphs: components, "
@@ -217,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # --help writes to stdout, and a failed write is reported below
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

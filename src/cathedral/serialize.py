@@ -1,5 +1,6 @@
 """File formats and renderers used by the CLI: decomposition-tree JSON,
-Hasse-diagram DOT, analysis output, and verifier reports.
+Hasse-diagram DOT, analysis output, and verifier reports, with every JSON
+output written by ``to_json``.
 
 Core modules stay format-free; everything here is deterministic byte-for-byte
 for a fixed input (sorted emission everywhere, timing excluded unless asked
@@ -9,13 +10,125 @@ for).
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import chain
+from typing import Any, Callable
 
 from .canonical import ComponentPoset, GraphStructure, _require_within_limit, minimum_component
 from .construction import CathedralTree
 from .errors import GraphFormatError
 from .graph import Graph
 from .verify import CheckResult, SuiteReport, TrialConfig
+
+_INFINITY = float("inf")
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# how json writes a scalar of each exact type; repr of an exact int is
+# int.__repr__, which json calls, and is the faster call
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _escape,
+    int: repr,
+    bool: {False: "false", True: "true"}.__getitem__,
+    float: _float,
+    type(None): lambda value: "null",
+}
+_LISTS = frozenset({list, tuple})
+
+
+def _key(key: Any) -> str:
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, float):
+        return '"' + _float(key) + '"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _leaf(value: Any, newline: str) -> str | None:
+    """A scalar, or a non-empty list of scalars of one type, as json writes
+    it where ``newline`` (a line break and the indentation) closes it; None
+    for any other value."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if type(value) in _LISTS and value:
+        kinds = set(map(type, value))
+        if len(kinds) == 1:
+            write = _SCALARS.get(kinds.pop())
+            if write is not None:
+                inner = newline + "  "
+                return "[" + inner + ("," + inner).join(map(write, value)) + newline + "]"
+    return None
+
+
+def _compound(value: Any, newline: str) -> str:
+    """Any value ``_leaf`` does not write, as json writes it where
+    ``newline`` closes it.
+
+    One frame per container, as in json's own encoder, so the recursion
+    limit stops both at the same depth to within a level."""
+    inner = newline + "  "
+    parts: list[str] = []
+    append = parts.append
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key, item in value.items():
+            key = _escape(key) if type(key) is str else _key(key)
+            append(key + ": " + (_leaf(item, inner) or _compound(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds <= _LISTS and all(value):
+            # lists of scalars of one type, such as the edge lists
+            kinds = set(map(type, chain.from_iterable(value)))
+            write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            if write is not None:
+                below = inner + "  "
+                for item in value:
+                    append("[" + below + ("," + below).join(map(write, item)) + inner + "]")
+                return "[" + inner + ("," + inner).join(parts) + newline + "]"
+        for item in value:
+            append(_leaf(item, inner) or _compound(item, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    # a subclass of a scalar type
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def to_json(value: Any) -> str:
+    """``json.dumps(value, indent=2) + "\\n"``, byte for byte.
+
+    json writes with its pure-Python encoder whenever ``indent`` is set;
+    this writer does the same work in fewer calls.  It takes what json takes
+    by default: dicts, lists, tuples, str, int, float, bool and None, with
+    str, int, float, bool and None keys.  Any other type raises TypeError.
+    The value must hold no reference cycle."""
+    return (_leaf(value, "\n") or _compound(value, "\n")) + "\n"
 
 
 def tree_to_dict(tree: CathedralTree) -> dict[str, Any]:
@@ -80,7 +193,7 @@ def tree_from_dict(data: Any) -> CathedralTree:
 
 def tree_to_json(tree: CathedralTree) -> str:
     try:
-        return json.dumps(tree_to_dict(tree), indent=2) + "\n"
+        return to_json(tree_to_dict(tree))
     except RecursionError:
         raise GraphFormatError("tree is nested too deeply to write as JSON") from None
 
@@ -231,7 +344,7 @@ def report_dict(
 def report_json(
     config: TrialConfig, reports: list[SuiteReport], *, include_timing: bool = False
 ) -> str:
-    return json.dumps(report_dict(config, reports, include_timing=include_timing), indent=2) + "\n"
+    return to_json(report_dict(config, reports, include_timing=include_timing))
 
 
 def report_text(

@@ -293,17 +293,18 @@ class _TrialContext(GraphStructure):
         return _Table(lambda x: delete_vertices(graph, (x,)))
 
     @cached_property
-    def pair_factorizable(self) -> _Table:
-        """Whether G-u-v is factorizable, by the unordered pair ``edge(u, v)``."""
+    def deleted_pair(self) -> _Table:
+        """The graph minus both ends of each unordered pair ``edge(u, v)``."""
         graph = self.graph
-        # G-u-v rebuilt for the same-class relation and the saturated-path criterion
-        return _Table(lambda pair: is_factorizable(delete_vertices(graph, pair)))
+        # G-u-v rebuilt for the same-class relation, the saturated-path
+        # criterion and the new-matching count
+        return _Table(lambda pair: delete_vertices(graph, pair))
 
     @cached_property
-    def grown(self) -> _Table:
-        """The graph plus each set of added edges, by the sorted tuple of them."""
-        graph = self.graph
-        return _Table(lambda added: add_edges(graph, added))
+    def pair_factorizable(self) -> _Table:
+        """Whether G-u-v is factorizable, by the unordered pair ``edge(u, v)``."""
+        deleted_pair = self.deleted_pair
+        return _Table(lambda pair: is_factorizable(deleted_pair[pair]))
 
     @cached_property
     def parts(self) -> _Table:
@@ -507,7 +508,7 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
     minimal = [i for i in range(k) if not any(j != i and leq[j][i] for j in range(k))]
     old_sets = set(comps)
     # the two ordered pairs of two components try the same edge sets
-    grown_by = _Table(lambda added: GraphStructure(ctx.grown[added]))
+    grown_by = _Table(lambda added: GraphStructure(add_edges(ctx.graph, added)))
     for i in minimal:
         for j in range(k):
             if i == j or leq[i][j]:
@@ -924,14 +925,18 @@ def _assert_split_shape(
 
 def _check_new_matching_iff_path(ctx: _TrialContext) -> None:
     """Adding an absent pair creates a new perfect matching iff a saturated
-    path already joins its endpoints."""
+    path already joins its endpoints.
+
+    A perfect matching of G+uv is one of G's, or uv with one of G-u-v, so
+    G+uv has more than ``2 * cap`` of them exactly when G-u-v has more than
+    ``2 * cap - |PM(G)|``, and a new one exactly when G-u-v has any."""
     ctx.require_complete_enumeration()
-    base_count = len(ctx.matchings)
+    cap = 2 * ctx.config.enumeration_cap - len(ctx.matchings)
     for pair in complement_pairs(ctx.graph):
-        enum = enumerate_perfect_matchings(ctx.grown[(pair,)], 2 * ctx.config.enumeration_cap)
+        enum = enumerate_perfect_matchings(ctx.deleted_pair[pair], cap)
         if enum.truncated:
             raise _SkipCheck("grown enumeration exceeded the cap", rerun_on_closure=False)
-        creates = len(enum.matchings) > base_count
+        creates = len(enum.matchings) > 0
         for _, reach in ctx.checked_reaches():
             if creates != (pair[1] in reach.saturated[pair[0]]):
                 _fail(f"new-matching criterion disagrees at pair {pair}")

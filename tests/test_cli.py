@@ -125,18 +125,21 @@ def _fresh_cli(argv: list[str]) -> tuple[str, str, int]:
     return done.stdout, done.stderr, done.returncode
 
 
-@pytest.mark.parametrize("verb", ["analyze", "construct", "saturate"])
+@pytest.mark.parametrize("verb", ["analyze", "construct", "saturate", "help", "analyze-help"])
 @pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
 def test_a_failed_stdout_write_exits_2_on_one_line(tmp_path, verb, sink):
-    # saturate -o writes its count line to stdout, after the file
+    # saturate -o writes its count line to stdout, after the file; argparse
+    # writes --help itself and would drop the error
     edges = tmp_path / "t.edges"
     edges.write_text(render_edge_list(T))
     tree = tmp_path / "t.json"
     tree.write_text(tree_to_json(decompose(T)))
     argv = {
-        "analyze": [str(edges)],
-        "construct": [str(tree)],
-        "saturate": [str(edges), "-o", str(tmp_path / "closed.edges")],
+        "analyze": ["analyze", str(edges)],
+        "construct": ["construct", str(tree)],
+        "saturate": ["saturate", str(edges), "-o", str(tmp_path / "closed.edges")],
+        "help": ["--help"],
+        "analyze-help": ["analyze", "--help"],
     }[verb]
     if sink == "full-device":
         if not os.path.exists("/dev/full"):
@@ -148,7 +151,7 @@ def test_a_failed_stdout_write_exits_2_on_one_line(tmp_path, verb, sink):
         stdout, reason = os.fdopen(write, "w"), "Broken pipe"
     with stdout:
         done = subprocess.run(
-            [sys.executable, "-m", "cathedral.cli", verb, *argv],
+            [sys.executable, "-m", "cathedral.cli", *argv],
             env=_env(),
             stdout=stdout,
             stderr=subprocess.PIPE,

@@ -1,17 +1,23 @@
 """Property tests on arbitrary inputs: the two parsers either return their
-value or raise GraphFormatError, and the decomposition of any saturation
-closure rebuilds the closure exactly."""
+value or raise GraphFormatError, every verb of the CLI answers hostile files
+and flags with a documented exit code, and the decomposition of any
+saturation closure rebuilds the closure exactly."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cathedral.cli import main
 from cathedral.construction import CathedralTree, construct_tree, decompose, saturate
 from cathedral.errors import GraphFormatError
-from cathedral.graph import Graph, parse_edge_list
-from cathedral.serialize import tree_from_json
+from cathedral.graph import Graph, parse_edge_list, render_edge_list
+from cathedral.serialize import tree_from_json, tree_to_json
 
 from helpers import factorizable_graphs
 
@@ -63,6 +69,109 @@ def _tree_dicts(draw, depth: int = 2):
 
 EDGE_TEXTS = st.text() | _edge_texts()
 TREE_TEXTS = st.text() | _tree_dicts().map(json.dumps)
+
+
+_VALID_EDGE_FILES = factorizable_graphs(max_vertices=10).map(render_edge_list)
+_VALID_TREE_FILES = factorizable_graphs(max_vertices=10).map(
+    lambda g: tree_to_json(decompose(saturate(g)[0]))
+)
+_OVERSIZED = st.sampled_from(
+    [
+        b"vertices 1000001\n0 1\n",
+        b"vertices 10000000000\n0 1\n",
+        b"vertices " + b"9" * 5000 + b"\n",
+        b"vertices 2\n0 " + b"1" * 5000 + b"\n",
+        b"# " + b"x" * 200_000 + b"\nvertices 2\n0 1\n",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"a": ' * 5000 + b"1" + b"}" * 5000,
+        b'{"foundation": {"vertices": [' + b"0, " * 100_000 + b'1], "edges": []}, '
+        b'"classes": []}',
+    ]
+)
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xfe\xff\x00"])
+
+
+@st.composite
+def _hostile_files(draw, tree: bool) -> bytes:
+    """A tree file or an edge list, well formed or spoiled (now and then
+    the other kind), then kept, truncated, broken as UTF-8 or replaced by
+    an oversized one."""
+    if tree:
+        ours, theirs = _VALID_TREE_FILES | TREE_TEXTS, EDGE_TEXTS
+    else:
+        ours, theirs = _VALID_EDGE_FILES | EDGE_TEXTS, TREE_TEXTS
+    data = draw(st.one_of(ours, ours, ours, theirs)).encode()
+    how = draw(st.sampled_from(["keep", "truncate", "not-utf8", "oversize"]))
+    if how == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif how == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(_NOT_UTF8) + data[at:]
+    elif how == "oversize":
+        data = draw(_OVERSIZED)
+    return data
+
+
+_FILE_FLAGS = {
+    "analyze": st.sampled_from(
+        [[], ["--ge"], ["--format", "json"], ["--ge", "--format", "json"]]
+        + [["--max-components", "1"]]
+    ),
+    "saturated": st.just([]),
+    "saturate": st.just([]),
+    "decompose": st.just([]),
+    "construct": st.just([]),
+    "hasse": st.sampled_from([[], ["--max-components", "1"]]),
+}
+# malformed values and small valid ones (int() reads "٤" and "1_0"); a
+# large valid --max-n or --trials only asks for that much work
+_FLAG_VALUES = st.sampled_from(
+    ["", "x", "-1", "0", "1", "2", "3", "4", "6", "0.5", "1e3", "nan", "inf", "-0", "٤", "0x10"]
+    + ["1_0"]
+)
+_VERIFY_FLAGS = st.lists(
+    st.sampled_from(["--seed", "--trials", "--max-n", "--p", "--cap"]), unique=True
+)
+
+
+def _verify_argv(draw) -> list[str]:
+    flags = {"--trials": "1", "--max-n": "4"}
+    flags.update((name, draw(_FLAG_VALUES)) for name in draw(_VERIFY_FLAGS))
+    fmt = draw(st.sampled_from(["text", "json"]))
+    return ["verify", *(item for pair in flags.items() for item in pair), "--format", fmt]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_every_verb_answers_hostile_input_with_a_documented_exit(data):
+    verb = data.draw(st.sampled_from([*_FILE_FLAGS, "verify"]))
+    closed = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        if verb == "verify":
+            argv = _verify_argv(data.draw)
+        else:
+            with open(path, "wb") as handle:
+                handle.write(data.draw(_hostile_files(tree=verb == "construct")))
+            argv = [verb, path, *data.draw(_FILE_FLAGS[verb])]
+        if closed:
+            read, write = os.pipe()
+            os.close(read)
+            out = open(write, "w")
+        else:
+            out = io.StringIO()
+        err = io.StringIO()
+        with out, redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    # exit 1 is documented for `saturated` and for `verify` with failing
+    # checks; an answer written to a closed stdout is never a success
+    documented = {0, 2, 3, 4} | ({1} if verb in ("saturated", "verify") else set())
+    assert code in documented, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not (closed and code in (0, 1)), (argv, code)
 
 
 @given(EDGE_TEXTS)

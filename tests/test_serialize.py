@@ -1,0 +1,158 @@
+"""The one JSON writer: ``serialize.to_json(v)`` is
+``json.dumps(v, indent=2) + "\\n"`` byte for byte, and every JSON output of
+the CLI is written by it."""
+
+import enum
+import json
+import math
+from collections import OrderedDict, namedtuple
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cathedral.cli import main
+from cathedral.serialize import report_dict, report_json, to_json
+from cathedral.verify import TrialConfig, run_trials
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x08\t\n\x1f\x7f", "é", " \U0001f600", "\ud800", "</script>"]
+)
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+_INTS = st.integers() | st.integers(-(10**60), 10**60)
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _STRINGS
+_KEYS = _STRINGS | _INTS | _FLOATS | st.booleans() | st.none()
+# the shapes the writer joins in one call: lists of one scalar type, and
+# lists of such lists; mixed ones must not take that path
+_FLAT = (
+    st.lists(_INTS)
+    | st.lists(st.booleans())
+    | st.lists(_INTS | st.booleans())
+    | st.lists(st.lists(_INTS, max_size=3))
+    | st.lists(st.lists(st.booleans() | _INTS, max_size=3).map(tuple))
+)
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=5)
+    )
+
+
+JSON_VALUES = st.recursive(_SCALARS | _FLAT, _containers, max_leaves=40)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=600, deadline=None)
+def test_to_json_is_json_dumps_with_indent_2(value):
+    assert to_json(value) == _dumps(value)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+_Pair = namedtuple("_Pair", "u v")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        (),
+        [[], {}, ()],
+        {"": []},
+        [1, True, 0, False],
+        [True, 1],
+        [[1, 2], [True, False]],
+        [[1, 2], []],
+        [[1, 2], (3, 4), [5]],
+        [[1.5, -0.0], [math.nan, math.inf]],
+        [None, None],
+        [["a", "b"], ["é"]],
+        {1: 1, 2.5: 2, True: 3, None: 4, -math.inf: 5, "k": 6},
+        {False: [], 10**30: {}},
+        [_Level.LOW, _Name("x"), _Ratio(0.5), _Pair(1, 2)],
+        {_Name("key"): _Level.LOW, _Level.LOW: [_Level.LOW, _Level.LOW]},
+        OrderedDict([("b", 1), ("a", [2])]),
+        10**100,
+        -0.0,
+        "plain",
+        None,
+    ],
+)
+def test_to_json_agrees_on_edge_cases(value):
+    assert to_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1, 2},
+        object(),
+        b"bytes",
+        1j,
+        [1, {2}],
+        [[1, 2], [frozenset()]],
+        {"k": bytearray()},
+        {(1, 2): 3},
+        {"k": {object(): 1}},
+    ],
+    ids=[
+        "set",
+        "object",
+        "bytes",
+        "complex",
+        "in-list",
+        "in-inner-list",
+        "dict-value",
+        "tuple-key",
+        "object-key",
+    ],
+)
+def test_an_unsupported_type_raises_type_error(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        to_json(value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
+def test_cli_json_is_json_dumps_of_the_golden(name, tmp_path, capsys):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    edges = tmp_path / f"{name}.edges"
+    edges.write_text(golden["edge_list"])
+    ge = ["--ge"] if "deleted_partitions" in golden["analysis"] else []
+    assert main(["analyze", str(edges), *ge, "--format", "json"]) == 0
+    assert capsys.readouterr().out == _dumps(golden["analysis"])
+    if "tree" in golden:
+        assert main(["decompose", str(edges)]) == 0
+        assert capsys.readouterr().out == _dumps(golden["tree"])
+
+
+def test_report_json_is_json_dumps_of_the_report():
+    config = TrialConfig(seed=2, trials=3, max_vertices=6)
+    reports = run_trials(config)
+    for timing in (False, True):
+        data = report_dict(config, reports, include_timing=timing)
+        assert report_json(config, reports, include_timing=timing) == _dumps(data)

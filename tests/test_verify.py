@@ -8,7 +8,8 @@ import cathedral.verify
 from cathedral.canonical import CanonicalPartition
 from cathedral.construction import saturate
 from cathedral.errors import NotFactorizableError
-from cathedral.graph import Graph
+from cathedral.graph import Graph, add_edges, complement_pairs, delete_vertices
+from cathedral.matching import enumerate_perfect_matchings
 from cathedral.serialize import report_json
 from cathedral.verify import (
     _CHECKS,
@@ -145,6 +146,63 @@ def test_a_budget_bound_sweep_runs_once_per_matching(monkeypatch):
     assert len(skipped) == 10
     assert set(swept.values()) == {1}
     assert spent[id(ctx.graph), ctx.matchings[0].edges] == budget + 1
+
+
+_SEEDED_CORPORA = pytest.mark.parametrize(
+    "config",
+    [
+        TrialConfig(seed=0, trials=12, max_vertices=8),
+        TrialConfig(seed=3, trials=8, max_vertices=10, edge_probability=0.4),
+        # a small cap truncates some enumerations on both sides
+        TrialConfig(seed=5, trials=8, max_vertices=10, edge_probability=0.5, enumeration_cap=3),
+    ],
+    ids=["seed0", "seed3", "seed5-cap3"],
+)
+
+
+@_SEEDED_CORPORA
+def test_the_grown_count_is_the_host_count_plus_the_pair_deleted_count(config):
+    # |PM(G+uv)| = |PM(G)| + |PM(G-u-v)|, so the new-matching check counts
+    # G-u-v under the cap left over from G; the truncation flags agree too
+    cap = 2 * config.enumeration_cap
+    truncated = 0
+    for trial in range(config.trials):
+        graph = random_factorizable_graph(config, trial)
+        base = enumerate_perfect_matchings(graph, config.enumeration_cap)
+        if base.truncated:
+            continue
+        for pair in complement_pairs(graph):
+            grown = enumerate_perfect_matchings(add_edges(graph, [pair]), cap)
+            deleted = enumerate_perfect_matchings(delete_vertices(graph, pair), cap - len(base))
+            assert deleted.truncated == grown.truncated
+            truncated += grown.truncated
+            if not grown.truncated:
+                assert len(grown) == len(base) + len(deleted)
+                assert {m.edges for m in grown} == base.edge_sets() | {
+                    m.edges | {pair} for m in deleted
+                }
+    assert truncated or config.enumeration_cap > 3
+
+
+@_SEEDED_CORPORA
+def test_the_new_matching_check_skips_where_the_grown_enumeration_truncates(config):
+    # the definition: enumerate each G+uv under twice the cap, in pair order
+    name = "complement-edge-new-matching-iff-path"
+    check = dict(_CHECKS)[name]
+    statuses = Counter()
+    for trial in range(config.trials):
+        graph = random_factorizable_graph(config, trial)
+        result = _run_one(name, check, _TrialContext(graph, config))[0]
+        statuses[result.status] += 1
+        if enumerate_perfect_matchings(graph, config.enumeration_cap).truncated:
+            assert result.status == "skip"
+            continue
+        grown = (add_edges(graph, [pair]) for pair in complement_pairs(graph))
+        if any(enumerate_perfect_matchings(g, 2 * config.enumeration_cap).truncated for g in grown):
+            assert (result.status, result.reason) == ("skip", "grown enumeration exceeded the cap")
+        else:
+            assert result.status == "pass"
+    assert statuses["pass"]
 
 
 def test_reports_are_replayable():
