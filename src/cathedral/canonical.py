@@ -17,9 +17,9 @@ rather than signaling bad input.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     PartialOrderViolation,
 )
 from .gallai_edmonds import GEPartition, _deletion_partitions
-from .graph import Edge, Graph, complement_pairs, connected_components, neighbors
+from .graph import Edge, Graph, connected_components, neighbors
 from .matching import ExposableAfterDeletion, is_factorizable
 from .matching import _contracted_outer, _contracts_to_factor_critical
 
@@ -84,7 +84,9 @@ class ComponentPoset:
 class GraphStructure:
     """The canonical structures of one factorizable graph, each computed on
     first use and kept.  Building one is the precondition check; every
-    structure reads the one ``table`` of D(G-u) and its perfect matching."""
+    structure reads the rows of the one ``table`` of D(G-u), its perfect
+    matching and the graph's index adjacency, all by position, and builds
+    vertex-id sets only for the objects it returns."""
 
     graph: Graph
 
@@ -97,23 +99,65 @@ class GraphStructure:
         return ExposableAfterDeletion(self.graph)
 
     @cached_property
+    def _allowed_adjacency(self) -> list[list[int]]:
+        """By position, each vertex's neighbours over allowed edges: ij with
+        i < j is allowed when j is marked in row i."""
+        adj = self.graph.index_adjacency
+        out: list[list[int]] = [[] for _ in adj]
+        for i, ws in enumerate(adj):
+            # ascending, so a vertex with no later neighbour needs no row
+            if ws and ws[-1] > i:
+                row = self.table.row(i)
+                for j in ws:
+                    if j > i and row[j]:
+                        out[i].append(j)
+                        out[j].append(i)
+        return out
+
+    @cached_property
     def allowed(self) -> frozenset[Edge]:
-        return frozenset((u, v) for u, v in self.graph.edges if v in self.table[u])
+        vs = self.graph.vertices
+        return frozenset(
+            (vs[i], vs[j]) for i, js in enumerate(self._allowed_adjacency) for j in js if i < j
+        )
+
+    @cached_property
+    def _parts(self) -> list[list[int]]:
+        """The factor-components as ascending position lists, ordered by
+        their least position: a walk of the allowed index adjacency."""
+        nbrs = self._allowed_adjacency
+        seen = [False] * len(nbrs)
+        parts = []
+        for start in range(len(nbrs)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            stack, part = [start], []
+            while stack:
+                v = stack.pop()
+                part.append(v)
+                for w in nbrs[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            part.sort()
+            parts.append(part)
+        return parts
 
     @cached_property
     def components(self) -> FactorComponents:
-        skeleton = Graph(self.graph.vertices, self.allowed)
+        vs = self.graph.vertices
         return FactorComponents(
-            tuple(frozenset(c) for c in connected_components(skeleton)), self.allowed
+            tuple(frozenset([vs[i] for i in part]) for part in self._parts), self.allowed
         )
 
     @cached_property
     def partition(self) -> CanonicalPartition:
-        return _partition(self.table, self.components)
+        return _partition(self.table, self._parts)
 
     @cached_property
     def poset(self) -> ComponentPoset:
-        return _poset(self.table, self.components)
+        return _poset(self.table, self.components, self._parts)
 
     @cached_property
     def minimum(self) -> int | None:
@@ -123,17 +167,28 @@ class GraphStructure:
     def minimum_of(self, level: Iterable[int]) -> int | None:
         """The first of the components ``level`` at which the graph their union
         induces contracts to a factor-critical graph (``_above``'s first search)."""
-        table, index, comps = self.table, self.graph.positions, self.components.components
-        parts = {i: [index[v] for v in sorted(comps[i])] for i in sorted(level)}
-        for i, part in parts.items():
-            rest = [v for j, other in parts.items() if j != i for v in other]
-            if _contracts_to_factor_critical(table.adj, table.mate, part, rest):
+        table, parts = self.table, self._parts
+        level = sorted(level)
+        for i in level:
+            rest = [v for j in level if j != i for v in parts[j]]
+            if _contracts_to_factor_critical(table.adj, table.mate, parts[i], rest):
                 return i
         return None
 
     @cached_property
     def saturated(self) -> bool:
-        return all(v in self.table[u] for u, v in complement_pairs(self.graph))
+        """Whether every complement pair ij with i < j has j in row i; row
+        by row, stopping at the first vertex with a pair that fails."""
+        adj = self.graph.index_adjacency
+        n = len(adj)
+        for i, ws in enumerate(adj):
+            # ascending, so a vertex joined to every later one needs no row
+            if n - 1 - i > len(ws) - bisect_right(ws, i):
+                row = self.table.row(i)
+                joined = set(ws)
+                if not all([row[j] or j in joined for j in range(i + 1, n)]):
+                    return False
+        return True
 
     @cached_property
     def deletion_partitions(self) -> dict[int, GEPartition]:
@@ -167,29 +222,42 @@ def canonical_partition(graph: Graph, comps: FactorComponents | None = None) -> 
     mean the matching engine is broken.
     """
     structure = GraphStructure(graph)
-    return _partition(structure.table, structure.components if comps is None else comps)
+    if comps is None:
+        return structure.partition
+    return _partition(structure.table, _positions(graph, comps))
 
 
-def _partition(exposable: ExposableAfterDeletion, comps: FactorComponents) -> CanonicalPartition:
+def _positions(graph: Graph, comps: FactorComponents) -> list[list[int]]:
+    """Each component as the ascending positions of its vertices."""
+    index = graph.positions
+    return [[index[v] for v in sorted(comp)] for comp in comps.components]
+
+
+def _partition(exposable: ExposableAfterDeletion, parts: list[list[int]]) -> CanonicalPartition:
+    """The classes, from the rows of all but the last vertex of each part."""
     vertices = exposable.graph.vertices
-    related: dict[int, set[int]] = {v: {v} for v in vertices}
-    for u, v in combinations(vertices, 2):
-        if comps.component_of[u] == comps.component_of[v] and v not in exposable[u]:
-            related[u].add(v)
-            related[v].add(u)
-    for v in vertices:
-        for w in related[v]:
-            if related[w] != related[v]:
+    related: list[set[int]] = [{i} for i in range(len(vertices))]
+    for part in parts:
+        for at, i in enumerate(part[:-1], 1):
+            row = exposable.row(i)
+            for j in part[at:]:
+                if not row[j]:
+                    related[i].add(j)
+                    related[j].add(i)
+    for i, rel in enumerate(related):
+        for j in rel:
+            if related[j] != rel:
+                u, v = vertices[i], vertices[j]
                 raise EquivalenceViolation(
-                    f"same-class relation is not transitive at vertices {v} and {w}"
+                    f"same-class relation is not transitive at vertices {u} and {v}"
                 )
     classes: list[frozenset[int]] = []
-    placed: set[int] = set()
-    for v in vertices:
-        if v not in placed:
-            cls = frozenset(related[v])
-            placed |= cls
-            classes.append(cls)
+    placed = [False] * len(vertices)
+    for i, rel in enumerate(related):
+        if not placed[i]:
+            for j in rel:
+                placed[j] = True
+            classes.append(frozenset([vertices[j] for j in rel]))
     return CanonicalPartition(tuple(classes))
 
 
@@ -209,7 +277,7 @@ def _require_within_limit(k: int, max_components: int | None) -> None:
 
 
 def _above(
-    exposable: ExposableAfterDeletion, comps: FactorComponents, lowers: Iterable[int]
+    exposable: ExposableAfterDeletion, parts: list[list[int]], lowers: Iterable[int]
 ) -> list[frozenset[int]]:
     """For each of ``lowers``, the indices of the components at or above it:
     the members of the largest separating union X that contains it and
@@ -218,16 +286,16 @@ def _above(
     one marks all of X outer, as the perfect matching's edges lie inside
     components, so only components outside X drop; once none drops, every
     vertex is outer and the union is X.  Each search but the last drops one.
-    The searches run on the table's index adjacency and perfect matching."""
-    index, adj, mate = exposable.graph.positions, exposable.adj, exposable.mate
-    parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
+    The components are ``parts``, as position lists, and the searches run on
+    the table's index adjacency and perfect matching."""
+    adj, mate = exposable.adj, exposable.mate
     out = []
     for lower in lowers:
         up = [i for i in range(len(parts)) if i != lower]
         while up:
             kept = [v for i in up for v in parts[i]]
-            outer = dict(zip(kept, _contracted_outer(adj, mate, parts[lower], kept)[1:]))
-            still = [i for i in up if all(outer[v] for v in parts[i])]
+            outer = _contracted_outer(adj, mate, parts[lower], kept)
+            still = [i for i in up if all([outer[v] for v in parts[i]])]
             if still == up:
                 break
             up = still
@@ -242,7 +310,7 @@ def component_leq(graph: Graph, comps: FactorComponents, lower: int, upper: int)
     k = len(comps)
     if not (0 <= lower < k and 0 <= upper < k):
         raise ValueError("component index out of range")
-    return upper in _above(ExposableAfterDeletion(graph), comps, [lower])[0]
+    return upper in _above(ExposableAfterDeletion(graph), _positions(graph, comps), [lower])[0]
 
 
 def component_poset(
@@ -255,12 +323,14 @@ def component_poset(
     if comps is None:
         comps = structure.components
     _require_within_limit(len(comps), max_components)
-    return _poset(structure.table, comps)
+    return _poset(structure.table, comps, _positions(graph, comps))
 
 
-def _poset(exposable: ExposableAfterDeletion, comps: FactorComponents) -> ComponentPoset:
+def _poset(
+    exposable: ExposableAfterDeletion, comps: FactorComponents, parts: list[list[int]]
+) -> ComponentPoset:
     k = len(comps)
-    above = _above(exposable, comps, range(k))
+    above = _above(exposable, parts, range(k))
     leq = [[j in above[i] for j in range(k)] for i in range(k)]
     for i in range(k):
         if not leq[i][i]:

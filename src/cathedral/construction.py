@@ -63,11 +63,12 @@ def saturate(graph: Graph, *, descending: bool = False) -> tuple[Graph, tuple[Ed
     if not is_factorizable(graph):
         raise NotFactorizableError("saturate needs a graph with a perfect matching")
     exposable = ExposableAfterDeletion(graph)
+    index = graph.positions
     added: list[Edge] = []
     # both scan orders group pairs by u, so D(G-u) is searched where u's run
     # starts; adding uv leaves G-u unchanged, so it stays current for the run
     for u, v in sorted(complement_pairs(graph), reverse=descending):
-        if v not in exposable[u]:
+        if not exposable.row(index[u])[index[v]]:
             exposable.add_edge(u, v)
             added.append((u, v))
     return add_edges(graph, added), tuple(added)

@@ -10,9 +10,11 @@ same partition live in the verifier as conformance checks, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from typing import Sequence
 
 from .errors import DeficiencyViolation
-from .graph import Graph, connected_components, neighbors
+from .graph import Graph
 from .matching import ExposableAfterDeletion, exposable_vertices, matching_number
 
 
@@ -30,22 +32,48 @@ class GEPartition:
 
 
 def _checked_partition(
-    graph: Graph, d: frozenset[int], exposed: int, removed: frozenset[int] = frozenset()
+    graph: Graph, d: Sequence[bool], exposed: int, removed: int = -1
 ) -> GEPartition:
-    """D, its neighbors and the rest, in the graph less ``removed``, where a
-    maximum matching exposes ``exposed`` vertices: one per component of
-    G[D], less |A|.  The components of G[D] are counted on G's adjacency,
-    so checking a partition builds no graph."""
-    a = neighbors(graph, d) - removed
-    parts = len(connected_components(graph, d))
-    if exposed != parts - len(a):
-        raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = {len(a)}")
-    return GEPartition(d, a, graph.vertex_set - d - a - removed)
+    """D, given by its marks by position, its neighbors and the rest, in the
+    graph less the vertex at position ``removed`` (if any), where a maximum
+    matching exposes ``exposed`` vertices: one per component of G[D], less
+    |A|.  A and the components of G[D] come from one walk of G's index
+    adjacency, so checking a partition builds no graph."""
+    adj = graph.index_adjacency
+    unseen = list(d)
+    in_a = [False] * len(adj)
+    parts = 0
+    for start, mark in enumerate(d):
+        if not (mark and unseen[start]):
+            continue
+        parts += 1
+        unseen[start] = False
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if unseen[w]:
+                    unseen[w] = False
+                    stack.append(w)
+                elif not d[w]:
+                    in_a[w] = True
+    if removed >= 0:
+        in_a[removed] = False
+    a = sum(in_a)
+    if exposed != parts - a:
+        raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = {a}")
+    vs = graph.vertices
+    rest = [not (x or y) for x, y in zip(d, in_a)]
+    if removed >= 0:
+        rest[removed] = False
+    return GEPartition(
+        frozenset(compress(vs, d)), frozenset(compress(vs, in_a)), frozenset(compress(vs, rest))
+    )
 
 
 def gallai_edmonds(graph: Graph) -> GEPartition:
     exposed = graph.order - 2 * matching_number(graph)
-    return _checked_partition(graph, exposable_vertices(graph), exposed)
+    d = exposable_vertices(graph)
+    return _checked_partition(graph, [v in d for v in graph.vertices], exposed)
 
 
 def deletion_partitions(graph: Graph) -> dict[int, GEPartition]:
@@ -57,4 +85,6 @@ def deletion_partitions(graph: Graph) -> dict[int, GEPartition]:
 
 
 def _deletion_partitions(graph: Graph, exposable: ExposableAfterDeletion) -> dict[int, GEPartition]:
-    return {x: _checked_partition(graph, exposable[x], 1, frozenset((x,))) for x in graph.vertices}
+    return {
+        x: _checked_partition(graph, exposable.row(i), 1, i) for i, x in enumerate(graph.vertices)
+    }

@@ -108,7 +108,6 @@ def parse_edge_list(text: str) -> Graph:
     """
     count: int | None = None
     seen: set[Edge] = set()
-    edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -140,10 +139,10 @@ def parse_edge_list(text: str) -> Graph:
         if e in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge {e[0]} {e[1]}")
         seen.add(e)
-        edges.append(e)
     if count is None:
         raise GraphFormatError("missing 'vertices <n>' declaration")
-    return Graph(range(count), edges)
+    # every line was checked: ids in range, no loop, normalized and distinct
+    return Graph._trusted(tuple(range(count)), frozenset(seen))
 
 
 def render_edge_list(graph: Graph, comments: Iterable[str] = ()) -> str:

@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFactorizableError, SearchBudgetExceeded
@@ -107,51 +108,83 @@ def restrict_matching(matching: Matching, subgraph: Graph) -> Matching:
     return Matching(subgraph, (e for e in matching.edges if e[0] in kept and e[1] in kept))
 
 
-def _edmonds_search(adj: Rows, mate: list[int], root: int, hidden: int = -1) -> list[bool] | None:
-    """Search from the exposed ``root``, shrinking blossoms, with ``hidden``
-    (if any) deleted.  Flip an augmenting path into ``mate`` and return None,
-    or return the outer marks: the vertices even alternating paths reach."""
+def _lca(base: list[int], mate: list[int], parent: list[int], a: int, b: int) -> int:
+    """The base at which the tree paths from ``a`` and ``b`` meet."""
+    seen = [False] * len(base)
+    while True:
+        a = base[a]
+        seen[a] = True
+        if mate[a] == -1:
+            break
+        a = parent[mate[a]]
+    while True:
+        b = base[b]
+        if seen[b]:
+            return b
+        b = parent[mate[b]]
+
+
+def _mark_path(
+    base: list[int],
+    mate: list[int],
+    parent: list[int],
+    v: int,
+    stem: int,
+    child: int,
+    in_blossom: list[bool],
+) -> None:
+    """Flag the blossoms on the tree path from ``v`` down to ``stem``, and
+    point its outer vertices across the new blossom towards ``child``."""
+    while base[v] != stem:
+        in_blossom[base[v]] = True
+        in_blossom[base[mate[v]]] = True
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]
+
+
+def _edmonds_search(
+    adj: Rows,
+    mate: list[int],
+    root: int,
+    hidden: Iterable[int] = (),
+    merged: Iterable[int] = (),
+) -> list[bool] | None:
+    """Search from the exposed ``root``, shrinking blossoms, with the
+    ``hidden`` vertices deleted and the ``merged`` ones (root among them)
+    shrunk in advance into root's blossom.  ``mate`` leaves root and every
+    hidden vertex exposed.  Flip an augmenting path into ``mate`` and return
+    None, or return the outer marks: the vertices even alternating paths
+    reach, every merged one included and no hidden one."""
     n = len(adj)
     outer = [False] * n
     parent = [-1] * n
     base = list(range(n))
-    if hidden >= 0:
-        parent[hidden] = hidden  # looks labelled already, so it is never entered
-
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if mate[a] == -1:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[mate[b]]
-
-    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
-            parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
-
-    outer[root] = True
+    for h in hidden:
+        parent[h] = h  # looks labelled already, so it is never entered
     queue = deque([root])
+    outer[root] = True
+    for v in merged:
+        # labelled, so it is never entered, and outer to the test below,
+        # which reads the label of its mate: merged too, as root is for
+        # root's partner, whose entry alone still names root
+        parent[v] = v
+        if v != root:
+            base[v] = root
+            outer[v] = True
+            queue.append(v)
     while queue:
         v = queue.popleft()
+        mv = mate[v]  # changes only by an augmentation, which returns
         for w in adj[v]:
-            if base[v] == base[w] or mate[v] == w:
+            if base[v] == base[w] or mv == w:
                 continue
-            if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
-                stem = lca(v, w)
+            mw = mate[w]
+            if w == root or (mw != -1 and parent[mw] != -1):
+                stem = _lca(base, mate, parent, v, w)
                 in_blossom = [False] * n
-                mark_path(v, stem, w, in_blossom)
-                mark_path(w, stem, v, in_blossom)
+                _mark_path(base, mate, parent, v, stem, w, in_blossom)
+                _mark_path(base, mate, parent, w, stem, v, in_blossom)
                 for i in range(n):
                     if in_blossom[base[i]]:
                         base[i] = stem
@@ -160,7 +193,7 @@ def _edmonds_search(adj: Rows, mate: list[int], root: int, hidden: int = -1) -> 
                             queue.append(i)
             elif parent[w] == -1:
                 parent[w] = v
-                if mate[w] == -1:
+                if mw == -1:
                     while w != -1:
                         pv = parent[w]
                         nxt = mate[pv]
@@ -168,38 +201,43 @@ def _edmonds_search(adj: Rows, mate: list[int], root: int, hidden: int = -1) -> 
                         mate[pv] = w
                         w = nxt
                     return None
-                outer[mate[w]] = True
-                queue.append(mate[w])
+                outer[mw] = True
+                queue.append(mw)
     return outer
 
 
 def _contracted_outer(adj: Rows, mate: list[int], merged: list[int], kept: list[int]) -> list[bool]:
-    """The outer marks of G[merged ∪ kept] with ``merged`` contracted to one
-    vertex H (H at 0, then ``kept`` in order), given G's index adjacency
-    ``adj``, a perfect matching ``mate`` of G, and two disjoint unions of
-    factor-components of G.
+    """The outer marks, by position in G, of G[merged ∪ kept] with ``merged``
+    contracted to one vertex H, given G's index adjacency ``adj``, a perfect
+    matching ``mate`` of G, and two disjoint unions of factor-components of
+    G.  Every merged vertex is marked, as H is, and no vertex outside
+    merged ∪ kept.
 
     Every perfect matching uses allowed edges only, so each edge of ``mate``
     lies inside one factor-component; restricted to ``kept`` it therefore
     covers every vertex of the contracted graph except H.  That graph has odd
     order, so the restriction is a maximum matching, and one search from its
     single exposed vertex H marks the vertices some maximum matching leaves
-    exposed.
+    exposed.  The search runs on G's own arrays: H is ``merged`` shrunk in
+    advance into an exposed outer blossom rooted at its first vertex, and
+    every vertex outside merged ∪ kept is hidden.  Its edges to H are the
+    contracted graph's, and a parallel edge changes no outer mark.
     """
-    pos = dict.fromkeys(merged, 0)
-    pos.update((v, i) for i, v in enumerate(kept, 1))
-    # pos.get(w, 0) is 0 both outside the union and inside H: no loop at H
-    sub = [sorted({pos[w] for v in merged for w in adj[v] if pos.get(w, 0)})]
-    # a kept vertex may list H more than once; a parallel edge changes no search
-    sub += [[pos[w] for w in adj[v] if w in pos] for v in kept]
-    return _edmonds_search(sub, [-1, *(pos[mate[v]] for v in kept)], 0)
+    hidden = set(range(len(adj))).difference(merged, kept)
+    root = merged[0]
+    near = mate[:]
+    near[root] = -1
+    for h in hidden:
+        near[h] = -1
+    return _edmonds_search(adj, near, root, hidden, merged)
 
 
 def _contracts_to_factor_critical(
     adj: Rows, mate: list[int], merged: list[int], kept: list[int]
 ) -> bool:
     """Whether G[merged ∪ kept]/merged is factor-critical: all of it outer."""
-    return all(_contracted_outer(adj, mate, merged, kept))
+    outer = _contracted_outer(adj, mate, merged, kept)
+    return all([outer[v] for v in kept])
 
 
 def _greedy_mate(adj: Rows) -> list[int]:
@@ -276,13 +314,16 @@ def exposable_vertices(graph: Graph) -> frozenset[int]:
     return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
 
 
-class ExposableAfterDeletion(dict[int, frozenset[int]]):
-    """``self[u]`` is D(G-u) for a vertex u of a factorizable graph G: the
-    vertices v with G-u-v factorizable.  Each is searched on first lookup,
-    building no graph: drop u and its edge in the perfect matching ``mate``,
-    then search ``adj`` from u's former partner.  ``adj`` is G's own index
-    adjacency until the first ``add_edge`` copies it to grow G, which keeps
-    ``mate`` perfect but leaves the sets already looked up as they were."""
+class ExposableAfterDeletion:
+    """D(G-u) for the vertices u of a factorizable graph G: the vertices v
+    with G-u-v factorizable.  ``row(i)`` holds it as the outer marks, by
+    position, of one deletion search, run on first use and building no
+    graph: drop the vertex at i and its edge in the perfect matching
+    ``mate``, then search ``adj`` from its former partner.  ``self[u]`` is
+    the same set of vertex ids, built on each lookup.  ``adj`` is G's own
+    index adjacency until the first ``add_edge`` copies it to grow G, which
+    keeps ``mate`` perfect but leaves the rows already searched as they
+    were."""
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -290,14 +331,18 @@ class ExposableAfterDeletion(dict[int, frozenset[int]]):
         self.mate = _blossom_matching(self.adj)
         if -1 in self.mate:
             raise NotFactorizableError("deletion searches need a graph with a perfect matching")
+        self.rows: list[list[bool] | None] = [None] * len(self.mate)
 
-    def __missing__(self, u: int) -> frozenset[int]:
-        i = self.graph.positions[u]
-        near = self.mate[:]
-        near[i] = near[self.mate[i]] = -1
-        outer = _edmonds_search(self.adj, near, self.mate[i], hidden=i)
-        found = self[u] = frozenset(v for v, o in zip(self.graph.vertices, outer) if o)
-        return found
+    def row(self, i: int) -> list[bool]:
+        row = self.rows[i]
+        if row is None:
+            near = self.mate[:]
+            near[i] = near[self.mate[i]] = -1
+            row = self.rows[i] = _edmonds_search(self.adj, near, self.mate[i], (i,))
+        return row
+
+    def __getitem__(self, u: int) -> frozenset[int]:
+        return frozenset(compress(self.graph.vertices, self.row(self.graph.positions[u])))
 
     def add_edge(self, u: int, v: int) -> None:
         if self.adj is self.graph.index_adjacency:

@@ -173,7 +173,8 @@ def _relabel_dense(graph: Graph) -> Graph:
 
 
 class _Table(dict):
-    """A dict that fills each missing entry on first lookup, as ``ExposableAfterDeletion`` does.
+    """A dict that fills each missing entry on first lookup, as the deletion
+    table fills its rows.
 
     A fill that exceeds its search budget is kept apart: its key stays out
     of the dict, and every later lookup raises the same error without
@@ -415,9 +416,10 @@ def _check_partition_equivalence(ctx: _TrialContext) -> None:
         for v in ctx.graph.vertices:
             if rel[u, v] != rel[v, u]:
                 _fail(f"relation not symmetric at {u}, {v}")
-            for w in ctx.graph.vertices:
-                if rel[u, v] and rel[v, w] and not rel[u, w]:
-                    _fail(f"relation not transitive at {u}, {v}, {w}")
+            if rel[u, v]:
+                for w in ctx.graph.vertices:
+                    if rel[v, w] and not rel[u, w]:
+                        _fail(f"relation not transitive at {u}, {v}, {w}")
             same = ctx.partition.class_of[u] == ctx.partition.class_of[v]
             if rel[u, v] != same:
                 _fail(f"classes disagree with the relation at {u}, {v}")
@@ -526,7 +528,7 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
                     continue
                 gi = grown_comps.index(comps[i])
                 gj = grown_comps.index(comps[j])
-                if gj in _above(grown.table, grown.components, [gi])[0]:
+                if gj in _above(grown.table, grown._parts, [gi])[0]:
                     break
             else:
                 _fail(

@@ -11,7 +11,7 @@ import pytest
 
 import cathedral
 import cathedral.cli
-from cathedral.cli import build_parser, main
+from cathedral.cli import MAX_TRIAL_VERTICES, build_parser, main
 from cathedral.construction import decompose
 from cathedral.errors import StructureViolation
 from cathedral.graph import Graph, parse_edge_list, render_edge_list
@@ -409,6 +409,18 @@ def test_verify_rejects_odd_max_n(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--max-n", "7"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("value", [MAX_TRIAL_VERTICES + 2, 100_000, 10**30])
+def test_verify_refuses_a_max_n_above_the_cap(value, capsys):
+    # refused as a usage error before any trial graph is drawn; the pair
+    # loop at 100000 vertices used to end in a MemoryError traceback
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--max-n", str(value), "--trials", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"must be at most {MAX_TRIAL_VERTICES}" in err and "Traceback" not in err
+    assert cathedral.cli._even(str(MAX_TRIAL_VERTICES)) == MAX_TRIAL_VERTICES
 
 
 @pytest.mark.parametrize(

@@ -329,8 +329,8 @@ def test_the_output_check_reads_every_level(monkeypatch):
             construct_tree(tree)
     with monkeypatch.context() as planted:
         # every edge allowed: the output is one component, and no foundation is one
-        everything = property(lambda self: frozenset(self.graph.edges))
-        planted.setattr(GraphStructure, "allowed", everything)
+        everything = property(lambda self: [list(ws) for ws in self.graph.index_adjacency])
+        planted.setattr(GraphStructure, "_allowed_adjacency", everything)
         with pytest.raises(ConstructionViolation, match="^foundation is not a factor-connected"):
             construct_tree(tree)
     assert decompose(construct_tree(tree)) == tree

@@ -13,7 +13,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cathedral.cli import main
+from cathedral.cli import MAX_TRIAL_VERTICES, main
 from cathedral.construction import CathedralTree, construct_tree, decompose, saturate
 from cathedral.errors import GraphFormatError
 from cathedral.graph import Graph, parse_edge_list, render_edge_list
@@ -124,11 +124,13 @@ _FILE_FLAGS = {
     "hasse": st.sampled_from([[], ["--max-components", "1"]]),
 }
 # malformed values and small valid ones (int() reads "٤" and "1_0"); a
-# large valid --max-n or --trials only asks for that much work
+# large valid --max-n or --trials only asks for that much work, and a
+# --max-n above the cap is refused before any trial runs
 _FLAG_VALUES = st.sampled_from(
     ["", "x", "-1", "0", "1", "2", "3", "4", "6", "0.5", "1e3", "nan", "inf", "-0", "٤", "0x10"]
     + ["1_0"]
 )
+_MAX_N_VALUES = _FLAG_VALUES | st.integers(MAX_TRIAL_VERTICES + 1, 10**30).map(str)
 _VERIFY_FLAGS = st.lists(
     st.sampled_from(["--seed", "--trials", "--max-n", "--p", "--cap"]), unique=True
 )
@@ -136,7 +138,10 @@ _VERIFY_FLAGS = st.lists(
 
 def _verify_argv(draw) -> list[str]:
     flags = {"--trials": "1", "--max-n": "4"}
-    flags.update((name, draw(_FLAG_VALUES)) for name in draw(_VERIFY_FLAGS))
+    flags.update(
+        (name, draw(_MAX_N_VALUES if name == "--max-n" else _FLAG_VALUES))
+        for name in draw(_VERIFY_FLAGS)
+    )
     fmt = draw(st.sampled_from(["text", "json"]))
     return ["verify", *(item for pair in flags.items() for item in pair), "--format", fmt]
 

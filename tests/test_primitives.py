@@ -15,8 +15,8 @@ in the same order.
 """
 
 import importlib
-from collections import Counter, defaultdict
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, compress
 
 import cathedral.canonical
 import cathedral.matching
@@ -37,6 +37,7 @@ from cathedral.errors import DeficiencyViolation, SearchBudgetExceeded, Structur
 from cathedral.gallai_edmonds import deletion_partitions, gallai_edmonds
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
+    ExposableAfterDeletion,
     Matching,
     PathKind,
     _blossom_matching,
@@ -45,6 +46,7 @@ from cathedral.matching import (
     alternating_path_exists,
     alternating_reachability,
     enumerate_perfect_matchings,
+    exposable_vertices,
     is_factor_critical,
     is_factorizable,
     iter_saturated_paths,
@@ -179,6 +181,65 @@ def test_each_union_verdict_matches_its_contraction(source):
                     assert verdict == is_factor_critical(shrunk), (i, sorted(h.edges), lower, kept)
 
 
+def _above_visits(monkeypatch, graph):
+    """The (merged, kept) position lists of every contraction search the
+    component order of ``graph`` runs, with the host-array outer marks."""
+    visits = []
+    outer = cathedral.canonical._contracted_outer
+
+    def recorded(adj, mate, merged, kept):
+        marks = outer(adj, mate, merged, kept)
+        visits.append((list(merged), list(kept), marks))
+        return marks
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cathedral.canonical, "_contracted_outer", recorded)
+        component_poset(graph)
+    return visits
+
+
+@pytest.mark.parametrize("source", ["sparse", "mid"])
+def test_the_host_array_contraction_marks_what_the_contracted_graph_exposes(
+    monkeypatch, source
+):
+    # the order's searches run on G's arrays, with the lower union shrunk in
+    # advance into the root blossom and every other vertex hidden; at each
+    # (lower, union) its fixpoint visits, they must mark exactly what the
+    # explicitly contracted graph's maximum matchings can leave exposed
+    graphs = sparse_many_component_graphs(40) if source == "sparse" else mid_size_graphs(60)
+    visited = 0
+    for i, g in enumerate(graphs):
+        for h in (g, saturate(g)[0]):
+            vs = h.vertices
+            for merged, kept, marks in _above_visits(monkeypatch, h):
+                lower = frozenset(vs[v] for v in merged)
+                union = lower | {vs[v] for v in kept}
+                shrunk = contract(induced_subgraph(h, union), lower)
+                exposable = exposable_vertices(shrunk.graph)
+                where = (source, i, sorted(lower), sorted(union))
+                assert shrunk.merged_vertex in exposable, where
+                assert all(marks[v] for v in merged), where
+                assert [marks[v] for v in kept] == [vs[v] in exposable for v in kept], where
+                assert sum(marks) == len(merged) + sum(vs[v] in exposable for v in kept), where
+                visited += 1
+    assert visited > len(graphs)
+
+
+@pytest.mark.parametrize("source", ["sparse", "mid"])
+def test_each_deletion_row_marks_what_the_deleted_graph_exposes(source):
+    # the deletion search runs on G's arrays with one hidden vertex: row i
+    # must mark exactly D(G-u), read off G-u built explicitly
+    graphs = sparse_many_component_graphs(20) if source == "sparse" else mid_size_graphs(20)
+    for i, g in enumerate(graphs):
+        for h in (g, saturate(g)[0]):
+            table = ExposableAfterDeletion(h)
+            for u, at in h.positions.items():
+                row = table.row(at)
+                expected = exposable_vertices(delete_vertices(h, [u]))
+                assert frozenset(compress(h.vertices, row)) == expected, (source, i, u)
+                assert table[u] == expected and not row[at], (source, i, u)
+
+
 def _count_order_searches(monkeypatch):
     """Record every Graph build, every Edmonds search, and the lower
     component (as its merged positions) of every contracted search."""
@@ -241,7 +302,9 @@ def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
 
 def test_deficiency_check_rejects_a_wrong_deletion_set(monkeypatch):
     module = importlib.import_module("cathedral.gallai_edmonds")
-    monkeypatch.setattr(module, "ExposableAfterDeletion", lambda g: defaultdict(frozenset))
+    # every row empty: D is empty, so no G-x has its one exposed vertex
+    empty = lambda self, i: [False] * len(self.adj)
+    monkeypatch.setattr(module.ExposableAfterDeletion, "row", empty)
     with pytest.raises(DeficiencyViolation, match="exposed vertices"):
         deletion_partitions(P4)
 

@@ -119,14 +119,15 @@ def test_analyze_reads_one_table(monkeypatch, graph, ge):
 
 
 def test_analyze_ge_builds_no_graph_per_deletion(monkeypatch, tmp_path, capsys):
-    # the parse and the allowed-edge skeleton; the deficiency check of each
-    # G-x counts the components of G[D] on G's own adjacency
+    # the parse only: the components walk the allowed edges by position, and
+    # the deficiency check of each G-x counts the components of G[D] on G's
+    # own adjacency
     path = tmp_path / "elementary.edges"
     path.write_text(render_edge_list(ELEMENTARY))
     counts = _count(monkeypatch)
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["deleted_partitions"]) == ELEMENTARY.order
-    assert (counts["graphs"], counts["tables"]) == (2, 1)
+    assert (counts["graphs"], counts["tables"]) == (1, 1)
 
 
 def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
@@ -213,11 +214,12 @@ def test_a_deep_chain_tree_runs_one_deletion_search_per_vertex(monkeypatch):
     # every level reads the input's table, so each vertex is searched once
     graph = chain_graph(96)
     counts = _count(monkeypatch)
-    missing = ExposableAfterDeletion.__missing__
+    # a row is searched when it is first read
+    row = ExposableAfterDeletion.row
     monkeypatch.setattr(
         ExposableAfterDeletion,
-        "__missing__",
-        lambda self, u: counts.update(["deletions"]) or missing(self, u),
+        "row",
+        lambda self, i: counts.update(["deletions"] * (self.rows[i] is None)) or row(self, i),
     )
     assert decompose(graph) == chain_tree(96)
     assert counts["tables"] == 1
