@@ -4,15 +4,17 @@ order, and the upper-bound structure tying the two together.
 One perfect matching and the sets D(G-u) determine all of them, so each
 graph gets one GraphStructure that checks factorizability once and reads
 every structure, saturation and the deletion partitions off one table of
-D(G-u) and its perfect matching; the public functions wrap it.
+D(G-u) and its perfect matching.  It is the only reader of that table: the
+public functions take the graph alone, derive its components from it, and
+read its structure.
 
 A component sits below another when some separating superset of both
-contracts, at the lower one, to a factor-critical graph; ``_above`` finds
-each component's up-closure as a shrinking fixpoint of Edmonds searches, at
-most k-1 of them per component for k components.  The structural laws
-(partial order, equivalence) are asserted on every computation and raise
-StructureViolation when they fail, because a failure falsifies a guarantee
-rather than signaling bad input.
+contracts, at the lower one, to a factor-critical graph;
+``GraphStructure.above`` finds each component's up-closure as a shrinking
+fixpoint of Edmonds searches, at most k-1 of them per component for k
+components.  The structural laws (partial order, equivalence) are asserted
+on every computation and raise StructureViolation when they fail, because a
+failure falsifies a guarantee rather than signaling bad input.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     NotFactorizableError,
     PartialOrderViolation,
 )
-from .gallai_edmonds import GEPartition, _deletion_partitions
+from .gallai_edmonds import GEPartition, _checked_partition
 from .graph import Edge, Graph, connected_components, neighbors
 from .matching import ExposableAfterDeletion, is_factorizable
 from .matching import _contracted_outer, _contracts_to_factor_critical
@@ -153,11 +155,84 @@ class GraphStructure:
 
     @cached_property
     def partition(self) -> CanonicalPartition:
-        return _partition(self.table, self._parts)
+        """The classes, from the rows of all but the last vertex of each
+        component.  The same-class relation is provably an equivalence;
+        transitivity is still checked, and a violation raises
+        EquivalenceViolation because it would mean the matching engine is
+        broken."""
+        table, vertices = self.table, self.graph.vertices
+        related: list[set[int]] = [{i} for i in range(len(vertices))]
+        for part in self._parts:
+            for at, i in enumerate(part[:-1], 1):
+                row = table.row(i)
+                for j in part[at:]:
+                    if not row[j]:
+                        related[i].add(j)
+                        related[j].add(i)
+        for i, rel in enumerate(related):
+            for j in rel:
+                if related[j] != rel:
+                    u, v = vertices[i], vertices[j]
+                    raise EquivalenceViolation(
+                        f"same-class relation is not transitive at vertices {u} and {v}"
+                    )
+        classes: list[frozenset[int]] = []
+        placed = [False] * len(vertices)
+        for i, rel in enumerate(related):
+            if not placed[i]:
+                for j in rel:
+                    placed[j] = True
+                classes.append(frozenset([vertices[j] for j in rel]))
+        return CanonicalPartition(tuple(classes))
+
+    def above(self, lower: int) -> frozenset[int]:
+        """The indices of the components at or above ``lower``: the members of
+        the largest separating union X that contains it and contracts, at it,
+        to a factor-critical graph (such unions are closed under union).  A
+        search of the remaining union contracted at the lower one marks all of
+        X outer, as the perfect matching's edges lie inside components, so
+        only components outside X drop; once none drops, every vertex is
+        outer and the union is X.  Each search but the last drops one."""
+        adj, mate, parts = self.table.adj, self.table.mate, self._parts
+        up = [i for i in range(len(parts)) if i != lower]
+        while up:
+            kept = [v for i in up for v in parts[i]]
+            outer = _contracted_outer(adj, mate, parts[lower], kept)
+            still = [i for i in up if all([outer[v] for v in parts[i]])]
+            if still == up:
+                break
+            up = still
+        return frozenset([lower, *up])
 
     @cached_property
     def poset(self) -> ComponentPoset:
-        return _poset(self.table, self.components, self._parts)
+        k = len(self._parts)
+        above = [self.above(i) for i in range(k)]
+        leq = [[j in above[i] for j in range(k)] for i in range(k)]
+        for i in range(k):
+            if not leq[i][i]:
+                raise PartialOrderViolation(f"component {i} is not below-or-equal itself")
+            for j in range(k):
+                if i != j and leq[i][j] and leq[j][i]:
+                    raise PartialOrderViolation(f"components {i} and {j} are mutually below")
+                if not leq[i][j]:
+                    continue
+                for m in range(k):
+                    if leq[j][m] and not leq[i][m]:
+                        raise PartialOrderViolation(
+                            f"below-or-equal is not transitive at {i}, {j}, {m}"
+                        )
+        covers = [
+            (i, j)
+            for i in range(k)
+            for j in range(k)
+            if i != j
+            and leq[i][j]
+            and not any(m != i and m != j and leq[i][m] and leq[m][j] for m in range(k))
+        ]
+        return ComponentPoset(
+            self.components, tuple(tuple(row) for row in leq), tuple(sorted(covers))
+        )
 
     @cached_property
     def minimum(self) -> int | None:
@@ -166,7 +241,7 @@ class GraphStructure:
 
     def minimum_of(self, level: Iterable[int]) -> int | None:
         """The first of the components ``level`` at which the graph their union
-        induces contracts to a factor-critical graph (``_above``'s first search)."""
+        induces contracts to a factor-critical graph (``above``'s first search)."""
         table, parts = self.table, self._parts
         level = sorted(level)
         for i in level:
@@ -192,7 +267,14 @@ class GraphStructure:
 
     @cached_property
     def deletion_partitions(self) -> dict[int, GEPartition]:
-        return _deletion_partitions(self.graph, self.table)
+        """The partition of G-x for every vertex x, in ascending order of x: D
+        is D(G-x), the table's row of x, A its neighbors other than x, C the
+        rest of G-x.  A perfect matching of G leaves one vertex of G-x
+        exposed."""
+        graph, table = self.graph, self.table
+        return {
+            x: _checked_partition(graph, table.row(i), 1, i) for i, x in enumerate(graph.vertices)
+        }
 
 
 def allowed_edges(graph: Graph) -> frozenset[Edge]:
@@ -205,67 +287,27 @@ def factor_components(graph: Graph) -> FactorComponents:
     return GraphStructure(graph).components
 
 
-def same_class(graph: Graph, comps: FactorComponents, u: int, v: int) -> bool:
+def same_class(graph: Graph, u: int, v: int) -> bool:
     """Same factor-connected component, and deleting both endpoints kills
     every perfect matching (or the vertices coincide): v is not in D(G-u)."""
-    if comps.component_of[u] != comps.component_of[v]:
-        return False
-    return u == v or v not in ExposableAfterDeletion(graph)[u]
+    if not {u, v} <= graph.vertex_set:
+        raise ValueError("same-class query outside the host graph")
+    class_of = GraphStructure(graph).partition.class_of
+    return class_of[u] == class_of[v]
 
 
-def canonical_partition(graph: Graph, comps: FactorComponents | None = None) -> CanonicalPartition:
-    """Group vertices by the same-class relation.
-
-    Two vertices of one factor-component share a class iff v is not in
-    D(G-u).  The relation is provably an equivalence; transitivity is still
-    checked, and a violation raises EquivalenceViolation because it would
-    mean the matching engine is broken.
-    """
-    structure = GraphStructure(graph)
-    if comps is None:
-        return structure.partition
-    return _partition(structure.table, _positions(graph, comps))
+def canonical_partition(graph: Graph) -> CanonicalPartition:
+    """Group vertices by the same-class relation: two vertices of one
+    factor-component share a class iff v is not in D(G-u)."""
+    return GraphStructure(graph).partition
 
 
-def _positions(graph: Graph, comps: FactorComponents) -> list[list[int]]:
-    """Each component as the ascending positions of its vertices."""
-    index = graph.positions
-    return [[index[v] for v in sorted(comp)] for comp in comps.components]
-
-
-def _partition(exposable: ExposableAfterDeletion, parts: list[list[int]]) -> CanonicalPartition:
-    """The classes, from the rows of all but the last vertex of each part."""
-    vertices = exposable.graph.vertices
-    related: list[set[int]] = [{i} for i in range(len(vertices))]
-    for part in parts:
-        for at, i in enumerate(part[:-1], 1):
-            row = exposable.row(i)
-            for j in part[at:]:
-                if not row[j]:
-                    related[i].add(j)
-                    related[j].add(i)
-    for i, rel in enumerate(related):
-        for j in rel:
-            if related[j] != rel:
-                u, v = vertices[i], vertices[j]
-                raise EquivalenceViolation(
-                    f"same-class relation is not transitive at vertices {u} and {v}"
-                )
-    classes: list[frozenset[int]] = []
-    placed = [False] * len(vertices)
-    for i, rel in enumerate(related):
-        if not placed[i]:
-            for j in rel:
-                placed[j] = True
-            classes.append(frozenset([vertices[j] for j in rel]))
-    return CanonicalPartition(tuple(classes))
-
-
-def is_separating(graph: Graph, comps: FactorComponents, candidate: frozenset[int]) -> bool:
+def is_separating(graph: Graph, candidate: frozenset[int]) -> bool:
     """Whether the set is a (possibly empty) union of factor-components."""
     xs = frozenset(candidate)
     if not xs <= graph.vertex_set:
         raise ValueError("separating-set query outside the host graph")
+    comps = GraphStructure(graph).components
     return all(comp <= xs or not (comp & xs) for comp in comps.components)
 
 
@@ -276,84 +318,24 @@ def _require_within_limit(k: int, max_components: int | None) -> None:
         )
 
 
-def _above(
-    exposable: ExposableAfterDeletion, parts: list[list[int]], lowers: Iterable[int]
-) -> list[frozenset[int]]:
-    """For each of ``lowers``, the indices of the components at or above it:
-    the members of the largest separating union X that contains it and
-    contracts, at it, to a factor-critical graph (such unions are closed
-    under union).  A search of the remaining union contracted at the lower
-    one marks all of X outer, as the perfect matching's edges lie inside
-    components, so only components outside X drop; once none drops, every
-    vertex is outer and the union is X.  Each search but the last drops one.
-    The components are ``parts``, as position lists, and the searches run on
-    the table's index adjacency and perfect matching."""
-    adj, mate = exposable.adj, exposable.mate
-    out = []
-    for lower in lowers:
-        up = [i for i in range(len(parts)) if i != lower]
-        while up:
-            kept = [v for i in up for v in parts[i]]
-            outer = _contracted_outer(adj, mate, parts[lower], kept)
-            still = [i for i in up if all([outer[v] for v in parts[i]])]
-            if still == up:
-                break
-            up = still
-        out.append(frozenset([lower, *up]))
-    return out
-
-
 def component_leq(graph: Graph, comps: FactorComponents, lower: int, upper: int) -> bool:
     """Whether ``lower`` sits below ``upper`` in the component order: some
     separating superset of both contracts, at the lower one, to a
-    factor-critical graph."""
+    factor-critical graph.  ``comps`` names the indices and must be the
+    graph's own factor-components."""
+    structure = GraphStructure(graph)
+    if comps != structure.components:
+        raise ValueError("components are not the graph's own factor-components")
     k = len(comps)
     if not (0 <= lower < k and 0 <= upper < k):
         raise ValueError("component index out of range")
-    return upper in _above(ExposableAfterDeletion(graph), _positions(graph, comps), [lower])[0]
+    return upper in structure.above(lower)
 
 
-def component_poset(
-    graph: Graph,
-    comps: FactorComponents | None = None,
-    *,
-    max_components: int | None = None,
-) -> ComponentPoset:
+def component_poset(graph: Graph, *, max_components: int | None = None) -> ComponentPoset:
     structure = GraphStructure(graph)
-    if comps is None:
-        comps = structure.components
-    _require_within_limit(len(comps), max_components)
-    return _poset(structure.table, comps, _positions(graph, comps))
-
-
-def _poset(
-    exposable: ExposableAfterDeletion, comps: FactorComponents, parts: list[list[int]]
-) -> ComponentPoset:
-    k = len(comps)
-    above = _above(exposable, parts, range(k))
-    leq = [[j in above[i] for j in range(k)] for i in range(k)]
-    for i in range(k):
-        if not leq[i][i]:
-            raise PartialOrderViolation(f"component {i} is not below-or-equal itself")
-        for j in range(k):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise PartialOrderViolation(f"components {i} and {j} are mutually below")
-            if not leq[i][j]:
-                continue
-            for m in range(k):
-                if leq[j][m] and not leq[i][m]:
-                    raise PartialOrderViolation(
-                        f"below-or-equal is not transitive at {i}, {j}, {m}"
-                    )
-    covers = [
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if i != j
-        and leq[i][j]
-        and not any(m != i and m != j and leq[i][m] and leq[m][j] for m in range(k))
-    ]
-    return ComponentPoset(comps, tuple(tuple(row) for row in leq), tuple(sorted(covers)))
+    _require_within_limit(len(structure.components), max_components)
+    return structure.poset
 
 
 def minimum_component(poset: ComponentPoset) -> int | None:

@@ -1,10 +1,11 @@
 """The exposable / neighbor / inner three-way vertex partition.
 
 The exposable part holds every vertex some maximum matching leaves uncovered:
-the outer vertices of one search from each vertex it exposes, or of one
-deletion search per vertex for every G-x of a factorizable G, checked against
-the Gallai-Edmonds deficiency identity.  The path characterizations of the
-same partition live in the verifier as conformance checks, not here.
+the outer vertices of one search from each vertex it exposes, checked against
+the Gallai-Edmonds deficiency identity.  The partition of every G-x of a
+factorizable G is ``GraphStructure.deletion_partitions``, which checks each
+row of its deletion table here.  The path characterizations of the same
+partition live in the verifier as conformance checks, not here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .errors import DeficiencyViolation
 from .graph import Graph
-from .matching import ExposableAfterDeletion, exposable_vertices, matching_number
+from .matching import exposable_vertices, matching_number
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,3 @@ def gallai_edmonds(graph: Graph) -> GEPartition:
     d = exposable_vertices(graph)
     return _checked_partition(graph, [v in d for v in graph.vertices], exposed)
 
-
-def deletion_partitions(graph: Graph) -> dict[int, GEPartition]:
-    """The partition of G-x for every vertex x of a factorizable graph G, in
-    ascending order of x: D is D(G-x) from one deletion search, A its
-    neighbors other than x, C the rest of G-x.  A perfect matching of G
-    leaves one vertex of G-x exposed."""
-    return _deletion_partitions(graph, ExposableAfterDeletion(graph))
-
-
-def _deletion_partitions(graph: Graph, exposable: ExposableAfterDeletion) -> dict[int, GEPartition]:
-    return {
-        x: _checked_partition(graph, exposable.row(i), 1, i) for i, x in enumerate(graph.vertices)
-    }

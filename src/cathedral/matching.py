@@ -18,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFactorizableError, SearchBudgetExceeded
@@ -85,10 +84,6 @@ class Matching:
     @cached_property
     def exposed(self) -> frozenset[int]:
         return frozenset(v for v in self.graph.vertices if v not in self.partner)
-
-    @property
-    def is_perfect(self) -> bool:
-        return not self.exposed
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -319,8 +314,7 @@ class ExposableAfterDeletion:
     with G-u-v factorizable.  ``row(i)`` holds it as the outer marks, by
     position, of one deletion search, run on first use and building no
     graph: drop the vertex at i and its edge in the perfect matching
-    ``mate``, then search ``adj`` from its former partner.  ``self[u]`` is
-    the same set of vertex ids, built on each lookup.  ``adj`` is G's own
+    ``mate``, then search ``adj`` from its former partner.  ``adj`` is G's own
     index adjacency until the first ``add_edge`` copies it to grow G, which
     keeps ``mate`` perfect but leaves the rows already searched as they
     were."""
@@ -340,9 +334,6 @@ class ExposableAfterDeletion:
             near[i] = near[self.mate[i]] = -1
             row = self.rows[i] = _edmonds_search(self.adj, near, self.mate[i], (i,))
         return row
-
-    def __getitem__(self, u: int) -> frozenset[int]:
-        return frozenset(compress(self.graph.vertices, self.row(self.graph.positions[u])))
 
     def add_edge(self, u: int, v: int) -> None:
         if self.adj is self.graph.index_adjacency:

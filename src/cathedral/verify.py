@@ -26,12 +26,7 @@ from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator
 
-from .canonical import (
-    GraphStructure,
-    _above,
-    minimum_component,
-    up_sets,
-)
+from .canonical import GraphStructure, minimum_component, up_sets
 from .construction import (
     CathedralTree,
     _construct_tree,
@@ -528,7 +523,7 @@ def _check_incomparable_edge_witness(ctx: _TrialContext) -> None:
                     continue
                 gi = grown_comps.index(comps[i])
                 gj = grown_comps.index(comps[j])
-                if gj in _above(grown.table, grown._parts, [gi])[0]:
+                if gj in grown.above(gi):
                     break
             else:
                 _fail(
@@ -1115,13 +1110,12 @@ def run_suite(
     (reported with an ``@closure`` suffix); ``only`` restricts the run to a
     subset of check ids.
     """
-    if not is_factorizable(graph):
-        raise NotFactorizableError("run_suite needs a graph with a perfect matching")
+    # building the context is the factorizability check
+    ctx = _TrialContext(graph, config)
     wanted = set(CHECK_IDS if only is None else only)
     unknown = wanted - set(CHECK_IDS)
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
-    ctx = _TrialContext(graph, config)
     results: list[CheckResult] = []
     closure_runs: list[tuple[str, Callable[[_TrialContext], None]]] = []
     for name, fn in _CHECKS:

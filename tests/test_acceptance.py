@@ -64,7 +64,7 @@ def test_criterion_2_order_and_equivalence_laws():
     for i, g in enumerate(_corpus(seed=101, count=300, max_vertices=10)):
         try:
             poset = component_poset(g)  # raises on any law violation
-            canonical_partition(g, poset.components)  # raises on non-transitivity
+            canonical_partition(g)  # raises on non-transitivity
         except Exception as exc:  # noqa: BLE001 - any violation fails the criterion
             violations.append(f"graph {i}: {exc}")
             continue

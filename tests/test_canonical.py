@@ -75,19 +75,27 @@ def test_canonical_partition_fixtures():
 @given(factorizable_graphs())
 @settings(max_examples=60)
 def test_partition_classes_match_pairwise_relation(g):
-    comps = factor_components(g)
-    part = canonical_partition(g, comps)
+    part = canonical_partition(g)
     for u in g.vertices:
         for v in g.vertices:
-            assert (part.class_of[u] == part.class_of[v]) == same_class(g, comps, u, v)
+            assert (part.class_of[u] == part.class_of[v]) == same_class(g, u, v)
+
+
+def test_same_class_rejects_vertices_outside_the_graph():
+    for u, v in ((99, 0), (0, 99)):
+        with pytest.raises(ValueError, match="outside the host graph"):
+            same_class(C4, u, v)
 
 
 def test_is_separating_cases():
-    comps = factor_components(P4)
-    assert is_separating(P4, comps, frozenset({0, 1}))
-    assert not is_separating(P4, comps, frozenset({1, 2}))
-    assert is_separating(P4, comps, frozenset())
-    assert is_separating(P4, comps, P4.vertex_set)
+    assert is_separating(P4, frozenset({0, 1}))
+    assert not is_separating(P4, frozenset({1, 2}))
+    assert is_separating(P4, frozenset())
+    assert is_separating(P4, P4.vertex_set)
+    # C4 is elementary: its one component is split by {0, 1}
+    assert not is_separating(C4, frozenset({0, 1}))
+    with pytest.raises(ValueError, match="outside the host graph"):
+        is_separating(P4, frozenset({0, 9}))
 
 
 def test_component_leq_fixtures():
@@ -99,6 +107,15 @@ def test_component_leq_fixtures():
     p4_comps = factor_components(P4)
     assert not component_leq(P4, p4_comps, 0, 1)
     assert not component_leq(P4, p4_comps, 1, 0)
+    with pytest.raises(ValueError, match="component index out of range"):
+        component_leq(P4, p4_comps, 0, 2)
+
+
+def test_component_leq_refuses_another_graphs_components():
+    # K4 is one component; P4's two would name indices K4 does not have
+    for lower, upper in ((0, 1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="not the graph's own factor-components"):
+            component_leq(K4, factor_components(P4), lower, upper)
 
 
 def test_component_poset_fixtures():
@@ -118,8 +135,8 @@ def test_component_order_matches_pairwise_oracle():
         graphs += [random_factorizable_graph(cfg, t) for t in range(count)]
     for i, g in enumerate(graphs):
         for h in (g, saturate(g)[0]):
-            comps = factor_components(h)
-            assert component_poset(h, comps).leq == pairwise_order(h, comps), (i, sorted(h.edges))
+            poset = component_poset(h)
+            assert poset.leq == pairwise_order(h, poset.components), (i, sorted(h.edges))
 
 
 def test_component_order_matches_sweep_oracle():
@@ -131,16 +148,16 @@ def test_component_order_matches_sweep_oracle():
     assert max(len(factor_components(g)) for g in graphs) == 11
     for i, g in enumerate(graphs):
         for h in (g, saturate(g)[0]):
-            comps = factor_components(h)
-            assert component_poset(h, comps).leq == sweep_order(h, comps), (i, sorted(h.edges))
+            poset = component_poset(h)
+            assert poset.leq == sweep_order(h, poset.components), (i, sorted(h.edges))
 
 
 def _minima(h: Graph) -> tuple[int | None, int | None, int | None]:
     """The structure's minimum, the order's, and the sweep oracle's."""
-    comps = factor_components(h)
-    sweep = sweep_order(h, comps)
+    poset = component_poset(h)
+    sweep = sweep_order(h, poset.components)
     oracle = next((i for i, row in enumerate(sweep) if all(row)), None)
-    return GraphStructure(h).minimum, minimum_component(component_poset(h, comps)), oracle
+    return GraphStructure(h).minimum, minimum_component(poset), oracle
 
 
 def test_minimum_agrees_with_the_order():
@@ -200,9 +217,8 @@ def test_up_sets_fixtures():
 @given(factorizable_graphs())
 @settings(max_examples=40)
 def test_poset_laws_and_up_set_cover(g):
-    comps = factor_components(g)
-    poset = component_poset(g, comps)
-    part = canonical_partition(g, comps)
+    poset = component_poset(g)
+    part = canonical_partition(g)
     k = len(poset)
     for i in range(k):
         assert poset.leq[i][i]

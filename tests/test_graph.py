@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cathedral.canonical import factor_components
+from cathedral.canonical import GraphStructure, factor_components
 from cathedral.errors import GraphFormatError
-from cathedral.gallai_edmonds import deletion_partitions
 from cathedral.graph import (
     MAX_VERTICES,
     Graph,
@@ -181,7 +180,7 @@ def test_connected_components_of_a_subset_reject_foreign_vertices():
 def _walked_subsets(g: Graph) -> list[frozenset[int]]:
     """The subsets production code walks: D(G-x) for every x, and the
     complement of every factor-component."""
-    subsets = [ge.d for ge in deletion_partitions(g).values()]
+    subsets = [ge.d for ge in GraphStructure(g).deletion_partitions.values()]
     subsets += [g.vertex_set - comp for comp in factor_components(g).components]
     return subsets
 

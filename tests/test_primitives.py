@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cathedral.canonical import (
+    GraphStructure,
     allowed_edges,
     canonical_partition,
     component_poset,
@@ -34,7 +35,7 @@ from cathedral.canonical import (
 )
 from cathedral.construction import is_saturated, saturate
 from cathedral.errors import DeficiencyViolation, SearchBudgetExceeded, StructureViolation
-from cathedral.gallai_edmonds import deletion_partitions, gallai_edmonds
+from cathedral.gallai_edmonds import gallai_edmonds
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
     ExposableAfterDeletion,
@@ -119,13 +120,12 @@ def test_deletion_structures_match_their_definitions(seed):
             classes = deletion_partition(h)
             assert canonical_partition(h).classes == classes, where
             class_of = {v: j for j, cls in enumerate(classes) for v in cls}
-            comps = factor_components(h)
             for u, v in combinations(h.vertices, 2):
-                assert same_class(h, comps, u, v) == (class_of[u] == class_of[v]), (where, u, v)
+                assert same_class(h, u, v) == (class_of[u] == class_of[v]), (where, u, v)
             assert is_saturated(h) == deletion_is_saturated(h), where
             for descending in (False, True):
                 assert saturate(h, descending=descending) == restart_saturate(h, descending), where
-            for x, ge in deletion_partitions(h).items():
+            for x, ge in GraphStructure(h).deletion_partitions.items():
                 assert ge.parts() == deletion_gallai_edmonds(delete_vertices(h, (x,))), (where, x)
 
 
@@ -237,7 +237,7 @@ def test_each_deletion_row_marks_what_the_deleted_graph_exposes(source):
                 row = table.row(at)
                 expected = exposable_vertices(delete_vertices(h, [u]))
                 assert frozenset(compress(h.vertices, row)) == expected, (source, i, u)
-                assert table[u] == expected and not row[at], (source, i, u)
+                assert not row[at], (source, i, u)
 
 
 def _count_order_searches(monkeypatch):
@@ -269,9 +269,10 @@ def test_order_builds_no_graph_and_runs_one_search_per_component(monkeypatch, k)
     # P_2k: its k components form an antichain, so the first search from
     # each component drops every other one and ends its fixpoint
     path = Graph(range(2 * k), [(v, v + 1) for v in range(2 * k - 1)])
-    comps = factor_components(path)
+    structure = GraphStructure(path)
+    structure.components
     built, searches, lowers = _count_order_searches(monkeypatch)
-    poset = component_poset(path, comps)
+    poset = structure.poset
     assert built == []
     # the greedy start matches a path perfectly, so the poset's own
     # perfect-matching computations add no search to the order's k
@@ -285,11 +286,12 @@ def test_order_runs_fewer_searches_per_component_than_components(monkeypatch):
     graphs = sparse_many_component_graphs(40)
     graphs += [saturate(g)[0] for g in graphs]
     for i, g in enumerate(graphs):
-        comps = factor_components(g)
+        structure = GraphStructure(g)
+        k = len(structure.components)
         built, _, lowers = _count_order_searches(monkeypatch)
-        component_poset(g, comps)
+        structure.poset
         assert built == [], i
-        assert lowers and max(Counter(lowers).values()) <= len(comps) - 1, i
+        assert lowers and max(Counter(lowers).values()) <= k - 1, i
         monkeypatch.undo()
 
 
@@ -301,12 +303,11 @@ def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
 
 
 def test_deficiency_check_rejects_a_wrong_deletion_set(monkeypatch):
-    module = importlib.import_module("cathedral.gallai_edmonds")
     # every row empty: D is empty, so no G-x has its one exposed vertex
     empty = lambda self, i: [False] * len(self.adj)
-    monkeypatch.setattr(module.ExposableAfterDeletion, "row", empty)
+    monkeypatch.setattr(ExposableAfterDeletion, "row", empty)
     with pytest.raises(DeficiencyViolation, match="exposed vertices"):
-        deletion_partitions(P4)
+        GraphStructure(P4).deletion_partitions
 
 
 def _assert_threshold(query, answer, spent):
