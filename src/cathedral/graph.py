@@ -160,13 +160,33 @@ def render_edge_list(graph: Graph, comments: Iterable[str] = ()) -> str:
 
 
 def induced_subgraph(graph: Graph, kept: Iterable[int]) -> Graph:
+    """The subgraph induced by ``kept``.
+
+    When the host holds its ``index_adjacency``, the child's is cut from it:
+    the kept positions' rows, less every other position, renumbered by rank.
+    Renumbering by rank keeps the order, so each row is the ascending tuple
+    a from-scratch build gives, and the child builds no ``adjacency`` dict
+    to get it.  A host never searched has no index to cut, and its child
+    builds its own on first use."""
     ks = frozenset(kept)
     if not ks <= graph.vertex_set:
         raise ValueError("subgraph vertices must come from the host graph")
-    return Graph._trusted(
-        tuple(v for v in graph.vertices if v in ks),
+    vs = graph.vertices
+    keep = [i for i, v in enumerate(vs) if v in ks]
+    child = Graph._trusted(
+        tuple([vs[i] for i in keep]),
         frozenset(e for e in graph.edges if e[0] in ks and e[1] in ks),
     )
+    rows = graph.__dict__.get("index_adjacency")
+    if rows is not None:
+        rank = [-1] * len(vs)
+        for r, i in enumerate(keep):
+            rank[i] = r
+        # stored where the cached property stores what it computes
+        child.__dict__["index_adjacency"] = tuple(
+            [tuple([rank[j] for j in rows[i] if rank[j] >= 0]) for i in keep]
+        )
+    return child
 
 
 def delete_vertices(graph: Graph, removed: Iterable[int]) -> Graph:

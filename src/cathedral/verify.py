@@ -305,7 +305,10 @@ class _TrialContext(GraphStructure):
     @cached_property
     def parts(self) -> _Table:
         """A from-scratch context of the subgraph induced on each vertex set,
-        never this one, so that no check compares an artifact with itself."""
+        never this one, so that no check compares an artifact with itself.
+        Only elementary reachability, which compares nothing with this
+        context, reads this context in place of the part on every vertex:
+        that part is the same graph with the same enumeration and sweeps."""
         graph, config = self.graph, self.config
         # G[S] rebuilt for the checks that compare G with its components, foundation and towers
         return _Table(lambda vertex_set: _TrialContext(induced_subgraph(graph, vertex_set), config))
@@ -535,7 +538,9 @@ def _check_elementary_reachability(ctx: _TrialContext) -> None:
     """Inside one component, every ordered vertex pair is joined by a
     saturated path or by a balanced path."""
     for comp in ctx.components.components:
-        part = ctx.parts[comp]
+        # a part on every vertex would be this graph, enumerated and swept
+        # alike, and nothing here compares it with this context
+        part = ctx if comp == ctx.graph.vertex_set else ctx.parts[comp]
         # the host's order decides, as it does for the host's own matchings
         checked = part.matchings if ctx.graph.order <= _EXHAUSTIVE_ORDER else part.matchings[:1]
         for mi, _ in enumerate(checked):
@@ -599,25 +604,30 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
                         break
                 else:
                     _fail(f"no confined balanced path from {u} down to class {sorted(cls)}")
-            # class across to other classes' closures, avoiding this region
+            # class across to other classes' closures, avoiding this region.
+            # Confined to every vertex, the walk is the sweep's own walk from
+            # u, which finished within the budget above
+            avoid_region = us.upper_closure_vertices() - up_s
+            whole = avoid_region == ctx.graph.vertex_set
             for t in class_ids:
                 if t == s:
                     continue
-                avoid_region = us.upper_closure_vertices() - up_s
                 for u in sorted(cls):
                     for v in sorted(us.up_star_vertices(t)):
-                        if not alternating_path_exists(
-                            ctx.graph,
-                            m,
-                            u,
-                            v,
-                            PathKind.SATURATED,
-                            kept=avoid_region,
-                            budget=ctx.config.path_budget,
-                        ):
-                            _fail(
-                                f"no confined saturated path from {u} across to {v}"
+                        if whole:
+                            found = v in reach.saturated[u]
+                        else:
+                            found = alternating_path_exists(
+                                ctx.graph,
+                                m,
+                                u,
+                                v,
+                                PathKind.SATURATED,
+                                kept=avoid_region,
+                                budget=ctx.config.path_budget,
                             )
+                        if not found:
+                            _fail(f"no confined saturated path from {u} across to {v}")
 
 
 def _check_combined_reachability(ctx: _TrialContext) -> None:

@@ -396,8 +396,14 @@ def test_verify_json_deterministic_across_runs(tmp_path):
             ["--seed", "0", "--trials", "30", "--max-n", "12"],
             "75f848889d751fcc2ccaa3900783bd0388d2c3d7ddece25dd4845c42a07c535b",
         ),
+        (
+            # trial 0 has 28 vertices: every reachability check there skips
+            # with "search budget exceeded"
+            ["--seed", "0", "--trials", "3", "--max-n", "30"],
+            "6b4a9d8a3f5ae55b8d20647dc118239e2a98640c9ceb33983337d7de4a1bc03f",
+        ),
     ],
-    ids=["seed0", "seed3", "seed0-n12"],
+    ids=["seed0", "seed3", "seed0-n12", "seed0-n30-budget"],
 )
 def test_verify_json_bytes_are_pinned(tmp_path, args, digest):
     out = tmp_path / "report.json"

@@ -94,6 +94,42 @@ def test_induced_subgraph_cases():
     assert induced_subgraph(P4, P4.vertex_set) == P4
 
 
+@st.composite
+def relabelled_graphs(draw) -> Graph:
+    """A drawn graph with its ids sent to distinct ids in no order, so the
+    ids are neither dense nor in the order of the original positions."""
+    g = draw(graphs())
+    ids = draw(st.lists(st.integers(0, 60), min_size=g.order, max_size=g.order, unique=True))
+    return Graph(ids, ((ids[u], ids[v]) for u, v in g.edges))
+
+
+def _assert_cut_as_built(sub: Graph, host: Graph, kept: frozenset[int]) -> None:
+    """A graph derived from an indexed host is the induced subgraph, holds
+    the index a from-scratch build of it gives, one ascending tuple per
+    vertex, and has built no adjacency dict to get it."""
+    built = Graph(kept, (e for e in host.edges if e[0] in kept and e[1] in kept))
+    assert "index_adjacency" in sub.__dict__ and "adjacency" not in sub.__dict__
+    assert sub == built
+    assert sub.index_adjacency == built.index_adjacency
+    assert all(type(row) is tuple and list(row) == sorted(set(row)) for row in sub.index_adjacency)
+    assert sub.positions == built.positions == {v: i for i, v in enumerate(sorted(kept))}
+
+
+@given(relabelled_graphs(), st.data())
+def test_derived_graphs_cut_the_index_a_build_gives(g, data):
+    every = g.vertex_set
+    drawn = data.draw(st.frozensets(st.sampled_from(g.vertices)) if g.order else st.just(every))
+    # a host never searched has no index to cut
+    assert "index_adjacency" not in induced_subgraph(g, drawn).__dict__
+    g.index_adjacency
+    singles = [frozenset({v}) for v in g.vertices[:1]]
+    for kept in (frozenset(), every, drawn, *singles):
+        _assert_cut_as_built(induced_subgraph(g, kept), g, kept)
+        _assert_cut_as_built(delete_vertices(g, kept), g, every - kept)
+        # rows cut from rows that were themselves cut
+        _assert_cut_as_built(delete_vertices(induced_subgraph(g, drawn), drawn & kept), g, drawn - kept)
+
+
 def test_induced_subgraph_rejects_foreign_vertices():
     with pytest.raises(ValueError):
         induced_subgraph(P4, {0, 9})

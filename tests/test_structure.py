@@ -70,12 +70,19 @@ ELEMENTARY = _seeded(20, 0.3, 1, lambda k: k == 1)
 SPARSE = _seeded(18, 0.1, 2, lambda k: k >= 4)
 
 
+def _rebind(monkeypatch, original, replacement) -> None:
+    """Replace every cathedral module's binding of ``original``."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "cathedral"]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 def _count(monkeypatch) -> Counter:
     """Count deletion tables and graphs built (checked or not) and calls of `is_factorizable`,
     `_blossom_matching` and the contraction search `_contracted_outer` from
     now on."""
     counts: Counter = Counter()
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cathedral"]
     for name in ("is_factorizable", "_blossom_matching", "_contracted_outer"):
         original = getattr(cathedral.matching, name)
 
@@ -83,10 +90,7 @@ def _count(monkeypatch) -> Counter:
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+        _rebind(monkeypatch, original, counted)
     init = ExposableAfterDeletion.__init__
     monkeypatch.setattr(
         ExposableAfterDeletion, "__init__", lambda self, g: counts.update(["tables"]) or init(self, g)
@@ -133,7 +137,7 @@ def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
     # the precondition, the table and the structure's readers share the
     # parsed graph's index; the allowed-edge skeleton is never searched.
     # Holding every indexed graph keeps its id from being reused
-    indexed = []
+    indexed, derived = [], []
     prop = Graph.__dict__["index_adjacency"]
     build = prop.func
     monkeypatch.setattr(prop, "func", lambda graph: indexed.append(graph) or build(graph))
@@ -141,11 +145,22 @@ def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
     path.write_text(render_edge_list(ELEMENTARY))
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
     assert len(indexed) == 1
-    # the suite searches 85 graphs, 76 of them distinct
+    # an induced subgraph or a deletion of an indexed host is born with rows
+    # cut from the host's index, so it never builds one
+    cut = cathedral.graph.induced_subgraph
+
+    def derive(*args):
+        derived.append(cut(*args))
+        return derived[-1]
+
+    _rebind(monkeypatch, cut, derive)
+    # the suite searches 85 distinct graphs: it builds 40 indexes from
+    # scratch and cuts the other 45 from their hosts'
     indexed.clear()
     config = TrialConfig(seed=0)
     run_suite(random_factorizable_graph(config, 0), config)
-    assert len(indexed) == len({id(graph) for graph in indexed}) == 85
+    assert (len(indexed), len(derived)) == (40, 45)
+    assert len({id(graph) for graph in indexed + derived}) == 85
 
 
 def test_decompose_fills_one_table(monkeypatch):
@@ -323,28 +338,29 @@ def test_verify_asks_each_pair_and_builds_each_part_once(monkeypatch):
 
 def test_confined_path_queries_build_no_subgraph(monkeypatch):
     # both confined queries of the upward check walk the host's arrays with
-    # the vertices outside the region blocked
+    # the vertices outside the region blocked.  The closure has a tower, so
+    # its regions are proper subsets; a region of every vertex would be read
+    # off the sweep
     config = TrialConfig(seed=0)
     ctx = _TrialContext(saturate(random_factorizable_graph(config, 0))[0], config)
     for base in range(len(ctx.poset)):
         ctx.upsets[base]
     ctx.reach[0]
     calls: Counter = Counter()
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cathedral"]
+    regions = []
     for name in ("induced_subgraph", "restrict_matching", "alternating_path_exists"):
         original = getattr(cathedral.graph, name, None) or getattr(cathedral.matching, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
+            regions.append(kwargs.get("kept"))
             return _original(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+        _rebind(monkeypatch, original, counted)
     counts = _count(monkeypatch)
     _check_upward_reachability(ctx)
-    assert calls["alternating_path_exists"] > 0
+    assert calls["alternating_path_exists"] == len(regions) > 0
+    assert all(kept < ctx.graph.vertex_set for kept in regions)
     assert calls["induced_subgraph"] == calls["restrict_matching"] == counts["graphs"] == 0
 
 

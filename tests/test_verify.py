@@ -148,6 +148,67 @@ def test_a_budget_bound_sweep_runs_once_per_matching(monkeypatch):
     assert spent[id(ctx.graph), ctx.matchings[0].edges] == budget + 1
 
 
+def test_whole_graph_path_questions_read_the_one_sweep(monkeypatch):
+    # one component, so every region of the upward check is the whole graph
+    # and the part of elementary reachability is the graph itself: the
+    # suite sweeps each checked matching once, and asks the path search
+    # nothing it has swept.  The checks rerun on the closure read no sweep
+    config = TrialConfig(seed=0)
+    graph = random_factorizable_graph(config, 8)
+    swept, asked = [], []
+    sweep = cathedral.verify.alternating_reachability
+    search = cathedral.verify.alternating_path_exists
+
+    def counted_sweep(g, matching, **kwargs):
+        swept.append((g, matching.edges, kwargs.get("kept")))
+        return sweep(g, matching, **kwargs)
+
+    def counted_search(g, *args, **kwargs):
+        asked.append(kwargs.get("kept"))
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(cathedral.verify, "alternating_reachability", counted_sweep)
+    monkeypatch.setattr(cathedral.verify, "alternating_path_exists", counted_search)
+    report = run_suite(graph, config)
+    assert report.ok and any(r.check.endswith("@closure") for r in report.results)
+    ctx = _TrialContext(graph, config)
+    assert len(ctx.components) == 1 and len(ctx.matchings_checked) == 7
+    assert swept == [(graph, m.edges, None) for m in ctx.matchings_checked]
+    assert asked == []
+
+
+def _raises_failure(check, ctx: _TrialContext) -> bool:
+    try:
+        check(ctx)
+    except cathedral.verify._CheckFailed:
+        return True
+    return False
+
+
+def test_a_dropped_sweep_endpoint_fails_the_checks_that_read_it():
+    # the checks that read the host's sweep in place of a path search still
+    # check what they read: with v dropped from the saturated ends of u, the
+    # upward check misses a path across classes, and elementary
+    # reachability misses u-v unless a balanced path joins them
+    config = TrialConfig(seed=0)
+    ctx = _TrialContext(random_factorizable_graph(config, 8), config)
+    run = dict(_CHECKS)
+    upward, elementary = run["upward-reachability"], run["elementary-pairwise-reachability"]
+    reach = ctx.reach[0]
+    assert not _raises_failure(upward, ctx) and not _raises_failure(elementary, ctx)
+    dropped = 0
+    for u in ctx.graph.vertices:
+        ends = reach.saturated[u]
+        for v in sorted(ends):
+            reach.saturated[u] = ends - {v}
+            assert _raises_failure(upward, ctx), (u, v)
+            assert _raises_failure(elementary, ctx) == (v not in reach.balanced[u]), (u, v)
+            dropped += 1
+        reach.saturated[u] = ends
+    assert dropped == 54
+    assert not _raises_failure(upward, ctx) and not _raises_failure(elementary, ctx)
+
+
 _SEEDED_CORPORA = pytest.mark.parametrize(
     "config",
     [
