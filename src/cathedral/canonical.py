@@ -32,7 +32,7 @@ from .errors import (
     PartialOrderViolation,
 )
 from .gallai_edmonds import GEPartition, _checked_partition
-from .graph import Edge, Graph, connected_components, neighbors
+from .graph import Edge, Graph, _walk_parts, connected_components, neighbors
 from .matching import ExposableAfterDeletion, is_factorizable
 from .matching import _contracted_outer, _contracts_to_factor_critical
 
@@ -126,24 +126,13 @@ class GraphStructure:
     @cached_property
     def _parts(self) -> list[list[int]]:
         """The factor-components as ascending position lists, ordered by
-        their least position: a walk of the allowed index adjacency."""
+        their least position: the package's one component walk, on the
+        allowed index adjacency, with its labels grouped in one scan."""
         nbrs = self._allowed_adjacency
-        seen = [False] * len(nbrs)
-        parts = []
-        for start in range(len(nbrs)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack, part = [start], []
-            while stack:
-                v = stack.pop()
-                part.append(v)
-                for w in nbrs[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            part.sort()
-            parts.append(part)
+        label, count, _ = _walk_parts(nbrs, [True] * len(nbrs))
+        parts: list[list[int]] = [[] for _ in range(count)]
+        for i, part in enumerate(label):
+            parts[part].append(i)
         return parts
 
     @cached_property
@@ -389,20 +378,24 @@ class UpSets:
         return self.partition.classes[class_index] | self.up_vertices(class_index)
 
 
-def up_sets(
-    graph: Graph,
-    poset: ComponentPoset,
-    partition: CanonicalPartition,
-    base: int,
-) -> UpSets:
-    """Assign each strictly-upper component of ``base`` to a class of the
-    base component.
+def up_sets(graph: Graph, base: int) -> UpSets:
+    """Assign each strictly-upper component of the component ``base`` to a
+    class of it, on the graph's own order and partition.
 
     Each connected piece of the subgraph induced by the strictly-upper
     vertices must have its neighborhood inside the base contained in exactly
     one class; anything else raises ClassAssignmentViolation, since that
-    cannot happen for a correct engine.
+    cannot happen for a correct engine.  A ``base`` that indexes no
+    component raises ValueError.
     """
+    structure = GraphStructure(graph)
+    return _up_sets(graph, structure.poset, structure.partition, base)
+
+
+def _up_sets(
+    graph: Graph, poset: ComponentPoset, partition: CanonicalPartition, base: int
+) -> UpSets:
+    """``up_sets`` on an order and a partition already computed for ``graph``."""
     comps = poset.components.components
     k = len(comps)
     if not 0 <= base < k:

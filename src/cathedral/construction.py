@@ -158,7 +158,10 @@ def _decompose_saturated(structure: GraphStructure, level: frozenset[int]) -> Ca
         (cls, _decompose_saturated(structure, towers[cls]) if cls in towers else None)
         for cls in sorted(partition.restricted_to(fv), key=min)
     )
-    edges = frozenset((s, t) for s in fv for t in graph.adjacency[s] if s < t and t in fv)
+    # by position, so the cost is the foundation's degrees, not |E| per level
+    pos, rows, vs = graph.positions, graph.index_adjacency, graph.vertices
+    inside = {pos[s] for s in fv}
+    edges = frozenset([(vs[i], vs[j]) for i in inside for j in rows[i] if i < j and j in inside])
     return CathedralTree(fv, edges, entries)
 
 

@@ -2,10 +2,12 @@
 
 The exposable part holds every vertex some maximum matching leaves uncovered:
 the outer vertices of one search from each vertex it exposes, checked against
-the Gallai-Edmonds deficiency identity.  The partition of every G-x of a
-factorizable G is ``GraphStructure.deletion_partitions``, which checks each
-row of its deletion table here.  The path characterizations of the same
-partition live in the verifier as conformance checks, not here.
+the Gallai-Edmonds deficiency identity.  The components of G[D] and A = N(D)
+it counts come from the package's one component walk on G's one index.  The
+partition of every G-x of a factorizable G is
+``GraphStructure.deletion_partitions``, which checks each row of its deletion
+table here.  The path characterizations of the same partition live in the
+verifier as conformance checks, not here.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import compress
 from typing import Sequence
 
 from .errors import DeficiencyViolation
-from .graph import Graph
+from .graph import Graph, _walk_parts
 from .matching import exposable_vertices, matching_number
 
 
@@ -38,25 +40,9 @@ def _checked_partition(
     """D, given by its marks by position, its neighbors and the rest, in the
     graph less the vertex at position ``removed`` (if any), where a maximum
     matching exposes ``exposed`` vertices: one per component of G[D], less
-    |A|.  A and the components of G[D] come from one walk of G's index
-    adjacency, so checking a partition builds no graph."""
-    adj = graph.index_adjacency
-    unseen = list(d)
-    in_a = [False] * len(adj)
-    parts = 0
-    for start, mark in enumerate(d):
-        if not (mark and unseen[start]):
-            continue
-        parts += 1
-        unseen[start] = False
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if unseen[w]:
-                    unseen[w] = False
-                    stack.append(w)
-                elif not d[w]:
-                    in_a[w] = True
+    |A|.  The count of those components and A come from one walk of G's
+    index, so checking a partition builds no graph."""
+    _, parts, in_a = _walk_parts(graph.index_adjacency, d)
     if removed >= 0:
         in_a[removed] = False
     a = sum(in_a)

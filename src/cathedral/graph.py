@@ -5,13 +5,16 @@ neighborhoods, connectivity, and the edge-list text format used by the CLI.
 Graphs are values: every operation returns a new graph, vertex iteration is
 always in ascending id order, and ids are preserved by every operation
 (contraction reuses the minimum id of the collapsed set).
+Each graph has one adjacency, ``index_adjacency`` (neighbours by position),
+and every connectivity question of the package runs on one walk of such
+rows, ``_walk_parts``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GraphFormatError
 
@@ -69,24 +72,22 @@ class Graph:
         return frozenset(self.vertices)
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        nbr: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return {v: tuple(sorted(ws)) for v, ws in nbr.items()}
-
-    @cached_property
     def positions(self) -> dict[int, int]:
         """Each vertex's position in ``vertices``; read-only."""
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def index_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """``adjacency`` by position, one ascending tuple per vertex: what
-        every matching search of this graph runs on, and none grows."""
-        pos, adj = self.positions, self.adjacency
-        return tuple([tuple([pos[w] for w in adj[v]]) for v in self.vertices])
+        """The graph's one adjacency: each vertex's neighbours by position,
+        one ascending tuple per vertex.  Every search and walk of this graph
+        runs on it, and none grows it."""
+        pos = self.positions
+        rows: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            i, j = pos[u], pos[v]
+            rows[i].append(j)
+            rows[j].append(i)
+        return tuple([tuple(sorted(row)) for row in rows])
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (min(u, v), max(u, v)) in self.edges
@@ -165,9 +166,8 @@ def induced_subgraph(graph: Graph, kept: Iterable[int]) -> Graph:
     When the host holds its ``index_adjacency``, the child's is cut from it:
     the kept positions' rows, less every other position, renumbered by rank.
     Renumbering by rank keeps the order, so each row is the ascending tuple
-    a from-scratch build gives, and the child builds no ``adjacency`` dict
-    to get it.  A host never searched has no index to cut, and its child
-    builds its own on first use."""
+    a from-scratch build gives.  A host never searched has no index to cut,
+    and its child builds its own on first use."""
     ks = frozenset(kept)
     if not ks <= graph.vertex_set:
         raise ValueError("subgraph vertices must come from the host graph")
@@ -247,8 +247,35 @@ def neighbors(graph: Graph, around: Iterable[int]) -> frozenset[int]:
     xs = frozenset(around)
     if not xs <= graph.vertex_set:
         raise ValueError("neighborhood query outside the host graph")
-    adj = graph.adjacency
-    return frozenset(w for x in xs for w in adj[x] if w not in xs)
+    pos, rows, vs = graph.positions, graph.index_adjacency, graph.vertices
+    inside = {pos[x] for x in xs}
+    return frozenset([vs[j] for i in inside for j in rows[i] if j not in inside])
+
+
+def _walk_parts(
+    rows: Sequence[Sequence[int]], kept: Sequence[bool]
+) -> tuple[list[int], int, list[bool]]:
+    """The connected parts of the positions marked ``kept`` in ``rows``:
+    each kept position's part label (-1 elsewhere), the parts numbered by
+    their least position, their count, and the marks of the positions
+    outside ``kept`` that some part touches."""
+    label = [-1] * len(rows)
+    touched = [False] * len(rows)
+    count = 0
+    for start, mark in enumerate(kept):
+        if not mark or label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            for w in rows[stack.pop()]:
+                if not kept[w]:
+                    touched[w] = True
+                elif label[w] < 0:
+                    label[w] = count
+                    stack.append(w)
+        count += 1
+    return label, count, touched
 
 
 def connected_components(
@@ -257,32 +284,19 @@ def connected_components(
     """Connectivity classes of the graph, or of the subgraph induced by
     ``kept``, each ascending, ordered by minimum id.
 
-    The subgraph is walked on the host's own adjacency, with every vertex
-    outside ``kept`` marked seen from the start, so no graph is built for it.
-    """
-    seen: set[int] = set()
-    if kept is not None:
-        ks = frozenset(kept)
-        if not ks <= graph.vertex_set:
-            raise ValueError("subgraph vertices must come from the host graph")
-        seen = set(graph.vertex_set - ks)
-    out: list[tuple[int, ...]] = []
-    adj = graph.adjacency
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        comp: list[int] = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
+    The subgraph is walked on the host's own index, with every vertex
+    outside ``kept`` left out, so no graph is built for it; one ascending
+    scan of the labels lists each class in order."""
+    ks = graph.vertex_set if kept is None else frozenset(kept)
+    if not ks <= graph.vertex_set:
+        raise ValueError("subgraph vertices must come from the host graph")
+    vs = graph.vertices
+    label, count, _ = _walk_parts(graph.index_adjacency, [v in ks for v in vs])
+    parts: list[list[int]] = [[] for _ in range(count)]
+    for v, part in zip(vs, label):
+        if part >= 0:
+            parts[part].append(v)
+    return tuple(map(tuple, parts))
 
 
 def complement_pairs(graph: Graph) -> list[Edge]:

@@ -5,11 +5,13 @@ The enumeration and the exhaustive path searches are the oracles the rest of
 the package is checked against, so this module favors exact, deterministic
 answers: ties break by ascending vertex id everywhere, and the walker visits
 every simple alternating path (with an expansion budget that aborts loudly
-instead of guessing).  A path search given ``kept`` (as in
-``graph.connected_components``) runs in the subgraph induced by it: on the
-host's index adjacency, cached on the graph, with every other vertex
-blocked, so it visits what a search of that subgraph under the matching's
-edges inside it would, and builds neither.
+instead of guessing).  Both run on the graph's one adjacency,
+``Graph.index_adjacency``; the walker and ``graph._walk_parts``, the
+component walk, are the package's only two walks.  A path search given
+``kept`` (as in ``graph.connected_components``) runs in the subgraph induced
+by it: on the host's index, with every other vertex blocked, so it visits
+what a search of that subgraph under the matching's edges inside it would,
+and builds neither.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator
 
-from .canonical import GraphStructure, minimum_component, up_sets
+from .canonical import GraphStructure, _up_sets, minimum_component
 from .construction import (
     CathedralTree,
     _construct_tree,
@@ -278,7 +278,7 @@ class _TrialContext(GraphStructure):
     def upsets(self) -> _Table:
         """The up-sets above each component, by its index."""
         graph, poset, partition = self.graph, self.poset, self.partition
-        return _Table(lambda base: up_sets(graph, poset, partition, base))
+        return _Table(lambda base: _up_sets(graph, poset, partition, base))
 
     @cached_property
     def deleted_instance(self) -> _Table:

@@ -1,16 +1,19 @@
 """Brute-force reference implementations, kept structurally independent of
-the package's algorithms: matchings come from subset recursion over the edge
-list, perfect matchings from combination filtering, factorizability from
-trying every partner of the least vertex, contraction from a literal edge
-rewrite; the enumeration's order and truncation are those of its former
-set-based backtracking.  The deletion structures follow their definitions,
-one vertex or pair deletion at a time, and the alternating-walk references
-are the per-query depth-first loops, counting their expansions.  The component
-order has two references: the per-pair search, which tries every union
-containing both components (its factor-criticality test is the package's,
-itself checked against ``deletion_is_factor_critical``), and the sweep, which
-tries every union containing the lower one with the package's contracted
-search (checked union by union against the literal contraction)."""
+the package's algorithms: adjacency is read off the edge list once per call,
+components grow by whole neighbourhoods, matchings come from subset recursion
+over the edge list, perfect matchings from combination filtering,
+factorizability from trying every partner of the least vertex, contraction
+from a literal edge rewrite; the enumeration's order and truncation are those
+of its former set-based backtracking.  The deletion structures follow their
+definitions: allowed edges and classes one pair deletion at a time, the
+exposable set as the vertices some maximum matching misses.  The
+alternating-walk references are the per-query depth-first loops, counting
+their expansions.  The component order has two references: the per-pair
+search, which tries every union containing both components (its
+factor-criticality test is the package's, itself checked against
+``deletion_is_factor_critical``), and the sweep, which tries every union
+containing the lower one with the package's contracted search (checked union
+by union against the literal contraction)."""
 
 from __future__ import annotations
 
@@ -21,17 +24,46 @@ from cathedral.graph import (
     Graph,
     add_edges,
     complement_pairs,
-    connected_components,
     contract,
     delete_vertices,
     induced_subgraph,
-    neighbors,
 )
 from cathedral.matching import (
     _blossom_matching,
     _contracts_to_factor_critical,
     is_factor_critical,
 )
+
+
+def adjacency(graph: Graph) -> dict[int, list[int]]:
+    """Each vertex's neighbours, ascending, read off the edge list."""
+    nbr: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    for u, v in graph.edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    return {v: sorted(ws) for v, ws in nbr.items()}
+
+
+def induced_components(
+    graph: Graph, kept: frozenset[int]
+) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """The components of the subgraph induced by ``kept``, by least id, each
+    with its neighbours outside ``kept``: a component grows from its least
+    vertex by whole neighbourhoods until it stops growing."""
+    adj = adjacency(graph)
+    left = set(kept)
+    out = []
+    while left:
+        comp = {min(left)}
+        while True:
+            grown = comp | {w for v in comp for w in adj[v] if w in left}
+            if grown == comp:
+                break
+            comp = grown
+        left -= comp
+        outside = frozenset(w for v in comp for w in adj[v] if w not in kept)
+        out.append((frozenset(comp), outside))
+    return out
 
 
 def all_matchings(graph: Graph) -> list[frozenset[tuple[int, int]]]:
@@ -80,7 +112,7 @@ def set_perfect_matchings(graph: Graph, cap: int) -> tuple[list[tuple[Edge, ...]
     if graph.order % 2:
         return [], False
     vs = graph.vertices
-    adj = graph.adjacency
+    adj = adjacency(graph)
     covered: set[int] = set()
     current: list[Edge] = []
     found: list[tuple[Edge, ...]] = []
@@ -117,7 +149,7 @@ def set_perfect_matchings(graph: Graph, cap: int) -> tuple[list[tuple[Edge, ...]
 def brute_is_factorizable(graph: Graph) -> bool:
     """Whether some partner of the least uncovered vertex, tried in turn,
     leaves a factorizable rest."""
-    adj = graph.adjacency
+    adj = adjacency(graph)
 
     def cover(left: frozenset[int]) -> bool:
         if not left:
@@ -162,8 +194,9 @@ def deletion_allowed_edges(graph: Graph) -> frozenset[Edge]:
 def deletion_partition(graph: Graph) -> tuple[frozenset[int], ...]:
     """Classes of "same allowed-edge component, and deleting both leaves no
     perfect matching", ordered by minimum id."""
-    components = connected_components(Graph(graph.vertices, deletion_allowed_edges(graph)))
-    component_of = {v: i for i, comp in enumerate(components) for v in comp}
+    skeleton = Graph(graph.vertices, deletion_allowed_edges(graph))
+    components = induced_components(skeleton, skeleton.vertex_set)
+    component_of = {v: i for i, (comp, _) in enumerate(components) for v in comp}
     classes: list[frozenset[int]] = []
     for u in graph.vertices:
         if any(u in cls for cls in classes):
@@ -202,13 +235,15 @@ def restart_saturate(graph: Graph, descending: bool = False) -> tuple[Graph, tup
 
 
 def deletion_gallai_edmonds(graph: Graph) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """(D, A, C) from n+1 matching numbers: D holds the vertices whose
-    deletion keeps the matching number."""
-    nu = brute_matching_number(graph)
-    d = frozenset(
-        v for v in graph.vertices if brute_matching_number(delete_vertices(graph, (v,))) == nu
+    """(D, A, C) by definition: D holds the vertices some maximum matching
+    misses, read off one list of every matching, and A their neighbours."""
+    matchings = all_matchings(graph)
+    nu = max(len(m) for m in matchings)
+    d = frozenset().union(
+        *(graph.vertex_set - {v for e in m for v in e} for m in matchings if len(m) == nu)
     )
-    a = neighbors(graph, d)
+    adj = adjacency(graph)
+    a = frozenset(w for v in d for w in adj[v]) - d
     return d, a, graph.vertex_set - d - a
 
 
@@ -224,7 +259,8 @@ def deletion_is_factor_critical(graph: Graph) -> bool:
 
 def _walk_arrays(graph, matching) -> tuple[list[list[int]], list[int], dict[int, int]]:
     index = {v: i for i, v in enumerate(graph.vertices)}
-    adj = [[index[w] for w in graph.adjacency[v]] for v in graph.vertices]
+    nbr = adjacency(graph)
+    adj = [[index[w] for w in nbr[v]] for v in graph.vertices]
     mate = [-1] * graph.order
     for v, w in matching.partner.items():
         mate[index[v]] = index[w]

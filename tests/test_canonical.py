@@ -194,9 +194,8 @@ def test_component_limit_guard():
 
 
 def test_up_sets_fixtures():
-    poset = component_poset(T)
     part = canonical_partition(T)
-    us = up_sets(T, poset, part, 1)
+    us = up_sets(T, 1)
     cls2, cls3 = part.class_of[2], part.class_of[3]
     assert us.up_components(cls2) == frozenset({0})
     assert us.up_components(cls3) == frozenset()
@@ -205,20 +204,23 @@ def test_up_sets_fixtures():
     assert us.strict_upper_vertices() == frozenset({0, 1})
     assert us.upper_closure_vertices() == T.vertex_set
 
-    p4_poset = component_poset(P4)
-    p4_us = up_sets(P4, p4_poset, canonical_partition(P4), 0)
+    p4_us = up_sets(P4, 0)
     assert p4_us.strict_upper_components() == frozenset()
 
-    c4_poset = component_poset(C4)
-    c4_us = up_sets(C4, c4_poset, canonical_partition(C4), 0)
+    c4_us = up_sets(C4, 0)
     assert c4_us.strict_upper_vertices() == frozenset()
+
+
+@pytest.mark.parametrize("g, base", [(T, 2), (T, -1), (P4, 2), (C4, 1), (K2, 5)])
+def test_up_sets_reject_a_base_that_is_no_component(g, base):
+    with pytest.raises(ValueError, match="component index out of range"):
+        up_sets(g, base)
 
 
 @given(factorizable_graphs())
 @settings(max_examples=40)
 def test_poset_laws_and_up_set_cover(g):
     poset = component_poset(g)
-    part = canonical_partition(g)
     k = len(poset)
     for i in range(k):
         assert poset.leq[i][i]
@@ -229,7 +231,7 @@ def test_poset_laws_and_up_set_cover(g):
                 if poset.leq[i][j] and poset.leq[j][m]:
                     assert poset.leq[i][m]
     for base in range(k):
-        us = up_sets(g, poset, part, base)
+        us = up_sets(g, base)
         combined: set[int] = set()
         for members in us.per_class.values():
             assert not (combined & members)

@@ -7,6 +7,7 @@ from cathedral.errors import GraphFormatError
 from cathedral.graph import (
     MAX_VERTICES,
     Graph,
+    _walk_parts,
     add_edges,
     complement_pairs,
     connected_components,
@@ -29,7 +30,7 @@ from helpers import (
     mid_size_graphs,
     sparse_many_component_graphs,
 )
-from oracles import contract_by_rewrite
+from oracles import adjacency, contract_by_rewrite, induced_components
 
 
 def test_parse_smallest():
@@ -103,12 +104,30 @@ def relabelled_graphs(draw) -> Graph:
     return Graph(ids, ((ids[u], ids[v]) for u, v in g.edges))
 
 
+@given(relabelled_graphs(), st.data())
+def test_the_component_walk_matches_the_oracle(g, data):
+    # the index is the graph's one adjacency: the edge list's, by position
+    assert not hasattr(g, "adjacency")
+    nbr, pos = adjacency(g), g.positions
+    assert g.index_adjacency == tuple(tuple(pos[w] for w in nbr[v]) for v in g.vertices)
+    kept = data.draw(st.frozensets(st.sampled_from(g.vertices)) if g.order else st.just(frozenset()))
+    label, count, touched = _walk_parts(g.index_adjacency, [v in kept for v in g.vertices])
+    expected = induced_components(g, kept)
+    assert count == len(expected)
+    part_of = {v: k for k, (comp, _) in enumerate(expected) for v in comp}
+    assert label == [part_of.get(v, -1) for v in g.vertices]
+    outside = frozenset().union(*(out for _, out in expected))
+    assert touched == [v in outside for v in g.vertices]
+    assert connected_components(g, kept) == tuple(tuple(sorted(c)) for c, _ in expected)
+    assert connected_components(g) == connected_components(g, g.vertex_set)
+
+
 def _assert_cut_as_built(sub: Graph, host: Graph, kept: frozenset[int]) -> None:
     """A graph derived from an indexed host is the induced subgraph, holds
     the index a from-scratch build of it gives, one ascending tuple per
-    vertex, and has built no adjacency dict to get it."""
+    vertex."""
     built = Graph(kept, (e for e in host.edges if e[0] in kept and e[1] in kept))
-    assert "index_adjacency" in sub.__dict__ and "adjacency" not in sub.__dict__
+    assert "index_adjacency" in sub.__dict__
     assert sub == built
     assert sub.index_adjacency == built.index_adjacency
     assert all(type(row) is tuple and list(row) == sorted(set(row)) for row in sub.index_adjacency)

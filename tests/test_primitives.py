@@ -315,6 +315,17 @@ def test_deficiency_check_rejects_a_wrong_deletion_set(monkeypatch):
         GraphStructure(P4).deletion_partitions
 
 
+def test_deficiency_check_rejects_a_deletion_set_with_a_part_too_many(monkeypatch):
+    # two disjoint edges: D(G-0) is {1}, one part; every vertex but 0 adds
+    # the part {2, 3}, which has no neighbour outside D to pay for it
+    g = Graph(range(4), [(0, 1), (2, 3)])
+    assert GraphStructure(g).deletion_partitions[0].d == frozenset({1})
+    every_other = lambda self, i: [j != i for j in range(len(self.adj))]
+    monkeypatch.setattr(ExposableAfterDeletion, "row", every_other)
+    with pytest.raises(DeficiencyViolation, match=r"1 exposed vertices, 2 parts of D, \|A\| = 0"):
+        GraphStructure(g).deletion_partitions
+
+
 def _assert_threshold(query, answer, spent):
     """The query gives the reference answer on exactly the reference's
     expansions, and aborts on one fewer."""
