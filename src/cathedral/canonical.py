@@ -226,18 +226,20 @@ class GraphStructure:
     @cached_property
     def minimum(self) -> int | None:
         """Index of the component below every other, if any."""
-        return self.minimum_of(range(len(self.components)))
+        k = len(self._parts)
+        return next((i for i in range(k) if self.is_minimum_of(range(k), i)), None)
 
-    def minimum_of(self, level: Iterable[int]) -> int | None:
-        """The first of the components ``level`` at which the graph their union
-        induces contracts to a factor-critical graph (``above``'s first search)."""
-        table, parts = self.table, self._parts
-        level = sorted(level)
-        for i in level:
-            rest = [v for j in level if j != i for v in parts[j]]
-            if _contracts_to_factor_critical(table.adj, table.mate, parts[i], rest):
-                return i
-        return None
+    def is_minimum_of(self, level: Iterable[int], low: int) -> bool:
+        """Whether ``low`` is the minimum of the components ``level``, by one
+        search: whether the graph their union induces contracts, at ``low``,
+        to a factor-critical graph.  That union is a separating superset of
+        ``low`` and each other component of the level, so a pass puts ``low``
+        below all of them, and antisymmetry lets only one component pass.  The
+        level's minimum passes: its witnesses inside the level cover the level,
+        and such unions are closed under union."""
+        parts = self._parts
+        rest = [v for j in level if j != low for v in parts[j]]
+        return _contracts_to_factor_critical(self.table.adj, self.table.mate, parts[low], rest)
 
     @cached_property
     def saturated(self) -> bool:

@@ -2,12 +2,12 @@
 saturated graphs and their foundation/towers decomposition.
 
 decompose reads every level off the input's one structure and doubles as a
-falsification harness: what that does not settle (each level's minimum
-component; one class per tower; one tower per class; complete class-tower
-joins) is re-checked, and a failure raises StructureViolation.  construct and
-construct_tree check each foundation on its own structure and the whole
-output on one, by the same lemma; the verifier re-checks the parts' own
-structures from scratch.
+falsification harness: it names each level's foundation by degree, checks it
+by one contraction search, and re-checks what the structure does not settle
+(one class per tower; one tower per class; complete class-tower joins); a
+failure raises StructureViolation.  construct and construct_tree check each
+foundation on its own structure and the whole output on one, by the same
+lemma; the verifier re-checks the parts' own structures from scratch.
 """
 
 from __future__ import annotations
@@ -111,7 +111,15 @@ def decompose(graph: Graph) -> CathedralTree:
 
 def _decompose_saturated(structure: GraphStructure, level: frozenset[int]) -> CathedralTree:
     """The tree of the level made of the components ``level`` of the saturated
-    graph G.  Each level H and its foundation H0 read G's structure cut to them,
+    graph G.  Its foundation F is the component of the level's vertex of
+    greatest degree in G, the least id on a tie, checked by one search.  With
+    T_S the tower joined to a class S of F, a vertex s of S has at least
+    |S| + |T_S| neighbours in the level: S is a clique, s's mate lies in
+    another class of F, and s is joined to all of T_S.  A vertex of T_S, or of
+    a tower inside it, has at most |S| + |T_S| - 1.  Once the parent level's
+    checks pass, every vertex of the level has the same neighbours outside
+    it, so degree in G ranks the level's vertices as degree in the level does.
+    Each level H and its foundation H0 read G's structure cut to them,
     by this lemma for a saturated H and a perfect matching M, whose edges lie in
     components: H-u-v is factorizable iff an M-alternating u-v path with end
     edges in M exists.  Tower T joined to class C: D(T-u) = D(H-u) ∩ V(T), as a
@@ -126,11 +134,12 @@ def _decompose_saturated(structure: GraphStructure, level: frozenset[int]) -> Ca
     graph, comps, partition = structure.graph, structure.components, structure.partition
     if not level:
         return CathedralTree(frozenset(), frozenset(), ())
-    low = structure.minimum_of(level)
-    if low is None:
+    vertices = frozenset().union(*(comps.components[i] for i in level))
+    pos, rows, vs = graph.positions, graph.index_adjacency, graph.vertices
+    low = comps.component_of[min(vertices, key=lambda v: (-len(rows[pos[v]]), v))]
+    if not structure.is_minimum_of(level, low):
         raise MinimumComponentMissing("saturated graph has no minimum component")
     fv = comps.components[low]
-    vertices = frozenset().union(*(comps.components[i] for i in level))
     towers: dict[frozenset[int], frozenset[int]] = {}
     for piece in connected_components(graph, vertices - fv):
         ps = frozenset(piece)
@@ -159,7 +168,6 @@ def _decompose_saturated(structure: GraphStructure, level: frozenset[int]) -> Ca
         for cls in sorted(partition.restricted_to(fv), key=min)
     )
     # by position, so the cost is the foundation's degrees, not |E| per level
-    pos, rows, vs = graph.positions, graph.index_adjacency, graph.vertices
     inside = {pos[s] for s in fv}
     edges = frozenset([(vs[i], vs[j]) for i in inside for j in rows[i] if i < j and j in inside])
     return CathedralTree(fv, edges, entries)
@@ -230,8 +238,7 @@ def _joined(
                 "foundation is not a factor-connected component of the output"
             )
         # the level's deeper foundations passed already, so it is a union of components
-        low = out.minimum_of({comps.component_of[v] for v in level})
-        if low != index[foundation]:
+        if not out.is_minimum_of({comps.component_of[v] for v in level}, index[foundation]):
             raise ConstructionViolation(
                 "foundation is not the minimum component of the output"
             )

@@ -73,6 +73,8 @@ _MASK64 = (1 << 64) - 1
 # larger graphs fall back to the first matching only.
 _EXHAUSTIVE_ORDER = 9
 _PATHS_PER_PAIR = 200
+# candidate graphs a failing check's counterexample search tries at most
+_SHRINK_ATTEMPTS = 400
 
 
 @dataclass(frozen=True)
@@ -1083,14 +1085,12 @@ def _fails(fn: Callable[[_TrialContext], None], graph: Graph, config: TrialConfi
     return False
 
 
-def _shrink(
-    fn: Callable[[_TrialContext], None], graph: Graph, config: TrialConfig, attempt_limit: int = 400
-) -> str:
+def _shrink(fn: Callable[[_TrialContext], None], graph: Graph, config: TrialConfig) -> str:
     """Greedy minimization preserving the failure, re-verified at each step."""
     current = graph
     attempts = 0
     changed = True
-    while changed and attempts < attempt_limit:
+    while changed and attempts < _SHRINK_ATTEMPTS:
         changed = False
         # smaller counterexample candidates: every edge removal, then every vertex-pair removal
         candidates = chain(
@@ -1103,7 +1103,7 @@ def _shrink(
                 current = candidate
                 changed = True
                 break
-            if attempts >= attempt_limit:
+            if attempts >= _SHRINK_ATTEMPTS:
                 break
     dense = _relabel_dense(current)
     if not _fails(fn, dense, config):

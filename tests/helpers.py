@@ -93,3 +93,10 @@ def chain_graph(depth: int) -> Graph:
     edges = {(s, s + 1) for s in range(0, n, 2)}
     edges |= {(s, t) for s in range(0, n, 2) for t in range(s + 2, n)}
     return Graph(range(n), edges)
+
+
+def reversed_ids(graph: Graph) -> Graph:
+    """The graph with each id v renamed to the largest id minus v, which
+    reverses the order in which the ids number its components."""
+    top = max(graph.vertices, default=0)
+    return Graph([top - v for v in graph.vertices], [(top - u, top - v) for u, v in graph.edges])

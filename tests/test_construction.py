@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from itertools import compress
 
 import pytest
@@ -46,8 +47,11 @@ from helpers import (
     chain_tree,
     factorizable_graphs,
     mid_size_graphs,
+    path,
+    reversed_ids,
     sparse_many_component_graphs,
 )
+from oracles import sweep_order
 
 
 def test_is_saturated_fixtures():
@@ -117,8 +121,8 @@ def test_decompose_rejects_unsaturated():
 
 
 def test_a_failing_contraction_search_is_a_structure_violation(monkeypatch, tmp_path, capsys):
-    # the search that picks the foundation is the falsification check: if no
-    # component passes it, decompose and the construction's re-check refuse
+    # the search that checks each foundation is the falsification check: if
+    # the named component fails it, decompose and the construction's re-check refuse
     tree = decompose(T)
     monkeypatch.setattr(cathedral.canonical, "_contracts_to_factor_critical", lambda *args: False)
     with pytest.raises(MinimumComponentMissing):
@@ -325,13 +329,13 @@ def test_the_output_check_reads_every_level(monkeypatch):
     # planted faults in the output's structure, each first seen at a level
     # below the root: construct_tree must refuse the tree
     tree = chain_tree(3)
-    minimum_of = GraphStructure.minimum_of
+    is_minimum_of = GraphStructure.is_minimum_of
 
-    def lower_levels_lose_their_minimum(self, level):
-        return None if len(level) < len(self.components) else minimum_of(self, level)
+    def lower_levels_lose_their_minimum(self, level, low):
+        return len(level) == len(self.components) and is_minimum_of(self, level, low)
 
     with monkeypatch.context() as planted:
-        planted.setattr(GraphStructure, "minimum_of", lower_levels_lose_their_minimum)
+        planted.setattr(GraphStructure, "is_minimum_of", lower_levels_lose_their_minimum)
         with pytest.raises(ConstructionViolation, match="^foundation is not the minimum component"):
             construct_tree(tree)
     with monkeypatch.context() as planted:
@@ -358,26 +362,43 @@ def _tower_tree(depth: int, start: int = 0) -> CathedralTree:
 
 
 def _levels(tree: CathedralTree):
-    yield _vertices(tree)
+    """The vertex set of the tree's level and its foundation, then of every
+    deeper level and its foundation."""
+    yield _vertices(tree), tree.foundation_vertices
     for _, sub in tree.classes:
         if sub is not None:
             yield from _levels(sub)
 
 
-def _assert_levels_read_the_output_table(tree: CathedralTree) -> int:
-    """Every level's from-scratch structure has the components, classes and
-    minimum of the structure construct_tree checked its output on, cut to
-    the level; returns the levels checked."""
+# the most components of a level the sweep oracle runs on: 12 * 2**11 unions
+_SWEPT = 12
+
+
+def _assert_levels_read_the_output_table(tree: CathedralTree) -> Counter:
+    """Every level's from-scratch structure has the components and classes
+    of the structure construct_tree checked its output on, cut to the level,
+    and its minimum is the foundation the tree names: every vertex of
+    greatest degree in G lies in it.  On a level of at most ``_SWEPT``
+    components the sweep oracle's least element is that foundation too.
+    Counts the levels checked and those swept."""
     out = _construct_tree(tree)
     comps, partition = out.components, out.partition
-    checked = 0
-    for level in _levels(tree):
+    rows, pos = out.graph.index_adjacency, out.graph.positions
+    checked: Counter = Counter()
+    for level, foundation in _levels(tree):
         own = GraphStructure(induced_subgraph(out.graph, level))
         assert set(own.components.components) == {c for c in comps.components if c <= level}
         assert set(own.partition.classes) == partition.restricted_to(level)
-        low = out.minimum_of({comps.component_of[v] for v in level})
-        assert own.components.components[own.minimum] == comps.components[low]
-        checked += 1
+        degree = {v: len(rows[pos[v]]) for v in level}
+        top = max(degree.values())
+        assert {v for v in level if degree[v] == top} <= foundation
+        assert own.components.components[own.minimum] == foundation
+        checked["levels"] += 1
+        if len(own.components) <= _SWEPT:
+            sweep = sweep_order(own.graph, own.components)
+            least = next(i for i, row in enumerate(sweep) if all(row))
+            assert own.components.components[least] == foundation
+            checked["swept"] += 1
     return checked
 
 
@@ -392,8 +413,16 @@ def test_each_level_reads_the_output_table():
         for t in range(100)
         for descending in (False, True)
     ]
-    checked = sum(_assert_levels_read_the_output_table(tree) for tree in chains + towers + closures)
-    assert checked > 500
+    closures += [
+        decompose(saturate(path(2 * k), descending=descending)[0])
+        for k in range(1, 13)
+        for descending in (False, True)
+    ]
+    # the same graphs with their components numbered the other way round
+    trees = chains + towers + closures
+    trees += [decompose(reversed_ids(construct_tree(tree))) for tree in trees]
+    checked = sum(map(_assert_levels_read_the_output_table, trees), Counter())
+    assert checked["levels"] > 1000 and checked["swept"] > 1000
 
 
 def test_tree_json_round_trip():

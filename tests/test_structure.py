@@ -51,7 +51,7 @@ from cathedral.verify import (
     run_trials,
 )
 
-from helpers import chain_graph, chain_tree, path
+from helpers import chain_graph, chain_tree, path, reversed_ids
 
 
 def _seeded(n: int, p: float, seed: int, keep) -> Graph:
@@ -192,6 +192,28 @@ def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
     counts.clear()
     assert construct_tree(tree) == graph
     assert (counts["_contracted_outer"], counts["tables"]) == (48, 49)
+
+
+_CLOSURE = saturate(path(80))[0]
+_NUMBERINGS = {
+    "closure-ascending": _CLOSURE,
+    "closure-descending": saturate(path(80), descending=True)[0],
+    "closure-reversed": reversed_ids(_CLOSURE),
+    "chain-reversed": reversed_ids(chain_graph(40)),
+}
+
+
+@pytest.mark.parametrize("graph", _NUMBERINGS.values(), ids=_NUMBERINGS)
+def test_each_level_runs_one_contraction_search_however_ids_fall(monkeypatch, graph):
+    # 40 levels, each foundation named by degree and checked by one search;
+    # trying each level's components in id order ran 820 searches on the
+    # ascending closure and on the reversed chain
+    counts = _count(monkeypatch)
+    tree = decompose(graph)
+    assert counts["_contracted_outer"] == 40
+    counts.clear()
+    assert construct_tree(tree) == graph
+    assert counts["_contracted_outer"] == 40
 
 
 def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
