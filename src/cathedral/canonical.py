@@ -225,9 +225,15 @@ class GraphStructure:
 
     @cached_property
     def minimum(self) -> int | None:
-        """Index of the component below every other, if any."""
-        k = len(self._parts)
-        return next((i for i in range(k) if self.is_minimum_of(range(k), i)), None)
+        """Index of the component below every other, if any.  At most one
+        component passes ``is_minimum_of``, so the order of the tries sets
+        only the cost: first the component of a vertex of greatest degree,
+        the least id on a tie, which on a saturated graph is the minimum (see
+        ``construction._decompose_saturated``), then the rest by index."""
+        parts, rows = self._parts, self.graph.index_adjacency
+        top = min(range(len(rows)), key=lambda i: -len(rows[i]), default=None)
+        tries = sorted(range(len(parts)), key=lambda j: top not in parts[j])
+        return next((j for j in tries if self.is_minimum_of(range(len(parts)), j)), None)
 
     def is_minimum_of(self, level: Iterable[int], low: int) -> bool:
         """Whether ``low`` is the minimum of the components ``level``, by one

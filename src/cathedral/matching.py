@@ -7,11 +7,12 @@ answers: ties break by ascending vertex id everywhere, and the walker visits
 every simple alternating path (with an expansion budget that aborts loudly
 instead of guessing).  Both run on the graph's one adjacency,
 ``Graph.index_adjacency``; the walker and ``graph._walk_parts``, the
-component walk, are the package's only two walks.  A path search given
-``kept`` (as in ``graph.connected_components``) runs in the subgraph induced
-by it: on the host's index, with every other vertex blocked, so it visits
-what a search of that subgraph under the matching's edges inside it would,
-and builds neither.
+component walk, are the package's only two walks.  A path search, the
+factorizability test or the enumeration given ``kept`` (as in
+``graph.connected_components``) runs in the subgraph induced by it: on the
+host's index, with every other vertex blocked, so it visits what the same
+call on that subgraph (under the matching's edges inside it) would, and
+builds neither.
 """
 
 from __future__ import annotations
@@ -237,8 +238,10 @@ def _contracts_to_factor_critical(
     return all([outer[v] for v in kept])
 
 
-def _greedy_mate(adj: Rows) -> list[int]:
+def _greedy_mate(adj: Rows, hidden: Iterable[int] = ()) -> list[int]:
     mate = [-1] * len(adj)
+    for h in hidden:
+        mate[h] = h  # covered, so the pass neither starts at it nor takes it
     for v, ws in enumerate(adj):
         if mate[v] == -1:
             for w in ws:
@@ -246,6 +249,8 @@ def _greedy_mate(adj: Rows) -> list[int]:
                     mate[v] = w
                     mate[w] = v
                     break
+    for h in hidden:
+        mate[h] = -1
     return mate
 
 
@@ -270,20 +275,26 @@ def matching_number(graph: Graph) -> int:
     return len(maximum_matching(graph).edges)
 
 
-def is_factorizable(graph: Graph) -> bool:
-    """Whether the graph has a perfect matching; the empty graph qualifies.
+def is_factorizable(graph: Graph, *, kept: Iterable[int] | None = None) -> bool:
+    """Whether the graph, or the subgraph induced by ``kept``, has a perfect
+    matching; the empty graph qualifies.
 
     Stops at the first exposed root whose search finds no augmenting path:
     no later augmentation can create one, so some maximum matching leaves
-    that root exposed.
+    that root exposed.  With ``kept``, the greedy start skips every other
+    position and each search gets them as ``hidden``, and a root with no
+    kept neighbour is not searched, as in the subgraph.
     """
-    if graph.order % 2:
+    within = _confined(graph, kept)
+    if len(within) % 2:
         return False
     adj = graph.index_adjacency
-    mate = _greedy_mate(adj)
+    hidden = frozenset() if kept is None else frozenset(_outside(graph, within))
+    mate = _greedy_mate(adj, hidden)
     for v, ws in enumerate(adj):
-        if mate[v] == -1 and (not ws or _edmonds_search(adj, mate, v) is not None):
-            return False
+        if mate[v] == -1 and v not in hidden:
+            if hidden.issuperset(ws) or _edmonds_search(adj, mate, v, hidden) is not None:
+                return False
     return True
 
 
@@ -364,14 +375,20 @@ class PerfectMatchingEnumeration:
 
 
 def enumerate_perfect_matchings(
-    graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
+    graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP, *, kept: Iterable[int] | None = None
 ) -> PerfectMatchingEnumeration:
     """Backtracking enumeration: repeatedly match the least uncovered vertex,
     trying its uncovered neighbours in ascending order.  Runs on positions,
-    with the covered vertices as a bitmask."""
+    with the covered vertices as a bitmask.
+
+    With ``kept``, the backtracking starts with every other position covered,
+    and positions keep their rank order, so it yields the perfect matchings
+    of the subgraph induced by ``kept`` in that subgraph's order, truncated
+    at the same count: matchings of the host that cover exactly ``kept``."""
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
-    if graph.order % 2 == 1:
+    within = _confined(graph, kept)
+    if len(within) % 2 == 1:
         return PerfectMatchingEnumeration((), False)
     vs = graph.vertices
     adj = graph.index_adjacency
@@ -400,7 +417,7 @@ def enumerate_perfect_matchings(
             if truncated:
                 break
 
-    extend(0)
+    extend(0 if kept is None else sum([1 << i for i in _outside(graph, within)]))
     return PerfectMatchingEnumeration(
         tuple(Matching._trusted(graph, m) for m in found), truncated
     )
@@ -417,6 +434,12 @@ def _confined(graph: Graph, kept: Iterable[int] | None) -> frozenset[int]:
     return ks
 
 
+def _outside(graph: Graph, within: frozenset[int]) -> list[int]:
+    """The positions of the graph's vertices outside ``within``."""
+    index = graph.positions
+    return [index[v] for v in graph.vertex_set - within]
+
+
 def _search_arrays(
     graph: Graph, matching: Matching, within: frozenset[int] | None = None
 ) -> tuple[Rows, list[int], dict[int, int], int]:
@@ -425,12 +448,8 @@ def _search_arrays(
     positions outside ``within`` (if given)."""
     if matching.graph != graph:
         raise ValueError("matching does not belong to this graph")
-    index = graph.positions
-    blocked = 0
-    if within is not None:
-        for v in graph.vertex_set - within:
-            blocked |= 1 << index[v]
-    return graph.index_adjacency, matching._mate, index, blocked
+    blocked = 0 if within is None else sum([1 << i for i in _outside(graph, within)])
+    return graph.index_adjacency, matching._mate, graph.positions, blocked
 
 
 def _walk(

@@ -9,7 +9,9 @@ reported as skipped and re-run on the graph's saturation closure.
 
 The graph's context holds each definitional artifact once (pair-deletion
 verdicts, grown graphs, part contexts, reachability sweeps, closures) for
-every check.
+every check.  The pair questions, whether G-u-v is factorizable and what its
+perfect matchings are, run on G's own index with u and v hidden; of the
+deletions, only each G-x is built.
 
 A failing check ships a replayable counterexample: the graph is greedily
 shrunk (edge removals, then vertex-pair removals) while the failure
@@ -291,18 +293,12 @@ class _TrialContext(GraphStructure):
         return _Table(lambda x: delete_vertices(graph, (x,)))
 
     @cached_property
-    def deleted_pair(self) -> _Table:
-        """The graph minus both ends of each unordered pair ``edge(u, v)``."""
-        graph = self.graph
-        # G-u-v rebuilt for the same-class relation, the saturated-path
-        # criterion and the new-matching count
-        return _Table(lambda pair: delete_vertices(graph, pair))
-
-    @cached_property
     def pair_factorizable(self) -> _Table:
-        """Whether G-u-v is factorizable, by the unordered pair ``edge(u, v)``."""
-        deleted_pair = self.deleted_pair
-        return _Table(lambda pair: is_factorizable(deleted_pair[pair]))
+        """Whether G-u-v is factorizable, by the unordered pair ``edge(u, v)``:
+        a fresh test on G's index with u and v hidden, reading neither the
+        structure's D(G-u) table nor its matching."""
+        graph = self.graph
+        return _Table(lambda pair: is_factorizable(graph, kept=graph.vertex_set.difference(pair)))
 
     @cached_property
     def parts(self) -> _Table:
@@ -942,7 +938,8 @@ def _check_new_matching_iff_path(ctx: _TrialContext) -> None:
     ctx.require_complete_enumeration()
     cap = 2 * ctx.config.enumeration_cap - len(ctx.matchings)
     for pair in complement_pairs(ctx.graph):
-        enum = enumerate_perfect_matchings(ctx.deleted_pair[pair], cap)
+        rest = ctx.graph.vertex_set.difference(pair)
+        enum = enumerate_perfect_matchings(ctx.graph, cap, kept=rest)
         if enum.truncated:
             raise _SkipCheck("grown enumeration exceeded the cap", rerun_on_closure=False)
         creates = len(enum.matchings) > 0

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from cathedral.canonical import factor_components
 from cathedral.construction import CathedralTree
-from cathedral.graph import Graph
+from cathedral.graph import Graph, induced_subgraph
+from cathedral.matching import DEFAULT_ENUMERATION_CAP, enumerate_perfect_matchings, is_factorizable
 
 E0 = Graph()
 K1 = Graph([0])
@@ -100,3 +101,30 @@ def reversed_ids(graph: Graph) -> Graph:
     reverses the order in which the ids number its components."""
     top = max(graph.vertices, default=0)
     return Graph([top - v for v in graph.vertices], [(top - u, top - v) for u, v in graph.edges])
+
+
+def assert_kept_is_the_induced_subgraph(g: Graph, kept: frozenset[int]) -> None:
+    """``kept=`` on the host gives the factorizability verdict, the perfect
+    matchings in order and the truncation flag that the same calls give on
+    the subgraph induced by ``kept``."""
+    sub = induced_subgraph(g, kept)
+    where = (sorted(g.edges), sorted(kept))
+    assert is_factorizable(g, kept=kept) == is_factorizable(sub), where
+    for cap in (3, DEFAULT_ENUMERATION_CAP):
+        ours = enumerate_perfect_matchings(g, cap, kept=kept)
+        theirs = enumerate_perfect_matchings(sub, cap)
+        assert [m.edges for m in ours] == [m.edges for m in theirs], (*where, cap)
+        assert ours.truncated == theirs.truncated, (*where, cap)
+
+
+def kept_sets(g: Graph, rng: random.Random) -> list[frozenset[int]]:
+    """Every pair deletion and every single deletion, two drawn subsets, the
+    empty set and every vertex."""
+    every = g.vertex_set
+    return [
+        *(every.difference(pair) for pair in combinations(g.vertices, 2)),
+        *(every - {v} for v in g.vertices),
+        *(frozenset(v for v in g.vertices if rng.random() < 0.5) for _ in range(2)),
+        frozenset(),
+        every,
+    ]

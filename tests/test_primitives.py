@@ -15,6 +15,7 @@ in the same order.
 """
 
 import importlib
+import random
 from collections import Counter
 from itertools import combinations, compress
 
@@ -59,7 +60,9 @@ from cathedral.verify import TrialConfig, random_factorizable_graph
 from helpers import (
     C5,
     P4,
+    assert_kept_is_the_induced_subgraph,
     factorizable_graphs,
+    kept_sets,
     mid_size_graphs,
     sparse_many_component_graphs,
 )
@@ -500,3 +503,33 @@ def test_enumeration_equals_the_set_version(seed):
 @settings(max_examples=60, deadline=None)
 def test_enumeration_equals_the_set_version_fuzzed(g):
     _assert_enumeration_equals_the_set_version(g)
+
+
+@pytest.mark.parametrize("seed", sorted(CORPORA))
+def test_kept_answers_as_the_induced_subgraph(monkeypatch, seed):
+    # the factorizability test also runs as many searches as on the
+    # subgraph: a root with no kept neighbour is not searched
+    searches = []
+    search = cathedral.matching._edmonds_search
+    monkeypatch.setattr(
+        cathedral.matching, "_edmonds_search", lambda *args: searches.append(1) or search(*args)
+    )
+    rng = random.Random(seed)
+    for g in _corpus(seed):
+        for h in _factorizable_family(g):
+            for kept in kept_sets(h, rng):
+                assert_kept_is_the_induced_subgraph(h, kept)
+                searches.clear()
+                is_factorizable(induced_subgraph(h, kept))
+                theirs = len(searches)
+                is_factorizable(h, kept=kept)
+                assert len(searches) == 2 * theirs, (sorted(h.edges), sorted(kept))
+
+
+def test_kept_outside_the_graph_is_refused():
+    g = induced_subgraph(P4, (1, 2, 3))
+    for kept in ((0, 1), (1, 2, 7)):
+        with pytest.raises(ValueError):
+            is_factorizable(g, kept=kept)
+        with pytest.raises(ValueError):
+            enumerate_perfect_matchings(g, kept=kept)

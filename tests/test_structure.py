@@ -154,13 +154,14 @@ def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
         return derived[-1]
 
     _rebind(monkeypatch, cut, derive)
-    # the suite searches 85 distinct graphs: it builds 40 indexes from
-    # scratch and cuts the other 45 from their hosts'
+    # the suite searches 57 distinct graphs: it builds 40 indexes from
+    # scratch and cuts the other 17 from their hosts'; each G-u-v is asked
+    # on its host's index, where building the 28 of them made 85
     indexed.clear()
     config = TrialConfig(seed=0)
     run_suite(random_factorizable_graph(config, 0), config)
-    assert (len(indexed), len(derived)) == (40, 45)
-    assert len({id(graph) for graph in indexed + derived}) == 85
+    assert (len(indexed), len(derived)) == (40, 17)
+    assert len({id(graph) for graph in indexed + derived}) == 57
 
 
 def test_decompose_fills_one_table(monkeypatch):
@@ -214,6 +215,18 @@ def test_each_level_runs_one_contraction_search_however_ids_fall(monkeypatch, gr
     counts.clear()
     assert construct_tree(tree) == graph
     assert counts["_contracted_outer"] == 40
+
+
+@pytest.mark.parametrize(
+    "graph", [_CLOSURE, _NUMBERINGS["chain-reversed"]], ids=["closure", "chain-reversed"]
+)
+def test_the_minimum_is_tried_at_the_greatest_degree_first(monkeypatch, graph):
+    # the component of the vertex of greatest degree is the foundation of a
+    # saturated graph; trying the components in id order ran 40 searches
+    tree = decompose(graph)
+    counts = _count(monkeypatch)
+    assert foundation_via_ge(graph) == tree.foundation_vertices
+    assert counts["_contracted_outer"] == 1
 
 
 def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
@@ -320,11 +333,16 @@ def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
 
 
 def _record(monkeypatch, name: str) -> list:
-    """The arguments of every call of `cathedral.verify.<name>` from now on;
-    holding them keeps every graph alive, so no graph's id is reused."""
+    """The arguments, keyword values last, of every call of
+    `cathedral.verify.<name>` from now on; holding them keeps every graph
+    alive, so no graph's id is reused."""
     calls = []
     original = getattr(cathedral.verify, name)
-    monkeypatch.setattr(cathedral.verify, name, lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(
+        cathedral.verify,
+        name,
+        lambda *args, **kwargs: calls.append((*args, *kwargs.values())) or original(*args, **kwargs),
+    )
     return calls
 
 
@@ -341,7 +359,7 @@ def test_verify_asks_each_pair_and_builds_each_part_once(monkeypatch):
         for name, check in _CHECKS:
             assert _run_one(name, check, ctx)[0].status != "fail"
         n = ctx.graph.order
-        assert len({rest.vertex_set for rest, in pairs}) == len(pairs) == n * (n - 1) // 2
+        assert len({kept for _, kept in pairs}) == len(pairs) == n * (n - 1) // 2
         assert len({kept for _, kept in parts}) == len(parts) == len(ctx.parts)
     # the closure's four components, one of them the foundation, and its one
     # tower, the union of the other three

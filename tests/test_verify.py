@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from cathedral.verify import (
     run_trials,
 )
 
-from helpers import C5, K4, P4, T
+from helpers import C5, K4, P4, T, assert_kept_is_the_induced_subgraph, kept_sets
 
 
 def test_config_validation():
@@ -243,6 +244,32 @@ def test_the_grown_count_is_the_host_count_plus_the_pair_deleted_count(config):
                     m.edges | {pair} for m in deleted
                 }
     assert truncated or config.enumeration_cap > 3
+
+
+@_SEEDED_CORPORA
+def test_kept_answers_as_the_induced_subgraph(config):
+    # the pair verdicts and the new-matching counts ask their G-u-v this way
+    rng = random.Random(config.seed)
+    for trial in range(config.trials):
+        graph = random_factorizable_graph(config, trial)
+        for kept in kept_sets(graph, rng):
+            assert_kept_is_the_induced_subgraph(graph, kept)
+
+
+def test_the_suite_builds_no_pair_deletion(monkeypatch):
+    # one G-x per vertex, for the gallai_edmonds and is_factor_critical
+    # cross-checks; every G-u-v is asked on the host's index
+    calls = []
+    delete_vertices = cathedral.verify.delete_vertices
+    monkeypatch.setattr(
+        cathedral.verify,
+        "delete_vertices",
+        lambda graph, removed: calls.append(removed) or delete_vertices(graph, removed),
+    )
+    config = TrialConfig(seed=0, max_vertices=10)
+    graph = next(g for t in range(100) if (g := random_factorizable_graph(config, t)).order == 10)
+    assert run_suite(graph, config).ok
+    assert sorted(calls) == [(x,) for x in graph.vertices]
 
 
 @_SEEDED_CORPORA
