@@ -270,7 +270,8 @@ class GraphStructure:
         exposed."""
         graph, table = self.graph, self.table
         return {
-            x: _checked_partition(graph, table.row(i), 1, i) for i, x in enumerate(graph.vertices)
+            x: _checked_partition(graph, table.row(i), 1, (i,))
+            for i, x in enumerate(graph.vertices)
         }
 
 

@@ -8,11 +8,11 @@ every simple alternating path (with an expansion budget that aborts loudly
 instead of guessing).  Both run on the graph's one adjacency,
 ``Graph.index_adjacency``; the walker and ``graph._walk_parts``, the
 component walk, are the package's only two walks.  A path search, the
-factorizability test or the enumeration given ``kept`` (as in
-``graph.connected_components``) runs in the subgraph induced by it: on the
-host's index, with every other vertex blocked, so it visits what the same
-call on that subgraph (under the matching's edges inside it) would, and
-builds neither.
+enumeration, or the factorizability and factor-criticality tests given
+``kept`` (as in ``graph.connected_components``) runs in the subgraph induced
+by it: on the host's index, with every other position hidden (computed once
+per call), so it visits what the same call on that subgraph (under the
+matching's edges inside it) would, and builds neither.
 """
 
 from __future__ import annotations
@@ -254,20 +254,42 @@ def _greedy_mate(adj: Rows, hidden: Iterable[int] = ()) -> list[int]:
     return mate
 
 
-def _blossom_matching(adj: Rows) -> list[int]:
-    # greedy start, then one search from each exposed vertex in ascending
-    # order; an isolated root can neither augment nor change mate
-    mate = _greedy_mate(adj)
+def _blossom_matching(
+    adj: Rows, hidden: frozenset[int] = frozenset()
+) -> tuple[list[int], list[bool]]:
+    """A maximum matching ``mate`` of the graph less the ``hidden`` positions,
+    and the marks of D, the vertices some maximum matching leaves exposed.
+
+    A greedy start, then one search from each exposed root in ascending
+    order; a root with no neighbour outside ``hidden`` is not searched and
+    marks itself.  D is the union of the outer marks of the searches that
+    fail.  A failed search leaves a Hungarian tree T: its inner vertices I
+    are matched into its outer ones, and each of its |I| + 1 outer blossoms
+    is an odd component of G - I, since every outer vertex has all its
+    neighbours in its blossom or in I.  So a matching that covers T less its
+    root still matches all of I into the blossoms.  Flipping an augmenting
+    path that meets T would leave such a matching, so the path's neighbours
+    at each vertex of T would lie in T, and so would the whole path with its
+    ends; but the root, T's only exposed vertex, cannot augment.  No later
+    flip touches T, and its marks are those a search from its root under the
+    final matching gives.  A factorizable graph fails no search.
+    """
+    mate = _greedy_mate(adj, hidden)
+    marks = [False] * len(adj)
     for v, ws in enumerate(adj):
-        if mate[v] == -1 and ws:
-            _edmonds_search(adj, mate, v)
-    return mate
+        if mate[v] != -1 or v in hidden:
+            continue
+        if hidden.issuperset(ws):
+            marks[v] = True
+        elif (outer := _edmonds_search(adj, mate, v, hidden)) is not None:
+            marks = [x or y for x, y in zip(marks, outer)]
+    return mate, marks
 
 
 def maximum_matching(graph: Graph) -> Matching:
     """A maximum-cardinality matching, deterministic for a fixed input."""
     vs = graph.vertices
-    mate = _blossom_matching(graph.index_adjacency)
+    mate, _ = _blossom_matching(graph.index_adjacency)
     return Matching(graph, ((vs[i], vs[m]) for i, m in enumerate(mate) if m > i))
 
 
@@ -285,11 +307,10 @@ def is_factorizable(graph: Graph, *, kept: Iterable[int] | None = None) -> bool:
     position and each search gets them as ``hidden``, and a root with no
     kept neighbour is not searched, as in the subgraph.
     """
-    within = _confined(graph, kept)
+    within, hidden = _confined(graph, kept)
     if len(within) % 2:
         return False
     adj = graph.index_adjacency
-    hidden = frozenset() if kept is None else frozenset(_outside(graph, within))
     mate = _greedy_mate(adj, hidden)
     for v, ws in enumerate(adj):
         if mate[v] == -1 and v not in hidden:
@@ -298,28 +319,19 @@ def is_factorizable(graph: Graph, *, kept: Iterable[int] | None = None) -> bool:
     return True
 
 
-def is_factor_critical(graph: Graph) -> bool:
-    """Whether deleting any one vertex leaves a factorizable graph.
+def is_factor_critical(graph: Graph, *, kept: Iterable[int] | None = None) -> bool:
+    """Whether deleting any one vertex leaves a factorizable graph (or
+    subgraph induced by ``kept``).
 
-    A maximum matching exposes one vertex, and the search from it marks every
-    vertex outer.  One-vertex graphs qualify; the empty graph does not (it
-    has no near-perfect matching for the definition to speak about).
+    One blossom pass leaves exactly one root exposed, and its failed search
+    marks every vertex.  One-vertex graphs qualify; the empty graph does not
+    (it has no near-perfect matching for the definition to speak about).
     """
-    if graph.order % 2 == 0:
+    within, hidden = _confined(graph, kept)
+    if len(within) % 2 == 0:
         return False
-    adj = graph.index_adjacency
-    mate = _blossom_matching(adj)
-    exposed = [v for v, m in enumerate(mate) if m == -1]
-    return len(exposed) == 1 and all(_edmonds_search(adj, mate, exposed[0]))
-
-
-def exposable_vertices(graph: Graph) -> frozenset[int]:
-    """Vertices some maximum matching leaves exposed: the outer vertices of
-    one search from each vertex a maximum matching exposes."""
-    adj = graph.index_adjacency
-    mate = _blossom_matching(adj)
-    marks = [_edmonds_search(adj, mate, root) for root, m in enumerate(mate) if m == -1]
-    return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
+    mate, marks = _blossom_matching(graph.index_adjacency, hidden)
+    return mate.count(-1) == len(hidden) + 1 and sum(marks) == len(within)
 
 
 class ExposableAfterDeletion:
@@ -335,7 +347,7 @@ class ExposableAfterDeletion:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.adj: Rows = graph.index_adjacency
-        self.mate = _blossom_matching(self.adj)
+        self.mate, _ = _blossom_matching(self.adj)
         if -1 in self.mate:
             raise NotFactorizableError("deletion searches need a graph with a perfect matching")
         self.rows: list[list[bool] | None] = [None] * len(self.mate)
@@ -387,7 +399,7 @@ def enumerate_perfect_matchings(
     at the same count: matchings of the host that cover exactly ``kept``."""
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
-    within = _confined(graph, kept)
+    within, hidden = _confined(graph, kept)
     if len(within) % 2 == 1:
         return PerfectMatchingEnumeration((), False)
     vs = graph.vertices
@@ -417,38 +429,34 @@ def enumerate_perfect_matchings(
             if truncated:
                 break
 
-    extend(0 if kept is None else sum([1 << i for i in _outside(graph, within)]))
+    extend(sum([1 << i for i in hidden]) if hidden else 0)
     return PerfectMatchingEnumeration(
         tuple(Matching._trusted(graph, m) for m in found), truncated
     )
 
 
-def _confined(graph: Graph, kept: Iterable[int] | None) -> frozenset[int]:
-    """The vertices a search may visit: ``kept``, which must lie in the
-    graph, or the whole graph."""
+def _confined(graph: Graph, kept: Iterable[int] | None) -> tuple[frozenset[int], frozenset[int]]:
+    """The vertices a search may visit, ``kept`` (which must lie in the
+    graph) or the whole graph, and the positions of the others."""
     if kept is None:
-        return graph.vertex_set
+        return graph.vertex_set, frozenset()
     ks = frozenset(kept)
-    if not ks <= graph.vertex_set:
-        raise ValueError("subgraph vertices must come from the host graph")
-    return ks
-
-
-def _outside(graph: Graph, within: frozenset[int]) -> list[int]:
-    """The positions of the graph's vertices outside ``within``."""
     index = graph.positions
-    return [index[v] for v in graph.vertex_set - within]
+    hidden = frozenset(map(index.__getitem__, graph.vertex_set - ks))
+    if len(ks) + len(hidden) != len(index):
+        raise ValueError("subgraph vertices must come from the host graph")
+    return ks, hidden
 
 
 def _search_arrays(
-    graph: Graph, matching: Matching, within: frozenset[int] | None = None
+    graph: Graph, matching: Matching, hidden: Iterable[int] = ()
 ) -> tuple[Rows, list[int], dict[int, int], int]:
     """The host's index adjacency and positions, cached on the graph, the
     matching's mate array, cached on the matching, and the bitmask of the
-    positions outside ``within`` (if given)."""
+    ``hidden`` positions."""
     if matching.graph != graph:
         raise ValueError("matching does not belong to this graph")
-    blocked = 0 if within is None else sum([1 << i for i in _outside(graph, within)])
+    blocked = sum([1 << i for i in hidden]) if hidden else 0
     return graph.index_adjacency, matching._mate, graph.positions, blocked
 
 
@@ -514,8 +522,8 @@ def alternating_reachability(
     the matching's edges inside it, run on the host's arrays with every
     other vertex blocked: the same paths in the same order for the same
     expansions, and only ``kept`` as sources and keys."""
-    within = _confined(graph, kept)
-    adj, mate, _, blocked = _search_arrays(graph, matching, within)
+    within, hidden = _confined(graph, kept)
+    adj, mate, _, blocked = _search_arrays(graph, matching, hidden)
     vs = graph.vertices
     sources = [i for i, v in enumerate(vs) if v in within]
     sat: list[set[int]] = [set() for _ in vs]
@@ -541,14 +549,14 @@ def alternating_path_exists(
     """Exhaustive search for one simple alternating path of the given kind,
     inside the subgraph induced by ``kept`` if given (as in
     ``alternating_reachability``)."""
-    within = _confined(graph, kept)
+    within, hidden = _confined(graph, kept)
     if source not in within or target not in within:
         raise ValueError("path query outside the host graph")
     if source == target:
         if kind is PathKind.BALANCED:
             return True
         raise ValueError(f"{kind.value} paths need distinct endpoints")
-    adj, mate, index, blocked = _search_arrays(graph, matching, within)
+    adj, mate, index, blocked = _search_arrays(graph, matching, hidden)
     t, last_matched = index[target], kind is PathKind.SATURATED
     walks = _walk(adj, mate, index[source], kind is not PathKind.EXPOSED, blocked, [budget])
     return any(path[-1] == t and matched == last_matched for path, matched in walks)
@@ -566,10 +574,10 @@ def iter_saturated_paths(
     """Yield every simple saturated path between two vertices, as vertex
     tuples, in ascending DFS order; inside the subgraph induced by ``kept``
     if given (as in ``alternating_reachability``)."""
-    within = _confined(graph, kept)
+    within, hidden = _confined(graph, kept)
     if source == target or source not in within or target not in within:
         raise ValueError("saturated paths need two distinct host vertices")
-    adj, mate, index, blocked = _search_arrays(graph, matching, within)
+    adj, mate, index, blocked = _search_arrays(graph, matching, hidden)
     vs = graph.vertices
     t = index[target]
     for path, matched in _walk(adj, mate, index[source], True, blocked, [budget]):

@@ -9,9 +9,10 @@ reported as skipped and re-run on the graph's saturation closure.
 
 The graph's context holds each definitional artifact once (pair-deletion
 verdicts, grown graphs, part contexts, reachability sweeps, closures) for
-every check.  The pair questions, whether G-u-v is factorizable and what its
-perfect matchings are, run on G's own index with u and v hidden; of the
-deletions, only each G-x is built.
+every check.  The deletion questions, whether G-u-v is factorizable and what
+its perfect matchings are, and what the partition of G-x is and whether G-x
+is factor-critical, run on G's own index with the deleted vertices hidden,
+so no deletion is built.
 
 A failing check ships a replayable counterexample: the graph is greedily
 shrunk (edge removals, then vertex-pair removals) while the failure
@@ -285,14 +286,6 @@ class _TrialContext(GraphStructure):
         return _Table(lambda base: _up_sets(graph, poset, partition, base))
 
     @cached_property
-    def deleted_instance(self) -> _Table:
-        """The graph minus each vertex x; its alternating paths are read off
-        ``reach[0]`` (see ``_check_exposure_partition_paths``)."""
-        graph = self.graph
-        # G-x rebuilt for the gallai_edmonds and is_factor_critical cross-checks
-        return _Table(lambda x: delete_vertices(graph, (x,)))
-
-    @cached_property
     def pair_factorizable(self) -> _Table:
         """Whether G-u-v is factorizable, by the unordered pair ``edge(u, v)``:
         a fresh test on G's index with u and v hidden, reading neither the
@@ -348,18 +341,19 @@ def _check_exposure_partition_paths(ctx: _TrialContext) -> None:
     in A(G-x) iff it is not but is in balanced[x]."""
     if not ctx.graph.order:
         return
-    reach = ctx.reach[0]
-    instances = [(ctx.graph, frozenset(), frozenset())]
+    reach, every = ctx.reach[0], ctx.graph.vertex_set
+    instances = [(every, frozenset(), frozenset())]
     for x in ctx.graph.vertices:
         sat = reach.saturated[x]
-        instances.append((ctx.deleted_instance[x], sat, reach.balanced[x] - sat))
-    for host, d, a in instances:
-        ge = gallai_edmonds(host)
-        for u in host.vertices:
+        instances.append((every - {x}, sat, reach.balanced[x] - sat))
+    for kept, d, a in instances:
+        # asked on G's index, reading neither the structure's D(G-x) nor its matching
+        ge = gallai_edmonds(ctx.graph, kept=kept)
+        for u in sorted(kept):
             in_d, in_a = u in d, u in a
             in_c = not in_d and not in_a
             if (u in ge.d) != in_d or (u in ge.a) != in_a or (u in ge.c) != in_c:
-                _fail(f"partition of {sorted(host.vertices)} disagrees with paths at {u}")
+                _fail(f"partition of {sorted(kept)} disagrees with paths at {u}")
 
 
 def _check_deleted_partition_paths(ctx: _TrialContext) -> None:
@@ -835,9 +829,9 @@ def _check_factor_critical_balanced(ctx: _TrialContext) -> None:
     vertex has a balanced path to the exposed one.  Asked of each G-x, whose
     paths are read off G's sweep as in ``_check_exposure_partition_paths``."""
     for x in ctx.graph.vertices:
-        rest = ctx.deleted_instance[x]
-        critical = is_factor_critical(rest)
-        reachable = ctx.reach[0].saturated[x] >= rest.vertex_set
+        rest = ctx.graph.vertex_set - {x}
+        critical = is_factor_critical(ctx.graph, kept=rest)
+        reachable = ctx.reach[0].saturated[x] >= rest
         if critical != reachable:
             _fail(f"factor-criticality of G-{x} disagrees with balanced reachability")
 

@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 
 from cathedral.canonical import factor_components
 from cathedral.construction import CathedralTree
-from cathedral.graph import Graph, induced_subgraph
-from cathedral.matching import DEFAULT_ENUMERATION_CAP, enumerate_perfect_matchings, is_factorizable
+from cathedral.gallai_edmonds import gallai_edmonds
+from cathedral.graph import Graph, edge, induced_subgraph
+from cathedral.matching import (
+    DEFAULT_ENUMERATION_CAP,
+    enumerate_perfect_matchings,
+    is_factor_critical,
+    is_factorizable,
+)
 
 E0 = Graph()
 K1 = Graph([0])
@@ -53,6 +59,23 @@ def sparse_many_component_graphs(count: int) -> list[Graph]:
         if len(factor_components(g)) in (6, 7):
             kept.append(g)
     return kept
+
+
+def sparse_odd_graphs(count: int) -> list[Graph]:
+    """Unicyclic graphs on 9, 11 or 13 vertices: a random tree with shuffled
+    ids plus one edge.  In the blossom pass of about one in eight, a root's
+    search fails before a later root's augments."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        n = rng.choice((9, 11, 13))
+        ids = list(range(n))
+        rng.shuffle(ids)
+        edges = {edge(ids[v], ids[rng.randrange(v)]) for v in range(1, n)}
+        while len(edges) < n:
+            edges.add(edge(*rng.sample(range(n), 2)))
+        out.append(Graph(range(n), edges))
+    return out
 
 
 def mid_size_graphs(count: int) -> list[Graph]:
@@ -104,12 +127,15 @@ def reversed_ids(graph: Graph) -> Graph:
 
 
 def assert_kept_is_the_induced_subgraph(g: Graph, kept: frozenset[int]) -> None:
-    """``kept=`` on the host gives the factorizability verdict, the perfect
-    matchings in order and the truncation flag that the same calls give on
-    the subgraph induced by ``kept``."""
+    """``kept=`` on the host gives the factorizability and factor-criticality
+    verdicts, the deficiency partition, the perfect matchings in order and
+    the truncation flag that the same calls give on the subgraph induced by
+    ``kept``."""
     sub = induced_subgraph(g, kept)
     where = (sorted(g.edges), sorted(kept))
     assert is_factorizable(g, kept=kept) == is_factorizable(sub), where
+    assert is_factor_critical(g, kept=kept) == is_factor_critical(sub), where
+    assert gallai_edmonds(g, kept=kept).parts() == gallai_edmonds(sub).parts(), where
     for cap in (3, DEFAULT_ENUMERATION_CAP):
         ours = enumerate_perfect_matchings(g, cap, kept=kept)
         theirs = enumerate_perfect_matchings(sub, cap)

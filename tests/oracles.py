@@ -6,7 +6,8 @@ factorizability from trying every partner of the least vertex, contraction
 from a literal edge rewrite; the enumeration's order and truncation are those
 of its former set-based backtracking.  The deletion structures follow their
 definitions: allowed edges and classes one pair deletion at a time, the
-exposable set as the vertices some maximum matching misses.  The
+exposable set as the vertices some maximum matching misses, and also as one
+search from each vertex the final blossom matching exposes.  The
 alternating-walk references are the per-query depth-first loops, counting
 their expansions.  The component order has two references: the per-pair
 search, which tries every union containing both components (its
@@ -31,6 +32,7 @@ from cathedral.graph import (
 from cathedral.matching import (
     _blossom_matching,
     _contracts_to_factor_critical,
+    _edmonds_search,
     is_factor_critical,
 )
 
@@ -247,6 +249,16 @@ def deletion_gallai_edmonds(graph: Graph) -> tuple[frozenset[int], frozenset[int
     return d, a, graph.vertex_set - d - a
 
 
+def final_search_exposable(graph: Graph) -> frozenset[int]:
+    """D as the package read it before its one-pass marks: a blossom
+    matching, then one search from each vertex it exposes, all under that
+    final matching."""
+    adj = graph.index_adjacency
+    mate, _ = _blossom_matching(adj)
+    marks = [_edmonds_search(adj, mate, root) for root, m in enumerate(mate) if m == -1]
+    return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
+
+
 def deletion_is_factor_critical(graph: Graph) -> bool:
     """Odd order, and every single deletion is factorizable."""
     return graph.order % 2 == 1 and all(
@@ -403,7 +415,7 @@ def sweep_order(graph, comps) -> tuple[tuple[bool, ...], ...]:
     already cannot add any and is skipped.  Each try is one search on index
     arrays from one perfect matching of the graph."""
     index, adj = graph.positions, graph.index_adjacency
-    mate = _blossom_matching(adj)
+    mate, _ = _blossom_matching(adj)
     parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
     k = len(parts)
     out = []

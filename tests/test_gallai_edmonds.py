@@ -1,11 +1,13 @@
 from hypothesis import given, settings
 
+import cathedral.matching
 from cathedral.gallai_edmonds import gallai_edmonds
-from cathedral.graph import delete_vertices
-from cathedral.matching import matching_number
+from cathedral.graph import Graph, delete_vertices, induced_subgraph
+from cathedral.matching import matching_number, maximum_matching
+from cathedral.verify import TrialConfig, random_factorizable_graph
 
 from helpers import C5, P4, T, factorizable_graphs, graphs
-from oracles import brute_matching_number
+from oracles import brute_matching_number, final_search_exposable
 
 
 def test_pendant_fixture_deletions():
@@ -35,6 +37,7 @@ def test_partition_and_definition(g):
     for v in g.vertices:
         exposable = brute_matching_number(delete_vertices(g, (v,))) == nu
         assert (v in ge.d) == exposable
+    assert ge.d == final_search_exposable(g)
 
 
 @given(factorizable_graphs())
@@ -43,3 +46,43 @@ def test_factorizable_deletion_never_isolates_matching_number(g):
     # deleting one vertex of a factorizable graph drops the matching number
     for v in g.vertices:
         assert matching_number(delete_vertices(g, (v,))) == g.order // 2 - 1
+
+
+def _counted_searches(monkeypatch) -> list[int]:
+    searches = []
+    search = cathedral.matching._edmonds_search
+    monkeypatch.setattr(
+        cathedral.matching, "_edmonds_search", lambda *args: searches.append(args[2]) or search(*args)
+    )
+    return searches
+
+
+def test_the_star_runs_one_search_per_exposed_leaf(monkeypatch):
+    # vertex 0 joined to 1..400 and the edge 400-401: the greedy start leaves
+    # the 398 leaves 2..399 exposed, and the search from each fails
+    star = Graph(range(402), [(0, v) for v in range(1, 401)] + [(400, 401)])
+    searches = _counted_searches(monkeypatch)
+    ge = gallai_edmonds(star)
+    assert len(searches) <= 400
+    assert ge.parts() == (frozenset(range(1, 400)), frozenset({0}), frozenset({400, 401}))
+
+
+def test_a_deletion_partition_runs_the_searches_of_one_blossom_pass(monkeypatch):
+    # G-x asked on G's index runs the searches of G-x's own blossom pass,
+    # and no second pass or search
+    searches = _counted_searches(monkeypatch)
+    config = TrialConfig(seed=0, max_vertices=10)
+    total = 0
+    for trial in range(30):
+        g = random_factorizable_graph(config, trial)
+        for x in g.vertices:
+            kept = g.vertex_set - {x}
+            sub = induced_subgraph(g, kept)
+            searches.clear()
+            maximum_matching(sub)
+            theirs = len(searches)
+            searches.clear()
+            gallai_edmonds(g, kept=kept)
+            assert len(searches) == theirs, (sorted(g.edges), x)
+            total += theirs
+    assert total

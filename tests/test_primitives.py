@@ -48,7 +48,6 @@ from cathedral.matching import (
     alternating_path_exists,
     alternating_reachability,
     enumerate_perfect_matchings,
-    exposable_vertices,
     is_factor_critical,
     is_factorizable,
     iter_saturated_paths,
@@ -65,6 +64,7 @@ from helpers import (
     kept_sets,
     mid_size_graphs,
     sparse_many_component_graphs,
+    sparse_odd_graphs,
 )
 from oracles import (
     circuit_search,
@@ -73,6 +73,7 @@ from oracles import (
     deletion_is_factor_critical,
     deletion_is_saturated,
     deletion_partition,
+    final_search_exposable,
     path_search,
     reachability_expansions,
     restart_saturate,
@@ -164,6 +165,42 @@ def test_exposable_sets_match_their_definitions(seed):
             assert is_factor_critical(h) == deletion_is_factor_critical(h), where
 
 
+@pytest.mark.parametrize("source", [101, 303, "sparse", "mid"])
+def test_one_pass_marks_are_the_final_searches(source):
+    # the blossom pass reads D off the searches that fail as it goes; the
+    # oracle searches again from each root the final matching exposes
+    if source == "sparse":
+        corpus = sparse_many_component_graphs(40)
+    elif source == "mid":
+        corpus = mid_size_graphs(60)
+    else:
+        corpus = [h for g in _corpus(source) for h in [g, *_deficient_family(g)]]
+    for i, g in enumerate(corpus):
+        assert gallai_edmonds(g).d == final_search_exposable(g), (source, i, sorted(g.edges))
+
+
+def test_marks_of_a_failed_search_survive_later_augmentations(monkeypatch):
+    # a later root's augmentation flips the matching an earlier failed
+    # search ran under; 40 of these 300 graphs do that
+    augmented = []
+    search = cathedral.matching._edmonds_search
+
+    def recorded(*args):
+        outer = search(*args)
+        augmented.append(outer is None)
+        return outer
+
+    monkeypatch.setattr(cathedral.matching, "_edmonds_search", recorded)
+    late = 0
+    for i, g in enumerate(sparse_odd_graphs(300)):
+        augmented.clear()
+        d = gallai_edmonds(g).d
+        if False in augmented and True in augmented[augmented.index(False) :]:
+            late += 1
+        assert d == final_search_exposable(g) == deletion_gallai_edmonds(g)[0], (i, sorted(g.edges))
+    assert late >= 30, late
+
+
 @pytest.mark.parametrize("source", [101, 303, "sparse"])
 def test_each_union_verdict_matches_its_contraction(source):
     # every union of components containing the lower one, not only those
@@ -176,7 +213,7 @@ def test_each_union_verdict_matches_its_contraction(source):
     for i, g in enumerate(graphs):
         for h in (g, saturate(g)[0]):
             index, adj = h.positions, h.index_adjacency
-            mate = _blossom_matching(adj)
+            mate, _ = _blossom_matching(adj)
             comps = factor_components(h).components
             for lower in comps:
                 rest = [c for c in comps if c != lower]
@@ -223,7 +260,7 @@ def test_the_host_array_contraction_marks_what_the_contracted_graph_exposes(
                 lower = frozenset(vs[v] for v in merged)
                 union = lower | {vs[v] for v in kept}
                 shrunk = contract(induced_subgraph(h, union), lower)
-                exposable = exposable_vertices(shrunk.graph)
+                exposable = gallai_edmonds(shrunk.graph).d
                 where = (source, i, sorted(lower), sorted(union))
                 assert shrunk.merged_vertex in exposable, where
                 assert all(marks[v] for v in merged), where
@@ -243,7 +280,7 @@ def test_each_deletion_row_marks_what_the_deleted_graph_exposes(source):
             table = ExposableAfterDeletion(h)
             for u, at in h.positions.items():
                 row = table.row(at)
-                expected = exposable_vertices(delete_vertices(h, [u]))
+                expected = gallai_edmonds(delete_vertices(h, [u])).d
                 assert frozenset(compress(h.vertices, row)) == expected, (source, i, u)
                 assert not row[at], (source, i, u)
 
@@ -304,8 +341,12 @@ def test_order_runs_fewer_searches_per_component_than_components(monkeypatch):
 
 
 def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
+    # the pass's matching is right and its D empty: C5's one exposed vertex
+    # then has no component of G[D] to lie in
     module = importlib.import_module("cathedral.gallai_edmonds")
-    monkeypatch.setattr(module, "exposable_vertices", lambda g: frozenset())
+    blossom = module._blossom_matching
+    wrong = lambda adj, hidden: (blossom(adj, hidden)[0], [False] * len(adj))
+    monkeypatch.setattr(module, "_blossom_matching", wrong)
     with pytest.raises(StructureViolation, match="exposed vertices"):
         gallai_edmonds(C5)
 
@@ -531,5 +572,6 @@ def test_kept_outside_the_graph_is_refused():
     for kept in ((0, 1), (1, 2, 7)):
         with pytest.raises(ValueError):
             is_factorizable(g, kept=kept)
-        with pytest.raises(ValueError):
-            enumerate_perfect_matchings(g, kept=kept)
+        for ask in (enumerate_perfect_matchings, is_factor_critical, gallai_edmonds):
+            with pytest.raises(ValueError):
+                ask(g, kept=kept)

@@ -154,14 +154,16 @@ def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
         return derived[-1]
 
     _rebind(monkeypatch, cut, derive)
-    # the suite searches 57 distinct graphs: it builds 40 indexes from
-    # scratch and cuts the other 17 from their hosts'; each G-u-v is asked
-    # on its host's index, where building the 28 of them made 85
+    # the suite searches 49 distinct graphs: it builds 40 indexes from
+    # scratch and cuts the other 9 from their hosts'; each G-x and each G-u-v
+    # is asked on its host's index
     indexed.clear()
     config = TrialConfig(seed=0)
-    run_suite(random_factorizable_graph(config, 0), config)
-    assert (len(indexed), len(derived)) == (40, 17)
-    assert len({id(graph) for graph in indexed + derived}) == 57
+    graph = random_factorizable_graph(config, 0)
+    run_suite(graph, config)
+    assert graph.order == 8
+    assert (len(indexed), len(derived)) == (40, 9)
+    assert len({id(graph) for graph in indexed + derived}) == 49
 
 
 def test_decompose_fills_one_table(monkeypatch):
