@@ -12,6 +12,7 @@ rows, ``_walk_parts``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -40,13 +41,13 @@ class Graph:
     edges: frozenset[Edge]
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Iterable[int]] = ()) -> None:
-        vs = sorted({int(v) for v in vertices})
+        vs = sorted({operator.index(v) for v in vertices})
         if vs and vs[0] < 0:
             raise ValueError("vertex ids must be nonnegative")
         declared = set(vs)
         es: set[Edge] = set()
         for u, v in edges:
-            e = edge(int(u), int(v))
+            e = edge(operator.index(u), operator.index(v))
             if e[0] not in declared or e[1] not in declared:
                 raise ValueError(f"edge {e} uses an undeclared vertex")
             es.add(e)
@@ -79,8 +80,9 @@ class Graph:
     @cached_property
     def index_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """The graph's one adjacency: each vertex's neighbours by position,
-        one ascending tuple per vertex.  Every search and walk of this graph
-        runs on it, and none grows it."""
+        one ascending tuple per vertex, built from the graph's own edges on
+        first use.  Every search and walk of this graph runs on it, and none
+        grows it."""
         pos = self.positions
         rows: list[list[int]] = [[] for _ in self.vertices]
         for u, v in self.edges:
@@ -161,32 +163,15 @@ def render_edge_list(graph: Graph, comments: Iterable[str] = ()) -> str:
 
 
 def induced_subgraph(graph: Graph, kept: Iterable[int]) -> Graph:
-    """The subgraph induced by ``kept``.
-
-    When the host holds its ``index_adjacency``, the child's is cut from it:
-    the kept positions' rows, less every other position, renumbered by rank.
-    Renumbering by rank keeps the order, so each row is the ascending tuple
-    a from-scratch build gives.  A host never searched has no index to cut,
-    and its child builds its own on first use."""
+    """The subgraph induced by ``kept``; like every graph, it builds its
+    ``index_adjacency`` from its own edges on first use."""
     ks = frozenset(kept)
     if not ks <= graph.vertex_set:
         raise ValueError("subgraph vertices must come from the host graph")
-    vs = graph.vertices
-    keep = [i for i, v in enumerate(vs) if v in ks]
-    child = Graph._trusted(
-        tuple([vs[i] for i in keep]),
+    return Graph._trusted(
+        tuple([v for v in graph.vertices if v in ks]),
         frozenset(e for e in graph.edges if e[0] in ks and e[1] in ks),
     )
-    rows = graph.__dict__.get("index_adjacency")
-    if rows is not None:
-        rank = [-1] * len(vs)
-        for r, i in enumerate(keep):
-            rank[i] = r
-        # stored where the cached property stores what it computes
-        child.__dict__["index_adjacency"] = tuple(
-            [tuple([rank[j] for j in rows[i] if rank[j] >= 0]) for i in keep]
-        )
-    return child
 
 
 def delete_vertices(graph: Graph, removed: Iterable[int]) -> Graph:
@@ -233,7 +218,7 @@ def add_edges(graph: Graph, pairs: Iterable[Iterable[int]]) -> Graph:
     """Add absent edges between existing vertices."""
     edges = set(graph.edges)
     for u, v in pairs:
-        e = edge(int(u), int(v))
+        e = edge(operator.index(u), operator.index(v))
         if e[0] not in graph.vertex_set or e[1] not in graph.vertex_set:
             raise ValueError(f"edge {e} uses an unknown vertex")
         if e in edges:

@@ -17,6 +17,7 @@ matching's edges inside it) would, and builds neither.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +56,7 @@ class Matching:
     edges: frozenset[Edge]
 
     def __init__(self, graph: Graph, edges: Iterable[Iterable[int]] = ()) -> None:
-        es = {edge(int(u), int(v)) for u, v in edges}
+        es = {edge(operator.index(u), operator.index(v)) for u, v in edges}
         covered: set[int] = set()
         for u, v in es:
             if (u, v) not in graph.edges:
@@ -598,7 +599,7 @@ def alternating_circuit_exists(
     endpoint and try to close back onto the other with the right parity.
     """
     x, y = circuit_edge
-    e = edge(int(x), int(y))
+    e = edge(operator.index(x), operator.index(y))
     if e not in graph.edges:
         raise ValueError(f"{e} is not an edge of the host graph")
     adj, mate, index, _ = _search_arrays(graph, matching)

@@ -76,6 +76,8 @@ _MASK64 = (1 << 64) - 1
 # larger graphs fall back to the first matching only.
 _EXHAUSTIVE_ORDER = 9
 _PATHS_PER_PAIR = 200
+# expansions each path search and reachability sweep may spend
+_PATH_BUDGET = 2_000_000
 # candidate graphs a failing check's counterexample search tries at most
 _SHRINK_ATTEMPTS = 400
 
@@ -89,7 +91,6 @@ class TrialConfig:
     max_vertices: int = 8
     edge_probability: float = 0.3
     enumeration_cap: int = 64
-    path_budget: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -276,8 +277,10 @@ class _TrialContext(GraphStructure):
     @cached_property
     def reach(self) -> _Table:
         """The reachability sweep under each perfect matching, by its index."""
-        graph, matchings, budget = self.graph, self.matchings, self.config.path_budget
-        return _Table(lambda mi: alternating_reachability(graph, matchings[mi], budget=budget))
+        graph, matchings = self.graph, self.matchings
+        return _Table(
+            lambda mi: alternating_reachability(graph, matchings[mi], budget=_PATH_BUDGET)
+        )
 
     @cached_property
     def upsets(self) -> _Table:
@@ -296,10 +299,12 @@ class _TrialContext(GraphStructure):
     @cached_property
     def parts(self) -> _Table:
         """A from-scratch context of the subgraph induced on each vertex set,
-        never this one, so that no check compares an artifact with itself.
-        Only elementary reachability, which compares nothing with this
-        context, reads this context in place of the part on every vertex:
-        that part is the same graph with the same enumeration and sweeps."""
+        never this one, so that no check compares an artifact with itself:
+        the part builds its index, like everything else, from its own edges,
+        so a fault in this graph's rows cannot reach it.  Only elementary
+        reachability, which compares nothing with this context, reads this
+        context in place of the part on every vertex: that part is the same
+        graph with the same enumeration and sweeps."""
         graph, config = self.graph, self.config
         # G[S] rebuilt for the checks that compare G with its components, foundation and towers
         return _Table(lambda vertex_set: _TrialContext(induced_subgraph(graph, vertex_set), config))
@@ -458,7 +463,7 @@ def _saturated_paths(
 ) -> Iterator[tuple[int, ...]]:
     """The saturated u-v paths inside ``kept``; the check is skipped when
     there are more than ``_PATHS_PER_PAIR`` of them."""
-    paths = iter_saturated_paths(ctx.graph, m, u, v, kept=kept, budget=ctx.config.path_budget)
+    paths = iter_saturated_paths(ctx.graph, m, u, v, kept=kept, budget=_PATH_BUDGET)
     for count, path in enumerate(paths, 1):
         if count > _PATHS_PER_PAIR:
             raise _SkipCheck(f"too many {kind} paths", rerun_on_closure=False)
@@ -474,7 +479,7 @@ def _check_ear_ends_share_class(ctx: _TrialContext) -> None:
             if not outside_vertices:
                 continue
             reach = alternating_reachability(
-                ctx.graph, m, kept=outside_vertices, budget=ctx.config.path_budget
+                ctx.graph, m, kept=outside_vertices, budget=_PATH_BUDGET
             )
             for u, w in combinations(sorted(outside_vertices), 2):
                 if w not in reach.saturated[u]:
@@ -591,7 +596,7 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
                         v,
                         PathKind.BALANCED,
                         kept=up_s | {u, v},
-                        budget=ctx.config.path_budget,
+                        budget=_PATH_BUDGET,
                     ):
                         break
                 else:
@@ -616,7 +621,7 @@ def _check_upward_reachability(ctx: _TrialContext) -> None:
                                 v,
                                 PathKind.SATURATED,
                                 kept=avoid_region,
-                                budget=ctx.config.path_budget,
+                                budget=_PATH_BUDGET,
                             )
                         if not found:
                             _fail(f"no confined saturated path from {u} across to {v}")
@@ -844,7 +849,7 @@ def _check_allowed_circuit_path(ctx: _TrialContext) -> None:
         for e in sorted(ctx.graph.edges - m.edges):
             a = e in ctx.allowed_union
             b = e[1] in reach.saturated[e[0]]
-            c = alternating_circuit_exists(ctx.graph, m, e, budget=ctx.config.path_budget)
+            c = alternating_circuit_exists(ctx.graph, m, e, budget=_PATH_BUDGET)
             if not (a == b == c):
                 _fail(f"allowed/circuit/path disagree at edge {e}: {a}, {b}, {c}")
 

@@ -122,31 +122,30 @@ def test_the_component_walk_matches_the_oracle(g, data):
     assert connected_components(g) == connected_components(g, g.vertex_set)
 
 
-def _assert_cut_as_built(sub: Graph, host: Graph, kept: frozenset[int]) -> None:
-    """A graph derived from an indexed host is the induced subgraph, holds
-    the index a from-scratch build of it gives, one ascending tuple per
-    vertex."""
-    built = Graph(kept, (e for e in host.edges if e[0] in kept and e[1] in kept))
-    assert "index_adjacency" in sub.__dict__
-    assert sub == built
-    assert sub.index_adjacency == built.index_adjacency
-    assert all(type(row) is tuple and list(row) == sorted(set(row)) for row in sub.index_adjacency)
-    assert sub.positions == built.positions == {v: i for i, v in enumerate(sorted(kept))}
-
-
 @given(relabelled_graphs(), st.data())
-def test_derived_graphs_cut_the_index_a_build_gives(g, data):
+def test_derived_graphs_build_their_own_index(g, data):
+    # a derived graph takes nothing from its host's index, searched or not:
+    # it holds none until it is searched, then the one a from-scratch build
+    # of it gives
     every = g.vertex_set
     drawn = data.draw(st.frozensets(st.sampled_from(g.vertices)) if g.order else st.just(every))
-    # a host never searched has no index to cut
-    assert "index_adjacency" not in induced_subgraph(g, drawn).__dict__
-    g.index_adjacency
+    middle = induced_subgraph(g, drawn)
+    for host in (g, middle):
+        if data.draw(st.booleans(), label=f"search the host on {sorted(host.vertices)}"):
+            connected_components(host)
     singles = [frozenset({v}) for v in g.vertices[:1]]
     for kept in (frozenset(), every, drawn, *singles):
-        _assert_cut_as_built(induced_subgraph(g, kept), g, kept)
-        _assert_cut_as_built(delete_vertices(g, kept), g, every - kept)
-        # rows cut from rows that were themselves cut
-        _assert_cut_as_built(delete_vertices(induced_subgraph(g, drawn), drawn & kept), g, drawn - kept)
+        for sub, ks in (
+            (induced_subgraph(g, kept), kept),
+            (delete_vertices(g, kept), every - kept),
+            (delete_vertices(middle, drawn & kept), drawn - kept),
+        ):
+            assert "index_adjacency" not in sub.__dict__
+            connected_components(sub)
+            built = Graph(ks, (e for e in g.edges if e[0] in ks and e[1] in ks))
+            assert (sub.vertices, sub.edges) == (built.vertices, built.edges)
+            assert sub.positions == built.positions == {v: i for i, v in enumerate(sorted(ks))}
+            assert sub.index_adjacency == built.index_adjacency
 
 
 def test_induced_subgraph_rejects_foreign_vertices():
@@ -203,6 +202,17 @@ def test_add_edges_transcriptions():
         add_edges(P4, [(1, 1)])
     with pytest.raises(ValueError, match="unknown vertex"):
         add_edges(P4, [(0, 9)])
+
+
+@pytest.mark.parametrize("bad", [1.9, "2", 1.0])
+def test_vertex_ids_must_be_integers(bad):
+    # a float or a string is refused, never truncated or parsed to an id
+    with pytest.raises(TypeError):
+        Graph([0, bad, 3])
+    with pytest.raises(TypeError):
+        Graph([0, 1, 2, 3], [(0, bad)])
+    with pytest.raises(TypeError):
+        add_edges(Graph(range(3), [(0, 1)]), [(bad, 2)])
 
 
 def test_neighbors_cases():

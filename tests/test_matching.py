@@ -34,6 +34,15 @@ def test_matching_validates_edges_and_disjointness():
         Matching(T, [(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("bad", [1.9, "1", 1.0])
+def test_matching_vertex_ids_must_be_integers(bad):
+    # a float or a string is refused, never truncated or parsed to an id
+    with pytest.raises(TypeError):
+        Matching(K2, [(0, bad)])
+    with pytest.raises(TypeError):
+        alternating_circuit_exists(C4, Matching(C4, [(0, 1), (2, 3)]), (0, bad))
+
+
 def test_maximum_matching_fixtures():
     assert maximum_matching(K2).edges == frozenset({(0, 1)})
     assert matching_number(C5) == 2

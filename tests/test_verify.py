@@ -98,8 +98,9 @@ def test_suite_subset_run():
     assert report.ok
 
 
-def test_exhausted_search_budget_skips_instead_of_passing():
-    cfg = TrialConfig(seed=1, trials=1, path_budget=1)
+def test_exhausted_search_budget_skips_instead_of_passing(monkeypatch):
+    monkeypatch.setattr(cathedral.verify, "_PATH_BUDGET", 1)
+    cfg = TrialConfig(seed=1, trials=1)
     report = run_suite(K4, cfg, only=["saturated-path-iff-deletion-factorizable"])
     (result,) = report.results
     assert result.status == "skip"
@@ -110,7 +111,8 @@ def test_a_budget_bound_sweep_runs_once_per_matching(monkeypatch):
     # the host's sweep runs out of its 20 expansions; the failure is kept,
     # so each later check that reads it skips without walking again
     budget = 20
-    config = TrialConfig(seed=0, path_budget=budget)
+    monkeypatch.setattr(cathedral.verify, "_PATH_BUDGET", budget)
+    config = TrialConfig(seed=0)
     ctx = _TrialContext(random_factorizable_graph(config, 0), config)
     spent: Counter = Counter()
     swept: Counter = Counter()
