@@ -1,12 +1,12 @@
 """The exposable / neighbor / inner three-way vertex partition.
 
 The exposable part holds every vertex some maximum matching leaves uncovered:
-the outer marks of the searches that fail in the one blossom pass that finds
-that matching, checked against the Gallai-Edmonds deficiency identity.  The
-components of G[D] and A = N(D) it counts come from the package's one
-component walk on G's one index.  The partition of the subgraph induced by
-``kept`` runs on G's index with the other positions hidden, so no G-x is
-built.  The partition of every G-x of a factorizable G is
+the outer marks of the failed searches of the one blossom pass, merged by
+``_blossom_matching`` alone and checked against the Gallai-Edmonds
+deficiency identity.  The components of G[D] and A = N(D) it counts come
+from the package's one component walk on G's one index.  The partition of
+the subgraph induced by ``kept`` runs on G's index with the other positions
+hidden, so no G-x is built.  The partition of every G-x of a factorizable G is
 ``GraphStructure.deletion_partitions``, which checks each row of its deletion
 table here.  The path characterizations of the same partition live in the
 verifier as conformance checks, not here.

@@ -26,6 +26,12 @@ Edge = tuple[int, int]
 MAX_VERTICES = 1_000_000
 
 
+def _vertex_id(v: int) -> int:
+    if isinstance(v, bool):  # refused, as tree JSON refuses true
+        raise TypeError(f"vertex ids must be integers, not {v!r}")
+    return operator.index(v)
+
+
 def edge(u: int, v: int) -> Edge:
     """Normalized undirected edge: smaller endpoint first, no self-loops."""
     if u == v:
@@ -41,13 +47,13 @@ class Graph:
     edges: frozenset[Edge]
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Iterable[int]] = ()) -> None:
-        vs = sorted({operator.index(v) for v in vertices})
+        vs = sorted({_vertex_id(v) for v in vertices})
         if vs and vs[0] < 0:
             raise ValueError("vertex ids must be nonnegative")
         declared = set(vs)
         es: set[Edge] = set()
         for u, v in edges:
-            e = edge(operator.index(u), operator.index(v))
+            e = edge(_vertex_id(u), _vertex_id(v))
             if e[0] not in declared or e[1] not in declared:
                 raise ValueError(f"edge {e} uses an undeclared vertex")
             es.add(e)
@@ -218,7 +224,7 @@ def add_edges(graph: Graph, pairs: Iterable[Iterable[int]]) -> Graph:
     """Add absent edges between existing vertices."""
     edges = set(graph.edges)
     for u, v in pairs:
-        e = edge(operator.index(u), operator.index(v))
+        e = edge(_vertex_id(u), _vertex_id(v))
         if e[0] not in graph.vertex_set or e[1] not in graph.vertex_set:
             raise ValueError(f"edge {e} uses an unknown vertex")
         if e in edges:

@@ -1,5 +1,6 @@
 """Maximum matchings, perfect-matching enumeration, and alternating-path
-predicates, on two primitives: one Edmonds search and one alternating walker.
+predicates, on two primitives: one Edmonds search, which one lazy pass runs
+from the exposed roots, and one alternating walker.
 
 The enumeration and the exhaustive path searches are the oracles the rest of
 the package is checked against, so this module favors exact, deterministic
@@ -17,15 +18,15 @@ matching's edges inside it) would, and builds neither.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFactorizableError, SearchBudgetExceeded
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph, _vertex_id, edge
 
 # an index adjacency: a graph's own tuples, or a grown deletion table's lists
 Rows = Sequence[Sequence[int]]
@@ -56,7 +57,7 @@ class Matching:
     edges: frozenset[Edge]
 
     def __init__(self, graph: Graph, edges: Iterable[Iterable[int]] = ()) -> None:
-        es = {edge(operator.index(u), operator.index(v)) for u, v in edges}
+        es = {edge(_vertex_id(u), _vertex_id(v)) for u, v in edges}
         covered: set[int] = set()
         for u, v in es:
             if (u, v) not in graph.edges:
@@ -239,7 +240,27 @@ def _contracts_to_factor_critical(
     return all([outer[v] for v in kept])
 
 
-def _greedy_mate(adj: Rows, hidden: Iterable[int] = ()) -> list[int]:
+def _blossom_pass(
+    adj: Rows, hidden: frozenset[int] = frozenset()
+) -> tuple[list[int], Iterator[tuple[int, list[bool] | None]]]:
+    """A greedy start ``mate`` of the graph less the ``hidden`` positions,
+    and the lazy pass from its exposed roots in ascending order: it flips
+    each augmenting path it finds into ``mate``, and yields each failed root
+    with its search's outer marks, or with None if it has no neighbour
+    outside ``hidden`` to search.  Drained, it leaves ``mate`` maximum.
+
+    A failed search leaves a Hungarian tree T: its inner vertices I are
+    matched into its outer ones, and each of its |I| + 1 outer blossoms is
+    an odd component of G - I, since every outer vertex has all its
+    neighbours in its blossom or in I.  So a matching that covers T less its
+    root still matches all of I into the blossoms.  Flipping an augmenting
+    path that meets T would leave such a matching, so the path's neighbours
+    at each vertex of T would lie in T, and so would the whole path with its
+    ends; but the root, T's only exposed vertex, cannot augment.  No later
+    flip touches T, and its marks are those a search from its root under the
+    final matching gives.  So the failed roots are those the final matching
+    exposes, and the first of them refutes a perfect matching.
+    """
     mate = [-1] * len(adj)
     for h in hidden:
         mate[h] = h  # covered, so the pass neither starts at it nor takes it
@@ -252,45 +273,38 @@ def _greedy_mate(adj: Rows, hidden: Iterable[int] = ()) -> list[int]:
                     break
     for h in hidden:
         mate[h] = -1
-    return mate
+
+    def failures() -> Iterator[tuple[int, list[bool] | None]]:
+        for v, ws in enumerate(adj):
+            if mate[v] == -1 and v not in hidden:
+                if hidden.issuperset(ws):
+                    yield v, None
+                elif (outer := _edmonds_search(adj, mate, v, hidden)) is not None:
+                    yield v, outer
+
+    return mate, failures()
 
 
 def _blossom_matching(
     adj: Rows, hidden: frozenset[int] = frozenset()
 ) -> tuple[list[int], list[bool]]:
     """A maximum matching ``mate`` of the graph less the ``hidden`` positions,
-    and the marks of D, the vertices some maximum matching leaves exposed.
-
-    A greedy start, then one search from each exposed root in ascending
-    order; a root with no neighbour outside ``hidden`` is not searched and
-    marks itself.  D is the union of the outer marks of the searches that
-    fail.  A failed search leaves a Hungarian tree T: its inner vertices I
-    are matched into its outer ones, and each of its |I| + 1 outer blossoms
-    is an odd component of G - I, since every outer vertex has all its
-    neighbours in its blossom or in I.  So a matching that covers T less its
-    root still matches all of I into the blossoms.  Flipping an augmenting
-    path that meets T would leave such a matching, so the path's neighbours
-    at each vertex of T would lie in T, and so would the whole path with its
-    ends; but the root, T's only exposed vertex, cannot augment.  No later
-    flip touches T, and its marks are those a search from its root under the
-    final matching gives.  A factorizable graph fails no search.
-    """
-    mate = _greedy_mate(adj, hidden)
+    and the marks of D, the vertices some maximum matching leaves exposed:
+    the drained pass's failed roots and the marks of their searches."""
+    mate, failures = _blossom_pass(adj, hidden)
     marks = [False] * len(adj)
-    for v, ws in enumerate(adj):
-        if mate[v] != -1 or v in hidden:
-            continue
-        if hidden.issuperset(ws):
-            marks[v] = True
-        elif (outer := _edmonds_search(adj, mate, v, hidden)) is not None:
-            marks = [x or y for x, y in zip(marks, outer)]
+    for root, outer in failures:
+        marks[root] = True
+        for i in compress(range(len(adj)), outer or ()):
+            marks[i] = True
     return mate, marks
 
 
 def maximum_matching(graph: Graph) -> Matching:
     """A maximum-cardinality matching, deterministic for a fixed input."""
     vs = graph.vertices
-    mate, _ = _blossom_matching(graph.index_adjacency)
+    mate, failures = _blossom_pass(graph.index_adjacency)
+    deque(failures, maxlen=0)  # every search runs; no marks are read
     return Matching(graph, ((vs[i], vs[m]) for i, m in enumerate(mate) if m > i))
 
 
@@ -302,37 +316,37 @@ def is_factorizable(graph: Graph, *, kept: Iterable[int] | None = None) -> bool:
     """Whether the graph, or the subgraph induced by ``kept``, has a perfect
     matching; the empty graph qualifies.
 
-    Stops at the first exposed root whose search finds no augmenting path:
-    no later augmentation can create one, so some maximum matching leaves
-    that root exposed.  With ``kept``, the greedy start skips every other
-    position and each search gets them as ``hidden``, and a root with no
-    kept neighbour is not searched, as in the subgraph.
+    Odd order answers at once; otherwise the pass stops at its first failed
+    search.  With ``kept``, the pass hides every other position, so it runs
+    the searches it runs on the subgraph.
     """
     within, hidden = _confined(graph, kept)
     if len(within) % 2:
         return False
-    adj = graph.index_adjacency
-    mate = _greedy_mate(adj, hidden)
-    for v, ws in enumerate(adj):
-        if mate[v] == -1 and v not in hidden:
-            if hidden.issuperset(ws) or _edmonds_search(adj, mate, v, hidden) is not None:
-                return False
-    return True
+    _, failures = _blossom_pass(graph.index_adjacency, hidden)
+    return next(failures, None) is None
 
 
 def is_factor_critical(graph: Graph, *, kept: Iterable[int] | None = None) -> bool:
     """Whether deleting any one vertex leaves a factorizable graph (or
-    subgraph induced by ``kept``).
+    subgraph induced by ``kept``).  One-vertex graphs qualify; the empty
+    graph does not (it has no near-perfect matching for the definition to
+    speak about).
 
-    One blossom pass leaves exactly one root exposed, and its failed search
-    marks every vertex.  One-vertex graphs qualify; the empty graph does not
-    (it has no near-perfect matching for the definition to speak about).
+    Odd order fails some search, and is factor-critical exactly when the
+    first failed one, from r, marks every vertex.  Then its tree spans the
+    graph, and flipping the even alternating path from r to v perfectly
+    matches G - v.  Conversely, if G is factor-critical, the final matching
+    M is near-perfect, and the tree, untouched by later flips
+    (``_blossom_pass``), keeps r exposed; M differs from a perfect matching
+    of G - v by an even alternating path from r to v, which the tree marks.
     """
     within, hidden = _confined(graph, kept)
     if len(within) % 2 == 0:
         return False
-    mate, marks = _blossom_matching(graph.index_adjacency, hidden)
-    return mate.count(-1) == len(hidden) + 1 and sum(marks) == len(within)
+    _, failures = _blossom_pass(graph.index_adjacency, hidden)
+    _, outer = next(failures)
+    return (1 if outer is None else sum(outer)) == len(within)
 
 
 class ExposableAfterDeletion:
@@ -348,8 +362,8 @@ class ExposableAfterDeletion:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.adj: Rows = graph.index_adjacency
-        self.mate, _ = _blossom_matching(self.adj)
-        if -1 in self.mate:
+        self.mate, failures = _blossom_pass(self.adj)
+        if next(failures, None) is not None:
             raise NotFactorizableError("deletion searches need a graph with a perfect matching")
         self.rows: list[list[bool] | None] = [None] * len(self.mate)
 
@@ -599,7 +613,7 @@ def alternating_circuit_exists(
     endpoint and try to close back onto the other with the right parity.
     """
     x, y = circuit_edge
-    e = edge(operator.index(x), operator.index(y))
+    e = edge(_vertex_id(x), _vertex_id(y))
     if e not in graph.edges:
         raise ValueError(f"{e} is not an edge of the host graph")
     adj, mate, index, _ = _search_arrays(graph, matching)

@@ -358,10 +358,13 @@ def report_text(
         "",
     ]
     width = max((len(s["check"]) for s in data["summary"]), default=10)
+    millis: dict[str, float] = {}
+    for r in chain.from_iterable(report.results for report in reports):
+        millis[r.check] = millis.get(r.check, 0.0) + r.millis
     for s in data["summary"]:
-        lines.append(
-            f"{s['check']:<{width}}  pass={s['pass']:<4} fail={s['fail']:<4} skip={s['skip']}"
-        )
+        row = f"{s['check']:<{width}}  pass={s['pass']:<4} fail={s['fail']:<4} skip={s['skip']}"
+        # summed over the trials and rounded as the JSON rounds each result
+        lines.append(row + (f"  millis={round(millis[s['check']], 3)}" if include_timing else ""))
     failures = [
         (t["trial"], r)
         for t in data["trials"]

@@ -1,9 +1,17 @@
+import pytest
 from hypothesis import given, settings
 
 import cathedral.matching
+from cathedral.errors import NotFactorizableError
 from cathedral.gallai_edmonds import gallai_edmonds
 from cathedral.graph import Graph, delete_vertices, induced_subgraph
-from cathedral.matching import matching_number, maximum_matching
+from cathedral.matching import (
+    ExposableAfterDeletion,
+    is_factor_critical,
+    is_factorizable,
+    matching_number,
+    maximum_matching,
+)
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
 from helpers import C5, P4, T, factorizable_graphs, graphs
@@ -65,6 +73,39 @@ def test_the_star_runs_one_search_per_exposed_leaf(monkeypatch):
     ge = gallai_edmonds(star)
     assert len(searches) <= 400
     assert ge.parts() == (frozenset(range(1, 400)), frozenset({0}), frozenset({400, 401}))
+
+
+def test_each_reader_of_the_blossom_pass_runs_only_the_searches_it_needs(monkeypatch):
+    # vertex 0 joined to 1..4000 and the edge 4000-4001: the greedy start
+    # leaves the 3,998 leaves 2..3999 exposed, and the search from each fails
+    star = Graph(range(4002), [(0, v) for v in range(1, 4001)] + [(4000, 4001)])
+    searches = _counted_searches(monkeypatch)
+    merges = []
+    blossom = cathedral.matching._blossom_matching
+    monkeypatch.setattr(
+        cathedral.matching, "_blossom_matching", lambda *args: merges.append(1) or blossom(*args)
+    )
+    assert len(maximum_matching(star).edges) == 2
+    assert (len(searches), len(merges)) == (3998, 0)
+    searches.clear()
+    parts = (frozenset(range(1, 4000)), frozenset({0}), frozenset({4000, 4001}))
+    assert gallai_edmonds(star).parts() == parts
+    assert len(searches) == 3998
+    searches.clear()
+    assert not is_factorizable(star)
+    assert len(searches) == 1
+    searches.clear()
+    with pytest.raises(NotFactorizableError):
+        ExposableAfterDeletion(star)
+    assert len(searches) == 1
+    # K_{1,4} has odd order and is not factor-critical: the first failed
+    # search, from leaf 2, marks 2 and 1 only, and leaves 3 and 4 unsearched
+    searches.clear()
+    assert not is_factor_critical(Graph(range(5), [(0, v) for v in range(1, 5)]))
+    assert searches == [2]
+    searches.clear()
+    assert is_factor_critical(C5)
+    assert len(searches) == 1
 
 
 def test_a_deletion_partition_runs_the_searches_of_one_blossom_pass(monkeypatch):

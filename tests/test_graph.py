@@ -204,9 +204,10 @@ def test_add_edges_transcriptions():
         add_edges(P4, [(0, 9)])
 
 
-@pytest.mark.parametrize("bad", [1.9, "2", 1.0])
+@pytest.mark.parametrize("bad", [1.9, "2", 1.0, True, False])
 def test_vertex_ids_must_be_integers(bad):
-    # a float or a string is refused, never truncated or parsed to an id
+    # a float, a string or a bool is refused, never truncated or read as an id,
+    # as tree JSON refuses true
     with pytest.raises(TypeError):
         Graph([0, bad, 3])
     with pytest.raises(TypeError):

@@ -34,9 +34,9 @@ def test_matching_validates_edges_and_disjointness():
         Matching(T, [(0, 1), (1, 2)])
 
 
-@pytest.mark.parametrize("bad", [1.9, "1", 1.0])
+@pytest.mark.parametrize("bad", [1.9, "1", 1.0, True, False])
 def test_matching_vertex_ids_must_be_integers(bad):
-    # a float or a string is refused, never truncated or parsed to an id
+    # a float, a string or a bool is refused, never truncated or read as an id
     with pytest.raises(TypeError):
         Matching(K2, [(0, bad)])
     with pytest.raises(TypeError):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cathedral.cli import main
-from cathedral.serialize import report_dict, report_json, to_json
+from cathedral.serialize import report_dict, report_json, report_text, to_json
 from cathedral.verify import TrialConfig, run_trials
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,3 +156,23 @@ def test_report_json_is_json_dumps_of_the_report():
     for timing in (False, True):
         data = report_dict(config, reports, include_timing=timing)
         assert report_json(config, reports, include_timing=timing) == _dumps(data)
+
+
+def test_report_text_shows_each_checks_millis_only_with_timings():
+    config = TrialConfig(seed=2, trials=3, max_vertices=6)
+    reports = run_trials(config)
+    plain = report_text(config, reports).splitlines()
+    timed = report_text(config, reports, include_timing=True).splitlines()
+    summary = report_dict(config, reports)["summary"]
+    rows = range(2, 2 + len(summary))
+    assert len(plain) == len(timed) and not any("millis=" in line for line in plain)
+    for i, line in enumerate(plain):
+        if i not in rows:
+            assert timed[i] == line
+            continue
+        row = summary[i - 2]
+        counts = [f"{status}={row[status]}" for status in ("pass", "fail", "skip")]
+        assert line.split() == [row["check"], *counts]
+        # summed over the trials and rounded to the JSON's three places
+        millis = sum(r.millis for report in reports for r in report.results if r.check == row["check"])
+        assert timed[i] == f"{line}  millis={round(millis, 3)}"

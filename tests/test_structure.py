@@ -80,10 +80,10 @@ def _rebind(monkeypatch, original, replacement) -> None:
 
 def _count(monkeypatch) -> Counter:
     """Count deletion tables and graphs built (checked or not) and calls of `is_factorizable`,
-    `_blossom_matching` and the contraction search `_contracted_outer` from
-    now on."""
+    the blossom pass `_blossom_pass` and the contraction search
+    `_contracted_outer` from now on."""
     counts: Counter = Counter()
-    for name in ("is_factorizable", "_blossom_matching", "_contracted_outer"):
+    for name in ("is_factorizable", "_blossom_pass", "_contracted_outer"):
         original = getattr(cathedral.matching, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -115,9 +115,10 @@ def _count(monkeypatch) -> Counter:
     "graph, ge", [(ELEMENTARY, True), (SPARSE, False)], ids=["elementary-ge", "sparse"]
 )
 def test_analyze_reads_one_table(monkeypatch, graph, ge):
+    # two passes: the precondition's, and the table's for its perfect matching
     counts = _count(monkeypatch)
     analysis = analysis_dict(graph, include_deleted_partitions=ge)
-    assert (counts["tables"], counts["is_factorizable"], counts["_blossom_matching"]) == (1, 1, 1)
+    assert (counts["tables"], counts["is_factorizable"], counts["_blossom_pass"]) == (1, 1, 2)
     assert ("deleted_partitions" in analysis) == ge
 
 
