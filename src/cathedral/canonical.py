@@ -2,11 +2,11 @@
 order, and the upper-bound structure tying the two together.
 
 One perfect matching and the sets D(G-u) determine all of them, so each
-graph gets one GraphStructure that checks factorizability once and reads
-every structure, saturation and the deletion partitions off one table of
-D(G-u) and its perfect matching.  It is the only reader of that table: the
-public functions take the graph alone, derive its components from it, and
-read its structure.
+graph gets one GraphStructure on one table of D(G-u), whose one blossom
+pass checks factorizability and keeps the perfect matching, and reads every
+structure, saturation and the deletion partitions off that table.  It is
+the only reader of that table: the public functions take the graph alone,
+derive its components from it, and read its structure.
 
 A component sits below another when some separating superset of both
 contracts, at the lower one, to a factor-critical graph;
@@ -28,12 +28,12 @@ from .errors import (
     ClassAssignmentViolation,
     ComponentLimitError,
     EquivalenceViolation,
-    NotFactorizableError,
     PartialOrderViolation,
 )
 from .gallai_edmonds import GEPartition, _checked_partition
 from .graph import Edge, Graph, _walk_parts, connected_components, neighbors
-from .matching import ExposableAfterDeletion, is_factorizable
+# is_factorizable is unused here, but bench/selftest.py pins this binding (ROADMAP item 1)
+from .matching import ExposableAfterDeletion, is_factorizable  # noqa: F401
 from .matching import _contracted_outer, _contracts_to_factor_critical
 
 
@@ -85,20 +85,18 @@ class ComponentPoset:
 @dataclass(frozen=True, eq=False)
 class GraphStructure:
     """The canonical structures of one factorizable graph, each computed on
-    first use and kept.  Building one is the precondition check; every
-    structure reads the rows of the one ``table`` of D(G-u), its perfect
-    matching and the graph's index adjacency, all by position, and builds
-    vertex-id sets only for the objects it returns."""
+    first use and kept.  Building one builds its one ``table`` of D(G-u),
+    whose blossom pass is the precondition check: it refuses a graph without
+    a perfect matching at its first failed search, and otherwise keeps the
+    perfect matching.  Every structure reads the table's rows, that matching
+    and the graph's index adjacency, all by position, and builds vertex-id
+    sets only for the objects it returns."""
 
     graph: Graph
+    table: ExposableAfterDeletion = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not is_factorizable(self.graph):
-            raise NotFactorizableError("canonical structures need a graph with a perfect matching")
-
-    @cached_property
-    def table(self) -> ExposableAfterDeletion:
-        return ExposableAfterDeletion(self.graph)
+        object.__setattr__(self, "table", ExposableAfterDeletion(self.graph))
 
     @cached_property
     def _allowed_adjacency(self) -> list[list[int]]:

@@ -67,7 +67,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 # the largest `verify --max-n`: a complete trial graph of this order takes
-# about 140 MB and 0.8 s to build, one of twice the order about 480 MB and 3.6 s
+# about 140 MB and 0.8 s to build, one of twice the order about 480 MB and 3.6 s;
+# the suite's unbudgeted pair verdicts cost far more: one --p 0.3 trial at the
+# cap (866 vertices) took 754 s and 245 MB on 2 CPUs, at --max-n 600 64 s
 MAX_TRIAL_VERTICES = 1000
 
 

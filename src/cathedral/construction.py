@@ -7,13 +7,14 @@ by one contraction search, and re-checks what the structure does not settle
 (one class per tower; one tower per class; complete class-tower joins); a
 failure raises StructureViolation.  construct and construct_tree check each
 foundation on its own structure and the whole output on one, by the same
-lemma; the verifier re-checks the parts' own structures from scratch.
+lemma; construct_tree checks and joins each level in one walk, bottom up.
+The verifier re-checks the parts' own structures from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Collection, NamedTuple
+from typing import Collection
 
 from .canonical import GraphStructure
 from .errors import (
@@ -214,25 +215,24 @@ def _claim(used: set[int], vertices: frozenset[int]) -> None:
 
 
 def _joined(
-    base: GraphStructure,
-    vertices: AbstractSet[int],
-    edges: set[Edge],
-    levels: list[tuple[frozenset[int], frozenset[int]]],
+    edges: set[Edge], levels: list[tuple[GraphStructure, frozenset[int]]]
 ) -> GraphStructure:
     """The structure of the joined graph, checked on its one table: it is
-    saturated, and each level's foundation (``levels`` holds its vertices and
-    the level's, lower levels first) is a factor-component and the minimum of
-    the level's components.  By the lemma of ``_decompose_saturated``, the
-    level graphs of a saturated output read its table cut to them, so this
-    checks each level as its own structure would.  When every tower is empty
-    the output is the foundation itself, and ``base``, the foundation's own
-    structure, serves as the output's."""
-    out = base if len(vertices) == base.graph.order else GraphStructure(Graph(vertices, edges))
+    saturated, and each level's foundation (``levels`` holds its own
+    structure and the level's vertices, lower levels first, the whole output
+    last) is a factor-component and the minimum of the level's components.
+    By the lemma of ``_decompose_saturated``, the level graphs of a saturated
+    output read its table cut to them, so this checks each level as its own
+    structure would.  When every tower is empty the output is the foundation
+    itself, and the foundation's own structure serves as the output's."""
+    root, vertices = levels[-1]
+    out = root if len(vertices) == root.graph.order else GraphStructure(Graph(vertices, edges))
     if not out.saturated:
         raise ConstructionViolation("construction output failed the saturation test")
     comps = out.components
     index = {comp: i for i, comp in enumerate(comps.components)}
-    for foundation, level in levels:
+    for base, level in levels:
+        foundation = base.graph.vertex_set
         if foundation not in index:
             raise ConstructionViolation(
                 "foundation is not a factor-connected component of the output"
@@ -264,66 +264,51 @@ def construct(spec: ConstructionSpec) -> Graph:
         _saturated_structure(tower, error)
         edges |= tower.edges
         edges.update(edge(s, t) for s in cls for t in tower.vertices)
-    return _joined(base, vertices, edges, [(foundation.vertex_set, frozenset(vertices))]).graph
-
-
-class _Level(NamedTuple):
-    """A level of a tree whose input checks passed: its foundation's own
-    structure, the level's vertices, and the level of each class's tower."""
-
-    base: GraphStructure
-    vertices: frozenset[int]
-    towers: dict[frozenset[int], "_Level | None"]
+    return _joined(edges, [(base, frozenset(vertices))]).graph
 
 
 def construct_tree(tree: CathedralTree) -> Graph:
-    """Rebuild a graph from its decomposition: the input checks of every
-    level bottom up, then one join and one check of the whole output.  It
-    fills one D(G-u) table per foundation and one for the output, and a
+    """Rebuild a graph from its decomposition: one walk checks each level's
+    input and joins the level, bottom up, then one check of the whole output.
+    It fills one D(G-u) table per foundation and one for the output, and a
     one-level tree's output is its foundation, so it fills exactly one."""
     return _construct_tree(tree).graph
 
 
 def _construct_tree(tree: CathedralTree) -> GraphStructure:
     """The output graph's structure, on which every level was checked."""
-    root = _checked_level(tree)
-    if root is None:
-        return GraphStructure(Graph())
     edges: set[Edge] = set()
-    levels: list[tuple[frozenset[int], frozenset[int]]] = []
-    _join(root, edges, levels)
-    return _joined(root.base, root.vertices, edges, levels)
+    levels: list[tuple[GraphStructure, frozenset[int]]] = []
+    _joined_level(tree, edges, levels)
+    return _joined(edges, levels) if levels else GraphStructure(Graph())
 
 
-def _checked_level(tree: CathedralTree) -> _Level | None:
-    """The level after its input checks, which run after those of its towers,
-    in the tree's order; None for an empty level."""
+def _joined_level(
+    tree: CathedralTree, edges: set[Edge], levels: list[tuple[GraphStructure, frozenset[int]]]
+) -> frozenset[int]:
+    """The level's vertices, none for an empty level.  Its input checks run
+    after those of its towers, in the tree's order; once they pass, it adds
+    its foundation's edges and class-tower joins to ``edges``, and its
+    foundation's structure with its vertices to ``levels``, after its
+    towers'."""
     towers = {
-        cls: _checked_level(sub) if sub is not None else None for cls, sub in tree.classes
+        cls: _joined_level(sub, edges, levels) if sub is not None else frozenset()
+        for cls, sub in tree.classes
     }
     foundation = tree.foundation_graph()
     base = _checked_foundation(foundation, towers)
     if base is None:
-        return None
+        return frozenset()
     used = set(foundation.vertex_set)
     for cls in sorted(towers, key=min):
-        tower = towers[cls]
-        _claim(used, tower.vertices if tower is not None else frozenset())
-    return _Level(base, frozenset(used), towers)
-
-
-def _join(
-    level: _Level, edges: set[Edge], levels: list[tuple[frozenset[int], frozenset[int]]]
-) -> None:
-    """Add the level's edges, its towers' and their joins to ``edges``, and
-    each of its foundations with its level to ``levels``, lower levels first."""
-    for cls, tower in level.towers.items():
-        if tower is not None:
-            _join(tower, edges, levels)
-            edges.update(edge(s, t) for s in cls for t in tower.vertices)
-    foundation = level.base.graph
+        _claim(used, towers[cls])
+    # every id is claimed, so no join edge meets a shared id
+    for cls, tower in towers.items():
+        edges.update(edge(s, t) for s in cls for t in tower)
     edges |= foundation.edges
-    levels.append((foundation.vertex_set, level.vertices))
+    vertices = frozenset(used)
+    levels.append((base, vertices))
+    return vertices
 
 
 def foundation_via_ge(graph: Graph) -> frozenset[int]:

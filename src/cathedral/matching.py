@@ -351,7 +351,9 @@ def is_factor_critical(graph: Graph, *, kept: Iterable[int] | None = None) -> bo
 
 class ExposableAfterDeletion:
     """D(G-u) for the vertices u of a factorizable graph G: the vertices v
-    with G-u-v factorizable.  ``row(i)`` holds it as the outer marks, by
+    with G-u-v factorizable.  Building it checks that G is factorizable: its
+    one blossom pass keeps the perfect matching ``mate`` and refuses any
+    other graph.  ``row(i)`` holds D(G-u) as the outer marks, by
     position, of one deletion search, run on first use and building no
     graph: drop the vertex at i and its edge in the perfect matching
     ``mate``, then search ``adj`` from its former partner.  ``adj`` is G's own
@@ -363,8 +365,9 @@ class ExposableAfterDeletion:
         self.graph = graph
         self.adj: Rows = graph.index_adjacency
         self.mate, failures = _blossom_pass(self.adj)
-        if next(failures, None) is not None:
-            raise NotFactorizableError("deletion searches need a graph with a perfect matching")
+        # odd order refuses at once; otherwise at the pass's first failed search
+        if len(self.mate) % 2 or next(failures, None) is not None:
+            raise NotFactorizableError("canonical structures need a graph with a perfect matching")
         self.rows: list[list[bool] | None] = [None] * len(self.mate)
 
     def row(self, i: int) -> list[bool]:

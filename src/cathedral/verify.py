@@ -40,6 +40,7 @@ from .construction import (
 from .errors import (
     ConstructionError,
     NotFactorizableError,
+    PreconditionError,
     SearchBudgetExceeded,
     StructureViolation,
 )
@@ -1053,7 +1054,9 @@ def _run_one(
     name: str, fn: Callable[[_TrialContext], None], ctx: _TrialContext
 ) -> tuple[CheckResult, bool]:
     """Run one check; the second component says whether a skip should be
-    retried on the saturation closure."""
+    retried on the saturation closure.  The context's graph is factorizable,
+    so a PreconditionError the check raises is the package's fault, and
+    fails the check as a StructureViolation does."""
     start = time.perf_counter()
 
     def took() -> float:
@@ -1065,18 +1068,24 @@ def _run_one(
         return CheckResult(name, "skip", str(skip), millis=took()), skip.rerun_on_closure
     except SearchBudgetExceeded:
         return CheckResult(name, "skip", "search budget exceeded", millis=took()), False
-    except (_CheckFailed, StructureViolation) as failure:
+    except (_CheckFailed, StructureViolation, PreconditionError) as failure:
         counterexample = _shrink(fn, ctx.graph, ctx.config)
         return CheckResult(name, "fail", str(failure), counterexample, millis=took()), False
     return CheckResult(name, "pass", millis=took()), False
 
 
 def _fails(fn: Callable[[_TrialContext], None], graph: Graph, config: TrialConfig) -> bool:
+    """Whether the check fails on the graph, as ``_run_one`` would report it;
+    a graph without a perfect matching is no candidate."""
     try:
-        fn(_TrialContext(graph, config))
-    except (_CheckFailed, StructureViolation):
+        ctx = _TrialContext(graph, config)
+    except NotFactorizableError:
+        return False
+    try:
+        fn(ctx)
+    except (_CheckFailed, StructureViolation, PreconditionError):
         return True
-    except (NotFactorizableError, _SkipCheck, SearchBudgetExceeded):
+    except (_SkipCheck, SearchBudgetExceeded):
         return False
     return False
 

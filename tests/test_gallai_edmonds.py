@@ -98,6 +98,11 @@ def test_each_reader_of_the_blossom_pass_runs_only_the_searches_it_needs(monkeyp
     with pytest.raises(NotFactorizableError):
         ExposableAfterDeletion(star)
     assert len(searches) == 1
+    # odd order is refused before any search
+    searches.clear()
+    with pytest.raises(NotFactorizableError):
+        ExposableAfterDeletion(Graph(range(5), [(0, v) for v in range(1, 5)]))
+    assert searches == []
     # K_{1,4} has odd order and is not factor-critical: the first failed
     # search, from leaf 2, marks 2 and 1 only, and leaves 3 and 4 unsearched
     searches.clear()

@@ -79,9 +79,11 @@ def _rebind(monkeypatch, original, replacement) -> None:
 
 
 def _count(monkeypatch) -> Counter:
-    """Count deletion tables and graphs built (checked or not) and calls of `is_factorizable`,
-    the blossom pass `_blossom_pass` and the contraction search
-    `_contracted_outer` from now on."""
+    """Count structures, deletion tables and graphs built (checked or not),
+    deletion rows searched ("rows") and tables with a row searched
+    ("searched"), and calls of `is_factorizable`, the blossom pass
+    `_blossom_pass` and the contraction search `_contracted_outer` from now
+    on."""
     counts: Counter = Counter()
     for name in ("is_factorizable", "_blossom_pass", "_contracted_outer"):
         original = getattr(cathedral.matching, name)
@@ -94,6 +96,22 @@ def _count(monkeypatch) -> Counter:
     init = ExposableAfterDeletion.__init__
     monkeypatch.setattr(
         ExposableAfterDeletion, "__init__", lambda self, g: counts.update(["tables"]) or init(self, g)
+    )
+    row = ExposableAfterDeletion.row
+
+    def counted_row(self, i):
+        # a row is searched when it is first read
+        if self.rows[i] is None:
+            counts.update(["rows"] + ["searched"] * all(r is None for r in self.rows))
+        return row(self, i)
+
+    monkeypatch.setattr(ExposableAfterDeletion, "row", counted_row)
+    # a _TrialContext builds through GraphStructure's __post_init__ too
+    post_init = GraphStructure.__post_init__
+    monkeypatch.setattr(
+        GraphStructure,
+        "__post_init__",
+        lambda self: counts.update(["structures"]) or post_init(self),
     )
     build = Graph.__init__
     monkeypatch.setattr(
@@ -115,10 +133,10 @@ def _count(monkeypatch) -> Counter:
     "graph, ge", [(ELEMENTARY, True), (SPARSE, False)], ids=["elementary-ge", "sparse"]
 )
 def test_analyze_reads_one_table(monkeypatch, graph, ge):
-    # two passes: the precondition's, and the table's for its perfect matching
+    # one pass, the table's: it is the precondition and keeps the perfect matching
     counts = _count(monkeypatch)
     analysis = analysis_dict(graph, include_deleted_partitions=ge)
-    assert (counts["tables"], counts["is_factorizable"], counts["_blossom_pass"]) == (1, 1, 2)
+    assert (counts["tables"], counts["is_factorizable"], counts["_blossom_pass"]) == (1, 0, 1)
     assert ("deleted_partitions" in analysis) == ge
 
 
@@ -250,33 +268,28 @@ def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
 
 
 def test_a_one_level_construction_fills_one_table(monkeypatch):
-    # with every tower empty the output is the foundation, read off its table
+    # with every tower empty the output is the foundation, read off its
+    # table; each empty tower's structure holds an empty table, which has no
+    # row to search
     closure = saturate(ELEMENTARY)[0]
     tree = decompose(closure)
     assert all(sub is None for _, sub in tree.classes)
     counts = _count(monkeypatch)
     assert construct_tree(tree) == closure
-    assert counts["tables"] == 1
+    assert (counts["tables"], counts["searched"]) == (1, 1)
     counts.clear()
     spec = ConstructionSpec(closure, {cls: Graph() for cls, _ in tree.classes})
     assert construct(spec) == closure
-    assert counts["tables"] == 1
+    assert (counts["tables"], counts["searched"]) == (1 + len(tree.classes), 1)
 
 
 def test_a_deep_chain_tree_runs_one_deletion_search_per_vertex(monkeypatch):
     # every level reads the input's table, so each vertex is searched once
     graph = chain_graph(96)
     counts = _count(monkeypatch)
-    # a row is searched when it is first read
-    row = ExposableAfterDeletion.row
-    monkeypatch.setattr(
-        ExposableAfterDeletion,
-        "row",
-        lambda self, i: counts.update(["deletions"] * (self.rows[i] is None)) or row(self, i),
-    )
     assert decompose(graph) == chain_tree(96)
     assert counts["tables"] == 1
-    assert counts["deletions"] <= 192 and counts["_contracted_outer"] <= 96
+    assert counts["rows"] <= 192 and counts["_contracted_outer"] <= 96
 
 
 def test_the_foundation_is_found_without_the_component_order(monkeypatch):
@@ -294,11 +307,13 @@ def test_the_foundation_is_found_without_the_component_order(monkeypatch):
 
 
 def test_trial_context_artifacts_share_one_table(monkeypatch):
+    # and the context, a structure, runs one pass, its table's
     counts = _count(monkeypatch)
     ctx = _TrialContext(ELEMENTARY, TrialConfig(seed=0))
     for artifact in ("components", "partition", "poset", "saturated", "deletion_partitions"):
         getattr(ctx, artifact)
-    assert counts["tables"] == 1
+    assert (counts["structures"], counts["tables"], counts["_blossom_pass"]) == (1, 1, 1)
+    assert counts["is_factorizable"] == 0
 
 
 def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
@@ -317,7 +332,8 @@ def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
     assert tables["construction-foundation-minimum"] == 0
     assert tables["construction-output-saturated"] == 0
     assert tables["saturated-partition-matches-parts"] == tables["allowed-edges-from-parts"] == 0
-    assert sum(tables.values()) == 15
+    # the context's own table was built with the context
+    assert sum(tables.values()) == 14
 
 
 def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
@@ -333,7 +349,8 @@ def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
         assert _run_one(name, check, ctx)[0].status != "fail"
         tables[name] = counts["tables"] - before
     assert tables["incomparable-pair-edge-witness"] == 31
-    assert sum(tables.values()) == 40
+    # the context's own table was built with the context
+    assert sum(tables.values()) == 39
 
 
 def _record(monkeypatch, name: str) -> list:
@@ -409,9 +426,11 @@ def test_confined_path_queries_build_no_subgraph(monkeypatch):
 
 
 def test_saturate_fills_one_growing_table(monkeypatch):
+    # two passes: its precondition's, which the benchmark counts, and its table's
     counts = _count(monkeypatch)
     assert saturate(SPARSE)[1]
-    assert counts["tables"] == 1
+    assert (counts["is_factorizable"], counts["_blossom_pass"], counts["tables"]) == (1, 2, 1)
+    assert counts["structures"] == 0
 
 
 def test_component_cap_is_checked_before_the_partition(monkeypatch, tmp_path, capsys):
@@ -433,7 +452,8 @@ def test_component_cap_is_checked_before_the_partition(monkeypatch, tmp_path, ca
 )
 def test_every_graph_verb_refuses_the_star_at_once(monkeypatch, tmp_path, capsys, verb):
     # vertex 0 joined to 1..8000 and the edge 8000-8001: the factorizability
-    # check stops at the first exposed leaf, before any table is built
+    # check, the structure's table's pass or saturate's own, stops at the
+    # first exposed leaf, before any row is searched
     star = tmp_path / "star.edges"
     star.write_text(
         render_edge_list(Graph(range(8002), [(0, v) for v in range(1, 8001)] + [(8000, 8001)]))
@@ -449,4 +469,27 @@ def test_every_graph_verb_refuses_the_star_at_once(monkeypatch, tmp_path, capsys
     assert main([verb[0], str(star), *verb[1:]]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "perfect matching" in err
-    assert counts["tables"] == 0 and len(searches) <= 2
+    assert len(searches) == 1 and counts["rows"] == 0
+    assert counts["tables"] == (verb != ["saturate"])
+
+
+@pytest.mark.parametrize("graph", [ELEMENTARY, SPARSE], ids=["elementary", "sparse"])
+@pytest.mark.parametrize(
+    "verb",
+    [["analyze"], ["analyze", "--ge"], ["decompose"], ["hasse"], ["saturated"]],
+    ids=" ".join,
+)
+def test_each_structure_holds_one_table_and_runs_one_pass(
+    monkeypatch, tmp_path, capsys, graph, verb
+):
+    # the table's pass is the structure's precondition.  ELEMENTARY is
+    # saturated and SPARSE is not, so on SPARSE `saturated` answers 1 and
+    # decompose refuses with 3, both after building the structure
+    path = tmp_path / "g.edges"
+    path.write_text(render_edge_list(graph))
+    code = {"saturated": 1, "decompose": 3}.get(verb[0], 0) if graph is SPARSE else 0
+    counts = _count(monkeypatch)
+    assert main([verb[0], str(path), *verb[1:]]) == code
+    capsys.readouterr()
+    assert (counts["structures"], counts["tables"], counts["_blossom_pass"]) == (1, 1, 1)
+    assert counts["is_factorizable"] == 0

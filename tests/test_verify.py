@@ -6,7 +6,8 @@ import pytest
 
 import cathedral.matching
 import cathedral.verify
-from cathedral.canonical import CanonicalPartition
+from cathedral.canonical import CanonicalPartition, GraphStructure
+from cathedral.cli import main
 from cathedral.construction import saturate
 from cathedral.errors import NotFactorizableError
 from cathedral.graph import Graph, add_edges, complement_pairs, delete_vertices
@@ -341,6 +342,21 @@ def test_a_decomposition_construct_refuses_fails_the_checks_that_rebuild_it(monk
     for failure in failures:
         assert failure.reason.startswith("construct refused the decomposition: ")
         assert failure.counterexample.startswith("vertices ")
+
+
+def test_a_precondition_error_inside_a_check_fails_that_check(monkeypatch, capsys):
+    # a trial graph is factorizable by construction, so an order without a
+    # minimum is the package's fault, not the input's: foundation_via_ge's
+    # NoMinimumComponent fails the check instead of ending the run with exit 3
+    monkeypatch.setattr(GraphStructure, "minimum", property(lambda self: None))
+    config = TrialConfig(seed=0)
+    report = run_suite(saturate(random_factorizable_graph(config, 0))[0], config)
+    (failure,) = [f for f in report.failures() if f.check == "foundation-equals-ge-complement"]
+    assert failure.reason == "the component order has no minimum element"
+    assert failure.counterexample.startswith("vertices ")
+    assert main(["verify", "--seed", "0", "--trials", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert "foundation-equals-ge-complement" in out and err == ""
 
 
 # C4 plus the chord 0-2: saturated and elementary, with classes {0, 2}, {1}, {3}
