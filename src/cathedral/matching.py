@@ -7,13 +7,14 @@ the package is checked against, so this module favors exact, deterministic
 answers: ties break by ascending vertex id everywhere, and the walker visits
 every simple alternating path (with an expansion budget that aborts loudly
 instead of guessing).  Both run on the graph's one adjacency,
-``Graph.index_adjacency``; the walker and ``graph._walk_parts``, the
-component walk, are the package's only two walks.  A path search, the
-enumeration, or the factorizability and factor-criticality tests given
-``kept`` (as in ``graph.connected_components``) runs in the subgraph induced
-by it: on the host's index, with every other position hidden (computed once
-per call), so it visits what the same call on that subgraph (under the
-matching's edges inside it) would, and builds neither.
+``Graph.index_adjacency``, and over explicit stacks, so neither has a
+recursion limit; the walker and ``graph._walk_parts``, the component walk,
+are the package's only two walks.  A path search, the enumeration, or the
+factorizability and factor-criticality tests given ``kept`` (as in
+``graph.connected_components``) runs in the subgraph induced by it: on the
+host's index, with every other position hidden (computed once per call), so
+it visits what the same call on that subgraph (under the matching's edges
+inside it) would, and builds neither.
 """
 
 from __future__ import annotations
@@ -409,7 +410,9 @@ def enumerate_perfect_matchings(
 ) -> PerfectMatchingEnumeration:
     """Backtracking enumeration: repeatedly match the least uncovered vertex,
     trying its uncovered neighbours in ascending order.  Runs on positions,
-    with the covered vertices as a bitmask.
+    with the covered vertices as a bitmask, over an explicit stack of one
+    frame per matched vertex, so it has no recursion limit and leaves no
+    reference cycle behind.
 
     With ``kept``, the backtracking starts with every other position covered,
     and positions keep their rank order, so it yields the perfect matchings
@@ -423,31 +426,40 @@ def enumerate_perfect_matchings(
     vs = graph.vertices
     adj = graph.index_adjacency
     full = (1 << len(vs)) - 1
-    current: list[Edge] = []
+    covered = sum([1 << i for i in hidden]) if hidden else 0
+    # one frame per matched vertex v: v's id, the covered mask with v, and
+    # v's neighbours left to try; current[i] is the edge frame i tries
+    frames: list[tuple[int, int, Iterator[int]]] = []
+    current: list[Edge | None] = []
     found: list[frozenset[Edge]] = []
     truncated = False
-
-    def extend(covered: int) -> None:
-        nonlocal truncated
+    while True:
         if covered == full:
             if len(found) == cap:
                 truncated = True
-            else:
-                found.append(frozenset(current))
-            return
-        v = (~covered & (covered + 1)).bit_length() - 1  # least uncovered position
-        covered |= 1 << v
-        for w in adj[v]:
-            if covered >> w & 1:
-                continue
-            # every uncovered position exceeds v, so the edge is normalized
-            current.append((vs[v], vs[w]))
-            extend(covered | 1 << w)
-            current.pop()
-            if truncated:
                 break
-
-    extend(sum([1 << i for i in hidden]) if hidden else 0)
+            found.append(frozenset(current))
+        else:
+            v = (~covered & (covered + 1)).bit_length() - 1  # least uncovered position
+            frames.append((vs[v], covered | 1 << v, iter(adj[v])))
+            current.append(None)
+        # the deepest frame's next uncovered neighbour, backtracking past
+        # every frame that has none left
+        while frames:
+            u, base, ws = frames[-1]
+            for w in ws:
+                if not base >> w & 1:
+                    # every uncovered position exceeds the frame's, so the edge is normalized
+                    current[-1] = (u, vs[w])
+                    covered = base | 1 << w
+                    break
+            else:
+                frames.pop()
+                current.pop()
+                continue
+            break
+        else:
+            break
     return PerfectMatchingEnumeration(
         tuple(Matching._trusted(graph, m) for m in found), truncated
     )

@@ -312,14 +312,27 @@ class _TrialContext(GraphStructure):
 
     @cached_property
     def closures(self) -> _Table:
-        """A context of the saturation closure and its added edges, by ``descending``."""
+        """A context of the saturation closure and its added edges, by
+        ``descending``.  Both scan orders share one context when they give
+        the same graph, as they mostly do, so that graph's structures and
+        enumerations are built once."""
         graph, config = self.graph, self.config
+        # by closure graph; the fill closes over this, not over the table
+        contexts: dict[Graph, _TrialContext] = {}
 
         def fill(descending: bool) -> tuple[_TrialContext, tuple[Edge, ...]]:
             closed, added = saturate(graph, descending=descending)
-            return _TrialContext(closed, config), added
+            if closed not in contexts:
+                contexts[closed] = _TrialContext(closed, config)
+            return contexts[closed], added
 
         return _Table(fill)
+
+    @cached_property
+    def wide_enumeration(self) -> PerfectMatchingEnumeration:
+        """The perfect matchings up to twice the cap: as a closure, this
+        graph must have the input's, and the input has at most the cap."""
+        return enumerate_perfect_matchings(self.graph, 2 * self.config.enumeration_cap)
 
     def require_saturated(self) -> None:
         if not self.saturated:
@@ -977,7 +990,9 @@ def _check_cross_matching_balanced(ctx: _TrialContext) -> None:
 
 def _check_closure_saturated_preserving(ctx: _TrialContext) -> None:
     """Both scan orders of the closure yield saturated graphs with exactly
-    the input's perfect matchings; the added edges are recorded."""
+    the input's perfect matchings; the added edges are recorded.  When the
+    input's matchings are all enumerated, a closure with more than twice the
+    cap has others."""
     notes = []
     for descending in (False, True):
         closed, added = ctx.closures[descending]
@@ -985,8 +1000,8 @@ def _check_closure_saturated_preserving(ctx: _TrialContext) -> None:
         if not closed.saturated:
             _fail(f"closure ({notes[-1]}) is not saturated")
         if not ctx.enumeration.truncated:
-            enum = enumerate_perfect_matchings(closed.graph, 2 * ctx.config.enumeration_cap)
-            if not enum.truncated and enum.edge_sets() != ctx.enumeration.edge_sets():
+            enum = closed.wide_enumeration
+            if enum.truncated or enum.edge_sets() != ctx.enumeration.edge_sets():
                 _fail(f"closure ({notes[-1]}) changed the perfect matchings")
 
 

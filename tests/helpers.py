@@ -93,6 +93,18 @@ def mid_size_graphs(count: int) -> list[Graph]:
     return kept
 
 
+def plant_k10_closure(monkeypatch) -> Graph:
+    """Make the verifier's ``saturate`` return K_10, with its 945 perfect
+    matchings, and return the 10-vertex perfect matching, which has one."""
+    import cathedral.verify
+
+    k10 = Graph(range(10), combinations(range(10), 2))
+    monkeypatch.setattr(
+        cathedral.verify, "saturate", lambda graph, descending=False: (k10, tuple(sorted(k10.edges - graph.edges)))
+    )
+    return Graph(range(10), [(i, i + 1) for i in range(0, 10, 2)])
+
+
 def path(order: int) -> Graph:
     return Graph(range(order), [(v, v + 1) for v in range(order - 1)])
 

@@ -156,6 +156,18 @@ def test_enumeration_truncation_is_flagged():
         perfect_matching_union(C4, cap=1)
 
 
+@pytest.mark.parametrize("n", [2100, 4000])
+def test_enumeration_has_no_recursion_limit(n):
+    # one frame per matched vertex: a recursion ran out of stack past about
+    # 2,000 vertices
+    g = Graph(range(n), [(i, i + 1) for i in range(0, n, 2)])
+    for cap in (1, 2):
+        (whole,) = enumerate_perfect_matchings(g, cap)
+        assert len(whole.edges) == n // 2
+        (inner,) = enumerate_perfect_matchings(g, cap, kept=range(2, n))
+        assert inner.edges == whole.edges - {(0, 1)}
+
+
 @given(factorizable_graphs())
 @settings(max_examples=100)
 def test_enumeration_matches_brute_force(g):

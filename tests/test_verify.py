@@ -25,7 +25,7 @@ from cathedral.verify import (
     run_trials,
 )
 
-from helpers import C5, K4, P4, T, assert_kept_is_the_induced_subgraph, kept_sets
+from helpers import C5, K4, P4, T, assert_kept_is_the_induced_subgraph, kept_sets, plant_k10_closure
 
 
 def test_config_validation():
@@ -294,6 +294,16 @@ def test_the_new_matching_check_skips_where_the_grown_enumeration_truncates(conf
         else:
             assert result.status == "pass"
     assert statuses["pass"]
+
+
+def test_a_closure_with_more_than_twice_the_cap_fails(monkeypatch):
+    # the closure's enumeration truncates at twice the cap, where the
+    # input's is complete
+    graph = plant_k10_closure(monkeypatch)
+    report = run_suite(graph, TrialConfig(seed=0), only=["closure-saturated-and-preserving"])
+    (failure,) = report.failures()
+    assert failure.reason.endswith("changed the perfect matchings")
+    assert failure.counterexample.startswith("vertices ")
 
 
 def test_reports_are_replayable():
