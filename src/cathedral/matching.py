@@ -274,16 +274,20 @@ def _blossom_pass(
                     break
     for h in hidden:
         mate[h] = -1
+    return mate, _failed_roots(adj, mate, hidden)
 
-    def failures() -> Iterator[tuple[int, list[bool] | None]]:
-        for v, ws in enumerate(adj):
-            if mate[v] == -1 and v not in hidden:
-                if hidden.issuperset(ws):
-                    yield v, None
-                elif (outer := _edmonds_search(adj, mate, v, hidden)) is not None:
-                    yield v, outer
 
-    return mate, failures()
+def _failed_roots(
+    adj: Rows, mate: list[int], hidden: frozenset[int]
+) -> Iterator[tuple[int, list[bool] | None]]:
+    """The lazy rest of ``_blossom_pass``: a search from each root that
+    ``mate`` exposes, in ascending order, yielding the failed ones."""
+    for v, ws in enumerate(adj):
+        if mate[v] == -1 and v not in hidden:
+            if hidden.issuperset(ws):
+                yield v, None
+            elif (outer := _edmonds_search(adj, mate, v, hidden)) is not None:
+                yield v, outer
 
 
 def _blossom_matching(

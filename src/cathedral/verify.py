@@ -9,10 +9,10 @@ reported as skipped and re-run on the graph's saturation closure.
 
 The graph's context holds each definitional artifact once (pair-deletion
 verdicts, grown graphs, part contexts, reachability sweeps, closures) for
-every check.  The deletion questions, whether G-u-v is factorizable and what
-its perfect matchings are, and what the partition of G-x is and whether G-x
-is factor-critical, run on G's own index with the deleted vertices hidden,
-so no deletion is built.
+every check.  The deletion questions, whether G-u-v is factorizable and how
+many perfect matchings it has, and what the partition of G-x is and whether
+G-x is factor-critical, run on G's own index with the deleted vertices
+hidden, so no deletion is built.
 
 A failing check ships a replayable counterexample: the graph is greedily
 shrunk (edge removals, then vertex-pair removals) while the failure
@@ -941,21 +941,102 @@ def _assert_split_shape(
             _fail(f"ear candidate {list(piece)} has a non-saturated interior")
 
 
+def _capped_matching_counter(graph: Graph, limit: int) -> Callable[[int], int]:
+    """A counter of the perfect matchings of G less a covered set, capped:
+    ``count(covered)`` is min(c, ``limit``), where c counts the perfect
+    matchings of the subgraph induced by the positions outside the bitmask
+    ``covered``.  Every call of one counter shares one memo of exact counts
+    by mask.
+
+    It walks the tree of ``enumerate_perfect_matchings`` with ``kept`` the
+    uncovered vertices: each node is a covered mask, whose children match
+    its least uncovered position to each uncovered neighbour in ascending
+    order, and whose leaves cover every position.  A node's subtree depends
+    only on its mask, so c(mask) is the sum of its children's counts, and
+    the full mask counts 1.  The walk runs over an explicit stack of one
+    frame per expanded mask (its mask, the mask with its least uncovered
+    position, its neighbours left to try and its total so far), so it has
+    no recursion limit, and it makes no reference cycle.
+
+    - The memo visits no mask that the enumeration with cap ``limit - 1``
+      did not visit.  The call keeps ``seen``, the leaves its frames have
+      counted, which are the leaves before the next mask in the tree's depth
+      first order; it reads a memoized mask's count rather than walking its
+      subtree, and returns ``limit`` as soon as ``seen`` reaches it.  So it
+      expands a mask only when fewer than ``limit`` leaves precede it, as
+      does the enumeration, which stops at its ``limit``-th leaf.
+    - The capped sums are exact.  The count ``seen`` only grows, and each
+      frame's total is part of it, so a call that finishes had every total
+      below ``limit`` and memoizes exact counts; a call that stops has seen
+      at least ``limit`` distinct leaves below its mask, so min(c,
+      ``limit``) is ``limit``.  A mask with an odd number of uncovered positions counts
+      0 at once, as the enumeration refuses an odd ``kept``.
+    - The statuses equal the enumeration's: with ``limit = cap + 1`` the
+      enumeration is truncated iff c > cap iff the count is ``limit``, and
+      it finds a perfect matching iff c > 0.
+    """
+    adj = graph.index_adjacency
+    memo = {(1 << len(adj)) - 1: 1}
+
+    def count(covered: int) -> int:
+        if (len(adj) - covered.bit_count()) % 2:
+            return 0
+        # one frame per expanded mask: [mask, mask with its least uncovered
+        # position, that position's neighbours left to try, total so far]
+        frames: list[list] = []
+        seen = 0
+        mask = covered
+        while True:
+            got = memo.get(mask)
+            if got is None:
+                v = (~mask & (mask + 1)).bit_length() - 1  # least uncovered position
+                frames.append([mask, mask | 1 << v, iter(adj[v]), 0])
+            else:
+                seen += got
+                if seen >= limit:
+                    return limit
+                if not frames:
+                    return got
+                frames[-1][3] += got
+            # the deepest frame's next child, memoizing every frame that has
+            # none left into its parent's total
+            while True:
+                frame = frames[-1]
+                base = frame[1]
+                for w in frame[2]:
+                    if not base >> w & 1:
+                        mask = base | 1 << w
+                        break
+                else:
+                    frames.pop()
+                    memo[frame[0]] = total = frame[3]
+                    if not frames:
+                        return total
+                    frames[-1][3] += total
+                    continue
+                break
+
+    return count
+
+
 def _check_new_matching_iff_path(ctx: _TrialContext) -> None:
     """Adding an absent pair creates a new perfect matching iff a saturated
     path already joins its endpoints.
 
     A perfect matching of G+uv is one of G's, or uv with one of G-u-v, so
     G+uv has more than ``2 * cap`` of them exactly when G-u-v has more than
-    ``2 * cap - |PM(G)|``, and a new one exactly when G-u-v has any."""
+    ``2 * cap - |PM(G)|``, and a new one exactly when G-u-v has any.  Every
+    G-u-v is counted, up to one past that, on one memo of the graph's
+    covered masks, by ``_capped_matching_counter``."""
     ctx.require_complete_enumeration()
     cap = 2 * ctx.config.enumeration_cap - len(ctx.matchings)
+    count = _capped_matching_counter(ctx.graph, cap + 1)
+    pos = ctx.graph.positions
     for pair in complement_pairs(ctx.graph):
-        rest = ctx.graph.vertex_set.difference(pair)
-        enum = enumerate_perfect_matchings(ctx.graph, cap, kept=rest)
-        if enum.truncated:
+        found = count(1 << pos[pair[0]] | 1 << pos[pair[1]])
+        if found > cap:
             raise _SkipCheck("grown enumeration exceeded the cap", rerun_on_closure=False)
-        creates = len(enum.matchings) > 0
+        creates = found > 0
         for _, reach in ctx.checked_reaches():
             if creates != (pair[1] in reach.saturated[pair[0]]):
                 _fail(f"new-matching criterion disagrees at pair {pair}")

@@ -402,8 +402,15 @@ def test_verify_json_deterministic_across_runs(tmp_path):
             ["--seed", "0", "--trials", "3", "--max-n", "30"],
             "6b4a9d8a3f5ae55b8d20647dc118239e2a98640c9ceb33983337d7de4a1bc03f",
         ),
+        (
+            # the new-matching check passes on 18 trials, skips 17 with more
+            # than 1 perfect matching and 5 where the grown enumeration
+            # exceeds the cap
+            ["--seed", "0", "--trials", "40", "--max-n", "10", "--cap", "1"],
+            "080f9259322460bfa75ac8a72ec27dae333d949baf6d3b209d4b4c175dde7bd1",
+        ),
     ],
-    ids=["seed0", "seed3", "seed0-n12", "seed0-n30-budget"],
+    ids=["seed0", "seed3", "seed0-n12", "seed0-n30-budget", "seed0-n10-cap1"],
 )
 def test_verify_json_bytes_are_pinned(tmp_path, args, digest):
     out = tmp_path / "report.json"

@@ -62,6 +62,20 @@ def test_the_suite_leaves_no_cycle():
         assert _unreachable(lambda: run_suite(graph, config)) == 0
 
 
+def test_the_grown_cap_skip_leaves_no_cycle():
+    # at cap 1, trial 7 has one perfect matching and a G-u-v with at least
+    # two, so the new-matching check stops its counter at the skip
+    config = TrialConfig(seed=0, max_vertices=10, enumeration_cap=1)
+    graph = random_factorizable_graph(config, 7)
+    reports = []
+    assert _unreachable(lambda: reports.append(run_suite(graph, config))) == 0
+    statuses = {r.check: (r.status, r.reason) for r in reports[0].results}
+    assert statuses["complement-edge-new-matching-iff-path"] == (
+        "skip",
+        "grown enumeration exceeded the cap",
+    )
+
+
 def test_a_failing_check_leaves_no_cycle(monkeypatch):
     # the failure and its counterexample search, under a closure that adds
     # perfect matchings

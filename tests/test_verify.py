@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from cathedral.verify import (
     CHECK_IDS,
     PATH_CHECK_IDS,
     TrialConfig,
+    _capped_matching_counter,
     _run_one,
     _TrialContext,
     random_factorizable_graph,
@@ -251,7 +253,8 @@ def test_the_grown_count_is_the_host_count_plus_the_pair_deleted_count(config):
 
 @_SEEDED_CORPORA
 def test_kept_answers_as_the_induced_subgraph(config):
-    # the pair verdicts and the new-matching counts ask their G-u-v this way
+    # the pair verdicts ask their G-u-v this way; the new-matching check
+    # counts its G-u-v with the capped counter, tested against kept= below
     rng = random.Random(config.seed)
     for trial in range(config.trials):
         graph = random_factorizable_graph(config, trial)
@@ -294,6 +297,127 @@ def test_the_new_matching_check_skips_where_the_grown_enumeration_truncates(conf
         else:
             assert result.status == "pass"
     assert statuses["pass"]
+
+
+def _kept_count(graph, limit, kept):
+    """min(|PM(G[kept])|, limit) and whether G[kept] has more than
+    ``limit``, by the enumeration."""
+    enum = enumerate_perfect_matchings(graph, limit, kept=kept)
+    return len(enum), enum.truncated
+
+
+@_SEEDED_CORPORA
+def test_the_capped_counter_agrees_with_the_enumeration(config):
+    # every pair deletion, not only the complement pairs, on one memo per
+    # graph and limit, in pair order
+    compared = 0
+    for trial in range(config.trials):
+        graph = random_factorizable_graph(config, trial)
+        pos = graph.positions
+        for cap in (1, 2, 3, 65):
+            capped = _capped_matching_counter(graph, cap)
+            past = _capped_matching_counter(graph, cap + 1)
+            for pair in combinations(graph.vertices, 2):
+                mask = 1 << pos[pair[0]] | 1 << pos[pair[1]]
+                found, truncated = _kept_count(graph, cap, graph.vertex_set.difference(pair))
+                assert capped(mask) == found, (sorted(graph.edges), pair, cap)
+                count = past(mask)
+                assert min(count, cap) == found and (count > cap) == truncated, (pair, cap)
+                compared += 1
+    assert compared
+
+
+class _CountedRows(tuple):
+    """An index adjacency that counts its row reads: one per mask a counter
+    expands, and one per vertex an enumeration matches."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@_SEEDED_CORPORA
+def test_the_capped_counter_expands_only_what_the_enumerations_visit(config):
+    # per pair, in pair order, no more masks than the enumeration with the
+    # same cap visits; then every count below the limit comes from the memo
+    for trial in range(config.trials):
+        seeded = random_factorizable_graph(config, trial)
+        graph = Graph(seeded.vertices, seeded.edges)
+        rows = graph.__dict__["index_adjacency"] = _CountedRows(seeded.index_adjacency)
+        pos = graph.positions
+        masks = {p: 1 << pos[p[0]] | 1 << pos[p[1]] for p in combinations(graph.vertices, 2)}
+        for cap in (1, 3, 65):
+            count = _capped_matching_counter(graph, cap + 1)
+            counted = {}
+            for pair, mask in masks.items():
+                before = rows.reads
+                counted[pair] = count(mask)
+                expanded, before = rows.reads - before, rows.reads
+                enumerate_perfect_matchings(graph, cap, kept=graph.vertex_set.difference(pair))
+                assert expanded <= rows.reads - before, (sorted(graph.edges), pair, cap)
+            before = rows.reads
+            for pair, mask in masks.items():
+                if counted[pair] <= cap:
+                    assert count(mask) == counted[pair]
+            assert rows.reads == before
+
+
+@pytest.mark.parametrize(
+    "graph, total",
+    [
+        (K4, 3),
+        (Graph(range(6), combinations(range(6), 2)), 15),
+        (Graph(range(8), [(i, (i + 1) % 8) for i in range(8)]), 2),
+    ],
+    ids=["K4", "K6", "C8"],
+)
+def test_the_capped_counter_at_its_boundaries(graph, total):
+    # the count equals the limit, then the limit plus one, and the same
+    # answers again from the memo
+    for limit in (total - 1, total, total + 1):
+        count = _capped_matching_counter(graph, limit)
+        for _ in range(2):
+            assert count(0) == min(total, limit)
+        assert _kept_count(graph, limit, graph.vertices) == (min(total, limit), total > limit)
+
+
+@pytest.mark.parametrize("n", [2100, 4000])
+def test_the_capped_counter_has_no_recursion_limit(n):
+    # one frame per expanded mask, as the enumeration has one per matched vertex
+    g = Graph(range(n), [(i, i + 1) for i in range(0, n, 2)])
+    count = _capped_matching_counter(g, 2)
+    assert count(0) == 1
+    assert count(0b11) == 1
+    assert count(0b101) == 0
+    assert count(0b1) == 0
+
+
+def test_the_suite_counts_no_pair_deletion_by_enumeration(monkeypatch):
+    # every G-u-v of the new-matching check is counted on the graph's one
+    # memo; only G and its closures are enumerated
+    enumerated, counters = [], []
+    enumerate_all = cathedral.matching.enumerate_perfect_matchings
+    counter = cathedral.verify._capped_matching_counter
+
+    def enumerate_recorded(graph, cap=cathedral.matching.DEFAULT_ENUMERATION_CAP, *, kept=None):
+        enumerated.append(kept)
+        return enumerate_all(graph, cap, kept=kept)
+
+    for module in (cathedral.matching, cathedral.verify):
+        monkeypatch.setattr(module, "enumerate_perfect_matchings", enumerate_recorded)
+    monkeypatch.setattr(
+        cathedral.verify,
+        "_capped_matching_counter",
+        lambda graph, limit: counters.append(graph) or counter(graph, limit),
+    )
+    config = TrialConfig(seed=0, max_vertices=10)
+    graphs = [g for t in range(20) if (g := random_factorizable_graph(config, t)).order == 10]
+    for graph in graphs:
+        assert run_suite(graph, config).ok
+    assert graphs and enumerated and counters
+    assert [kept for kept in enumerated if kept is not None] == []
 
 
 def test_a_closure_with_more_than_twice_the_cap_fails(monkeypatch):
