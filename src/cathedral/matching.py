@@ -9,7 +9,7 @@ every simple alternating path (with an expansion budget that aborts loudly
 instead of guessing).  Both run on the graph's one adjacency,
 ``Graph.index_adjacency``, and over explicit stacks, so neither has a
 recursion limit; the walker and ``graph._walk_parts``, the component walk,
-are the package's only two walks.  A path search, the enumeration, or the
+are the package's only two walks.  A path search, or the
 factorizability and factor-criticality tests given ``kept`` (as in
 ``graph.connected_components``) runs in the subgraph induced by it: on the
 host's index, with every other position hidden (computed once per call), so
@@ -410,27 +410,21 @@ class PerfectMatchingEnumeration:
 
 
 def enumerate_perfect_matchings(
-    graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP, *, kept: Iterable[int] | None = None
+    graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> PerfectMatchingEnumeration:
     """Backtracking enumeration: repeatedly match the least uncovered vertex,
     trying its uncovered neighbours in ascending order.  Runs on positions,
     with the covered vertices as a bitmask, over an explicit stack of one
     frame per matched vertex, so it has no recursion limit and leaves no
-    reference cycle behind.
-
-    With ``kept``, the backtracking starts with every other position covered,
-    and positions keep their rank order, so it yields the perfect matchings
-    of the subgraph induced by ``kept`` in that subgraph's order, truncated
-    at the same count: matchings of the host that cover exactly ``kept``."""
+    reference cycle behind."""
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
-    within, hidden = _confined(graph, kept)
-    if len(within) % 2 == 1:
+    if graph.order % 2 == 1:
         return PerfectMatchingEnumeration((), False)
     vs = graph.vertices
     adj = graph.index_adjacency
     full = (1 << len(vs)) - 1
-    covered = sum([1 << i for i in hidden]) if hidden else 0
+    covered = 0
     # one frame per matched vertex v: v's id, the covered mask with v, and
     # v's neighbours left to try; current[i] is the edge frame i tries
     frames: list[tuple[int, int, Iterator[int]]] = []

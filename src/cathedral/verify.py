@@ -948,15 +948,15 @@ def _capped_matching_counter(graph: Graph, limit: int) -> Callable[[int], int]:
     ``covered``.  Every call of one counter shares one memo of exact counts
     by mask.
 
-    It walks the tree of ``enumerate_perfect_matchings`` with ``kept`` the
-    uncovered vertices: each node is a covered mask, whose children match
-    its least uncovered position to each uncovered neighbour in ascending
-    order, and whose leaves cover every position.  A node's subtree depends
-    only on its mask, so c(mask) is the sum of its children's counts, and
-    the full mask counts 1.  The walk runs over an explicit stack of one
-    frame per expanded mask (its mask, the mask with its least uncovered
-    position, its neighbours left to try and its total so far), so it has
-    no recursion limit, and it makes no reference cycle.
+    It walks the tree of ``enumerate_perfect_matchings`` on the subgraph
+    induced by the uncovered positions: each node is a covered mask, whose
+    children match its least uncovered position to each uncovered neighbour
+    in ascending order, and whose leaves cover every position.  A node's
+    subtree depends only on its mask, so c(mask) is the sum of its
+    children's counts, and the full mask counts 1.  The walk runs over an
+    explicit stack of one frame per expanded mask (its mask, the mask with
+    its least uncovered position, its neighbours left to try and its total
+    so far), so it has no recursion limit, and it makes no reference cycle.
 
     - The memo visits no mask that the enumeration with cap ``limit - 1``
       did not visit.  The call keeps ``seen``, the leaves its frames have
@@ -969,8 +969,8 @@ def _capped_matching_counter(graph: Graph, limit: int) -> Callable[[int], int]:
       frame's total is part of it, so a call that finishes had every total
       below ``limit`` and memoizes exact counts; a call that stops has seen
       at least ``limit`` distinct leaves below its mask, so min(c,
-      ``limit``) is ``limit``.  A mask with an odd number of uncovered positions counts
-      0 at once, as the enumeration refuses an odd ``kept``.
+      ``limit``) is ``limit``.  A mask with an odd number of uncovered
+      positions counts 0 at once, as the enumeration refuses an odd order.
     - The statuses equal the enumeration's: with ``limit = cap + 1`` the
       enumeration is truncated iff c > cap iff the count is ``limit``, and
       it finds a perfect matching iff c > 0.

@@ -18,6 +18,8 @@ from cathedral.matching import (
     is_factorizable,
 )
 
+from oracles import set_perfect_matchings
+
 E0 = Graph()
 K1 = Graph([0])
 K2 = Graph(range(2), [(0, 1)])
@@ -140,19 +142,20 @@ def reversed_ids(graph: Graph) -> Graph:
 
 def assert_kept_is_the_induced_subgraph(g: Graph, kept: frozenset[int]) -> None:
     """``kept=`` on the host gives the factorizability and factor-criticality
-    verdicts, the deficiency partition, the perfect matchings in order and
-    the truncation flag that the same calls give on the subgraph induced by
-    ``kept``."""
+    verdicts and the deficiency partition that the same calls give on the
+    subgraph induced by ``kept``, and that subgraph's enumeration lists the
+    perfect matchings of the set-based backtracking, in order, with its
+    truncation flag."""
     sub = induced_subgraph(g, kept)
     where = (sorted(g.edges), sorted(kept))
     assert is_factorizable(g, kept=kept) == is_factorizable(sub), where
     assert is_factor_critical(g, kept=kept) == is_factor_critical(sub), where
     assert gallai_edmonds(g, kept=kept).parts() == gallai_edmonds(sub).parts(), where
     for cap in (3, DEFAULT_ENUMERATION_CAP):
-        ours = enumerate_perfect_matchings(g, cap, kept=kept)
-        theirs = enumerate_perfect_matchings(sub, cap)
-        assert [m.edges for m in ours] == [m.edges for m in theirs], (*where, cap)
-        assert ours.truncated == theirs.truncated, (*where, cap)
+        ours = enumerate_perfect_matchings(sub, cap)
+        found, truncated = set_perfect_matchings(sub, cap)
+        assert [m.edges for m in ours] == [frozenset(pm) for pm in found], (*where, cap)
+        assert ours.truncated == truncated, (*where, cap)
 
 
 def kept_sets(g: Graph, rng: random.Random) -> list[frozenset[int]]:

@@ -2,39 +2,26 @@
 the package's algorithms: adjacency is read off the edge list once per call,
 components grow by whole neighbourhoods, matchings come from subset recursion
 over the edge list, perfect matchings from combination filtering,
-factorizability from trying every partner of the least vertex, contraction
-from a literal edge rewrite; the enumeration's order and truncation are those
-of its former set-based backtracking.  The deletion structures follow their
-definitions: allowed edges and classes one pair deletion at a time, the
-exposable set as the vertices some maximum matching misses, and also as one
-search from each vertex the final blossom matching exposes.  The
-alternating-walk references are the per-query depth-first loops, counting
-their expansions.  The component order has two references: the per-pair
-search, which tries every union containing both components (its
-factor-criticality test is the package's, itself checked against
-``deletion_is_factor_critical``), and the sweep, which tries every union
-containing the lower one with the package's contracted search (checked union
-by union against the literal contraction)."""
+contraction from a literal edge rewrite; the enumeration's order and
+truncation are those of its former set-based backtracking.  Every structure
+of a perfectly matchable graph reads the graph's one ``SubsetTable``, which
+says whether the graph less a vertex set has a perfect matching: allowed
+edges, the classes, saturation and the restart closure ask it of G-u-v, each
+D(G-x) of G-x-v, factor-criticality of G-v; the component order asks the
+table of G contracted at each component which unions are factor-critical.
+The exposable set of any graph is the vertices some maximum matching misses;
+``final_search_exposable``, the one oracle that runs the package's search,
+reads it as the package did before its one-pass marks.  The alternating-walk
+references are the per-query depth-first loops, counting their expansions."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from functools import lru_cache
 from itertools import combinations
 
-from cathedral.graph import (
-    Edge,
-    Graph,
-    add_edges,
-    complement_pairs,
-    contract,
-    delete_vertices,
-    induced_subgraph,
-)
-from cathedral.matching import (
-    _blossom_matching,
-    _contracts_to_factor_critical,
-    _edmonds_search,
-    is_factor_critical,
-)
+from cathedral.graph import Edge, Graph, add_edges, complement_pairs
+from cathedral.matching import _blossom_matching, _edmonds_search
 
 
 def adjacency(graph: Graph) -> dict[int, list[int]]:
@@ -148,27 +135,6 @@ def set_perfect_matchings(graph: Graph, cap: int) -> tuple[list[tuple[Edge, ...]
     return found, truncated
 
 
-def brute_is_factorizable(graph: Graph) -> bool:
-    """Whether some partner of the least uncovered vertex, tried in turn,
-    leaves a factorizable rest."""
-    adj = adjacency(graph)
-
-    def cover(left: frozenset[int]) -> bool:
-        if not left:
-            return True
-        v = min(left)
-        return any(w in left and cover(left - {v, w}) for w in adj[v])
-
-    return graph.order % 2 == 0 and cover(graph.vertex_set)
-
-
-def brute_allowed_edges(graph: Graph) -> frozenset[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for pm in brute_perfect_matchings(graph):
-        out |= set(pm)
-    return frozenset(out)
-
-
 def contract_by_rewrite(graph: Graph, block: frozenset[int]) -> tuple[set[int], set[tuple[int, int]]]:
     """Definitional contraction: rewrite endpoints, drop loops, merge parallels."""
     target = min(block)
@@ -185,55 +151,118 @@ def contract_by_rewrite(graph: Graph, block: frozenset[int]) -> tuple[set[int], 
     return vertices, edges
 
 
-# --- deletion structures, by definition -------------------------------------
+# --- one subset table per graph, and the structures it defines ---------------
+
+
+class SubsetTable:
+    """Whether the graph less a vertex set has a perfect matching, memoized
+    on the bitmask of the vertices that remain (bit i for the i-th least
+    id): the least remaining vertex is matched to each remaining neighbour
+    in turn, until the rest has a perfect matching."""
+
+    def __init__(self, graph: Graph) -> None:
+        self.bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
+        self.full = (1 << graph.order) - 1
+        self.nbr = dict.fromkeys(self.bit.values(), 0)  # by each vertex's bit
+        for u, v in graph.edges:
+            self.nbr[self.bit[u]] |= self.bit[v]
+            self.nbr[self.bit[v]] |= self.bit[u]
+        self._memo = {0: True}
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        return sum(self.bit[v] for v in vertices)
+
+    def matchable(self, remaining: int) -> bool:
+        known = self._memo.get(remaining)
+        if known is None:
+            known = False
+            if remaining.bit_count() % 2 == 0:
+                low = remaining & -remaining
+                rest = remaining ^ low
+                partners = self.nbr[low] & rest
+                while partners and not known:
+                    w = partners & -partners
+                    known = self.matchable(rest ^ w)
+                    partners ^= w
+            self._memo[remaining] = known
+        return known
+
+    def without(self, *removed: int) -> bool:
+        """Whether the graph less ``removed`` has a perfect matching."""
+        return self.matchable(self.full & ~self.mask(removed))
+
+    def critical(self, remaining: int) -> bool:
+        """Whether the remaining vertices induce a factor-critical graph: an
+        odd number of them, each of whose deletion leaves a perfect matching."""
+        return remaining.bit_count() % 2 == 1 and all(
+            self.matchable(remaining ^ b) for b in self.bit.values() if b & remaining
+        )
+
+
+@lru_cache(maxsize=16)
+def subset_table(graph: Graph) -> SubsetTable:
+    """The one table of a graph, shared by every oracle that asks of it."""
+    return SubsetTable(graph)
 
 
 def deletion_allowed_edges(graph: Graph) -> frozenset[Edge]:
     """Edges whose endpoint deletion leaves a factorizable graph."""
-    return frozenset(e for e in graph.edges if brute_is_factorizable(delete_vertices(graph, e)))
+    table = subset_table(graph)
+    return frozenset(e for e in graph.edges if table.without(*e))
 
 
 def deletion_partition(graph: Graph) -> tuple[frozenset[int], ...]:
     """Classes of "same allowed-edge component, and deleting both leaves no
     perfect matching", ordered by minimum id."""
+    table = subset_table(graph)
     skeleton = Graph(graph.vertices, deletion_allowed_edges(graph))
     components = induced_components(skeleton, skeleton.vertex_set)
     component_of = {v: i for i, (comp, _) in enumerate(components) for v in comp}
     classes: list[frozenset[int]] = []
     for u in graph.vertices:
-        if any(u in cls for cls in classes):
-            continue
-        classes.append(
-            frozenset(
-                v
-                for v in graph.vertices
-                if v == u
-                or (
-                    component_of[u] == component_of[v]
-                    and not brute_is_factorizable(delete_vertices(graph, (u, v)))
-                )
-            )
-        )
+        if not any(u in cls for cls in classes):
+            same = (v for v in graph.vertices if component_of[u] == component_of[v])
+            classes.append(frozenset(v for v in same if v == u or not table.without(u, v)))
     return tuple(classes)
 
 
 def deletion_is_saturated(graph: Graph) -> bool:
-    return all(brute_is_factorizable(delete_vertices(graph, p)) for p in complement_pairs(graph))
+    table = subset_table(graph)
+    return all(table.without(*p) for p in complement_pairs(graph))
+
+
+def deletion_is_factor_critical(graph: Graph) -> bool:
+    """Odd order, and every single deletion is factorizable."""
+    table = subset_table(graph)
+    return table.critical(table.full)
 
 
 def restart_saturate(graph: Graph, descending: bool = False) -> tuple[Graph, tuple[Edge, ...]]:
     """Add the first complement pair (in scan order) whose endpoint deletion
-    is unfactorizable, then scan again from the start, until none is left."""
+    is unfactorizable, then scan again from the start, on the grown graph's
+    own table, until none is left."""
     current = graph
     added: list[Edge] = []
     while True:
-        for pair in sorted(complement_pairs(current), reverse=descending):
-            if not brute_is_factorizable(delete_vertices(current, pair)):
-                current = add_edges(current, (pair,))
-                added.append(pair)
-                break
-        else:
+        table, pairs = subset_table(current), sorted(complement_pairs(current), reverse=descending)
+        pair = next((p for p in pairs if not table.without(*p)), None)
+        if pair is None:
             return current, tuple(added)
+        current = add_edges(current, (pair,))
+        added.append(pair)
+
+
+def deleted_partition(
+    graph: Graph, x: int
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(D, A, C) of G-x for a factorizable G, where nu(G-x) = n/2 - 1: D
+    holds the v other than x that G-x-v leaves matchable, A their
+    neighbours in G-x outside D, and C the rest of G-x."""
+    table = subset_table(graph)
+    d = frozenset(v for v in graph.vertices if v != x and table.without(x, v))
+    adj = adjacency(graph)
+    a = frozenset(w for v in d for w in adj[v]) - d - {x}
+    return d, a, graph.vertex_set - d - a - {x}
 
 
 def deletion_gallai_edmonds(graph: Graph) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
@@ -257,13 +286,6 @@ def final_search_exposable(graph: Graph) -> frozenset[int]:
     mate, _ = _blossom_matching(adj)
     marks = [_edmonds_search(adj, mate, root) for root, m in enumerate(mate) if m == -1]
     return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
-
-
-def deletion_is_factor_critical(graph: Graph) -> bool:
-    """Odd order, and every single deletion is factorizable."""
-    return graph.order % 2 == 1 and all(
-        brute_is_factorizable(delete_vertices(graph, (v,))) for v in graph.vertices
-    )
 
 
 # --- alternating walks: one depth-first loop per query ------------------------
@@ -372,39 +394,6 @@ def circuit_search(graph, matching, circuit_edge: Edge) -> tuple[bool, int]:
     return False, spent
 
 
-# --- the component order, one pair at a time ----------------------------------
-
-
-def pairwise_component_leq(graph, comps, lower: int, upper: int) -> bool:
-    """Whether ``lower`` sits below ``upper``: every union of factor-components
-    containing both is tried in ascending bitmask order, until one contracts,
-    at the lower one, to a factor-critical graph."""
-    k = len(comps)
-    if not (0 <= lower < k and 0 <= upper < k):
-        raise ValueError("component index out of range")
-    if lower == upper:
-        return True
-    rest = [i for i in range(k) if i != lower and i != upper]
-    seed = comps.components[lower] | comps.components[upper]
-    for bits in range(1 << len(rest)):
-        chosen = set(seed)
-        for pos, i in enumerate(rest):
-            if bits >> pos & 1:
-                chosen |= comps.components[i]
-        shrunk = contract(induced_subgraph(graph, chosen), comps.components[lower]).graph
-        if is_factor_critical(shrunk):
-            return True
-    return False
-
-
-def pairwise_order(graph, comps) -> tuple[tuple[bool, ...], ...]:
-    """The below-or-equal matrix, one pairwise search per entry."""
-    k = len(comps)
-    return tuple(
-        tuple(pairwise_component_leq(graph, comps, i, j) for j in range(k)) for i in range(k)
-    )
-
-
 # --- the component order, one sweep over the unions per component -------------
 
 
@@ -412,21 +401,23 @@ def sweep_order(graph, comps) -> tuple[tuple[bool, ...], ...]:
     """The below-or-equal matrix from one sweep per component over every
     union of components containing it: the unions are tried in ascending
     bitmask order, each once; one whose members are all known to be above
-    already cannot add any and is skipped.  Each try is one search on index
-    arrays from one perfect matching of the graph."""
-    index, adj = graph.positions, graph.index_adjacency
-    mate, _ = _blossom_matching(adj)
-    parts = [[index[v] for v in sorted(comp)] for comp in comps.components]
-    k = len(parts)
+    already cannot add any and is skipped.  Each try asks whether the union,
+    with the lower component shrunk to its least vertex, is factor-critical,
+    of the subset table of the graph contracted by rewrite at that
+    component."""
+    k = len(comps)
     out = []
-    for lower in range(k):
-        rest = [i for i in range(k) if i != lower]
+    for lower, shrunk in enumerate(comps.components):
+        table = SubsetTable(Graph(*contract_by_rewrite(graph, shrunk)))
+        parts = [table.mask(comp) for comp in comps.components if comp is not shrunk]
         known = 0
-        for bits in range(1, 1 << len(rest)):
+        for bits in range(1, 1 << len(parts)):
             if bits | known == known:
                 continue
-            kept = [v for pos, i in enumerate(rest) if bits >> pos & 1 for v in parts[i]]
-            if _contracts_to_factor_critical(adj, mate, parts[lower], kept):
+            chosen = (m for pos, m in enumerate(parts) if bits >> pos & 1)
+            union = table.bit[min(shrunk)] + sum(chosen)
+            if table.critical(union):
                 known |= bits
-        out.append(frozenset([lower, *(i for pos, i in enumerate(rest) if known >> pos & 1)]))
+        above = (i + (i >= lower) for i in range(k - 1) if known >> i & 1)
+        out.append(frozenset([lower, *above]))
     return tuple(tuple(j in out[i] for j in range(k)) for i in range(k))

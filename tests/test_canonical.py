@@ -32,7 +32,7 @@ from helpers import (
     path,
     sparse_many_component_graphs,
 )
-from oracles import pairwise_order, sweep_order
+from oracles import sweep_order
 
 
 def test_allowed_edges_fixtures():
@@ -126,17 +126,6 @@ def test_component_poset_fixtures():
     assert minimum_component(p4_poset) is None
     assert p4_poset.hasse == ()
     assert minimum_component(component_poset(C4)) == 0
-
-
-def test_component_order_matches_pairwise_oracle():
-    graphs = sparse_many_component_graphs(40)
-    for seed, count in ((101, 300), (303, 200)):
-        cfg = TrialConfig(seed=seed, trials=count, max_vertices=10, edge_probability=0.3)
-        graphs += [random_factorizable_graph(cfg, t) for t in range(count)]
-    for i, g in enumerate(graphs):
-        for h in (g, saturate(g)[0]):
-            poset = component_poset(h)
-            assert poset.leq == pairwise_order(h, poset.components), (i, sorted(h.edges))
 
 
 def test_component_order_matches_sweep_oracle():

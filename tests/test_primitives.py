@@ -1,10 +1,13 @@
 """The two search primitives of the matching engine against the oracles.
 
 Every structure derived from the Edmonds search is compared with its
-definition, one deletion at a time, on the seeded corpora and on induced and
-contracted subgraphs whose vertex ids are not 0..n-1: allowed edges, the
-canonical partition and the pairwise same-class test, saturation, and the
-partition of every single-vertex deletion.  The alternating walker
+definition, read off the graph's subset table, on the seeded corpora, on
+induced and contracted subgraphs whose vertex ids are not 0..n-1, and on
+graphs of 18 to 22 vertices: allowed edges, the canonical partition and the
+pairwise same-class test, saturation, and the partition of every
+single-vertex deletion.  The table itself is checked against combination
+filtering on every vertex subset, and the oracles that read it must answer
+with the package's searches disabled.  The alternating walker
 must spend exactly the expansions the per-query loops spent, so every query
 aborts at the same budget threshold, and a search confined to a vertex set
 must answer, at the same threshold, as the search of the induced subgraph
@@ -61,13 +64,18 @@ from helpers import (
     P4,
     assert_kept_is_the_induced_subgraph,
     factorizable_graphs,
+    graphs,
     kept_sets,
     mid_size_graphs,
     sparse_many_component_graphs,
     sparse_odd_graphs,
 )
 from oracles import (
+    SubsetTable,
+    brute_perfect_matchings,
     circuit_search,
+    contract_by_rewrite,
+    deleted_partition,
     deletion_allowed_edges,
     deletion_gallai_edmonds,
     deletion_is_factor_critical,
@@ -79,6 +87,8 @@ from oracles import (
     restart_saturate,
     saturated_paths,
     set_perfect_matchings,
+    subset_table,
+    sweep_order,
 )
 
 CORPORA = {101: 300, 303: 200}
@@ -115,27 +125,84 @@ def _deficient_family(g: Graph) -> list[Graph]:
     )
 
 
-@pytest.mark.parametrize("seed", sorted(CORPORA))
-def test_deletion_structures_match_their_definitions(seed):
-    for i, g in enumerate(_corpus(seed)):
-        for h in _factorizable_family(g):
-            where = f"graph {i}, vertices {list(h.vertices)}"
-            assert allowed_edges(h) == deletion_allowed_edges(h), where
-            classes = deletion_partition(h)
-            assert canonical_partition(h).classes == classes, where
-            class_of = {v: j for j, cls in enumerate(classes) for v in cls}
-            # the pairwise test reads one structure's classes; one call per
-            # graph keeps the wrapper, which builds a structure, covered
-            own = GraphStructure(h).partition.class_of
-            for u, v in combinations(h.vertices, 2):
-                assert (own[u] == own[v]) == (class_of[u] == class_of[v]), (where, u, v)
-            for u, v in combinations(h.vertices[:2], 2):
-                assert same_class(h, u, v) == (class_of[u] == class_of[v]), where
-            assert is_saturated(h) == deletion_is_saturated(h), where
+@pytest.mark.parametrize("source", [101, 303, "mid"])
+def test_deletion_structures_match_their_definitions(source):
+    # the restart closure runs on the seeded corpora only: it fills one
+    # table per grown graph
+    if source == "mid":
+        family = list(enumerate(mid_size_graphs(60)))
+    else:
+        family = [(i, h) for i, g in enumerate(_corpus(source)) for h in _factorizable_family(g)]
+    for i, h in family:
+        where = f"graph {i}, vertices {list(h.vertices)}"
+        assert allowed_edges(h) == deletion_allowed_edges(h), where
+        classes = deletion_partition(h)
+        assert canonical_partition(h).classes == classes, where
+        class_of = {v: j for j, cls in enumerate(classes) for v in cls}
+        # the pairwise test reads one structure's classes; one call per
+        # graph keeps the wrapper, which builds a structure, covered
+        own = GraphStructure(h).partition.class_of
+        for u, v in combinations(h.vertices, 2):
+            assert (own[u] == own[v]) == (class_of[u] == class_of[v]), (where, u, v)
+        for u, v in combinations(h.vertices[:2], 2):
+            assert same_class(h, u, v) == (class_of[u] == class_of[v]), where
+        assert is_saturated(h) == deletion_is_saturated(h), where
+        if source != "mid":
             for descending in (False, True):
                 assert saturate(h, descending=descending) == restart_saturate(h, descending), where
-            for x, ge in GraphStructure(h).deletion_partitions.items():
-                assert ge.parts() == deletion_gallai_edmonds(delete_vertices(h, (x,))), (where, x)
+        for x, ge in GraphStructure(h).deletion_partitions.items():
+            assert ge.parts() == deleted_partition(h, x), (where, x)
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_the_subset_table_matches_combination_filtering(g):
+    # every vertex subset, so the memo answers masks of either parity and
+    # with isolated vertices
+    table = SubsetTable(g)
+    for size in range(g.order + 1):
+        for kept in combinations(g.vertices, size):
+            expected = bool(brute_perfect_matchings(induced_subgraph(g, kept)))
+            assert table.matchable(table.mask(kept)) == expected, (sorted(g.edges), kept)
+
+
+def test_the_oracles_run_none_of_the_package_searches(monkeypatch):
+    # the package's answers first, then every table oracle again with the
+    # Edmonds search and the blossom pass refusing to run
+    graphs = [h for g in _corpus(101)[:12] for h in _factorizable_family(g)] + mid_size_graphs(3)
+    expected = []
+    for h in graphs:
+        own = GraphStructure(h)
+        odd = delete_vertices(h, h.vertices[:1])
+        expected.append(
+            (
+                own.allowed,
+                own.partition.classes,
+                own.saturated,
+                {x: ge.parts() for x, ge in own.deletion_partitions.items()},
+                saturate(h),
+                is_factor_critical(odd),
+                component_poset(h),
+            )
+        )
+
+    def refuse(*args):
+        raise AssertionError("an oracle ran the package's search")
+
+    monkeypatch.setattr(cathedral.matching, "_edmonds_search", refuse)
+    monkeypatch.setattr(cathedral.matching, "_blossom_pass", refuse)
+    subset_table.cache_clear()
+    with pytest.raises(AssertionError):
+        final_search_exposable(graphs[0])
+    for h, (allowed, classes, saturated, rows, closure, critical, poset) in zip(graphs, expected):
+        where = sorted(h.edges)
+        assert deletion_allowed_edges(h) == allowed, where
+        assert deletion_partition(h) == classes, where
+        assert deletion_is_saturated(h) == saturated, where
+        assert {x: deleted_partition(h, x) for x in h.vertices} == rows, where
+        assert restart_saturate(h) == closure, where
+        assert deletion_is_factor_critical(delete_vertices(h, h.vertices[:1])) == critical, where
+        assert sweep_order(h, poset.components) == poset.leq, where
 
 
 @pytest.mark.parametrize("seed", sorted(CORPORA))
@@ -216,6 +283,9 @@ def test_each_union_verdict_matches_its_contraction(source):
             mate, _ = _blossom_matching(adj)
             comps = factor_components(h).components
             for lower in comps:
+                # the table of h contracted at the lower component, as the
+                # sweep oracle asks it
+                table = SubsetTable(Graph(*contract_by_rewrite(h, lower)))
                 rest = [c for c in comps if c != lower]
                 for bits in range(1 << len(rest)):
                     kept = frozenset().union(*(c for j, c in enumerate(rest) if bits >> j & 1))
@@ -223,7 +293,9 @@ def test_each_union_verdict_matches_its_contraction(source):
                     verdict = _contracts_to_factor_critical(
                         adj, mate, [index[v] for v in lower], [index[v] for v in sorted(kept)]
                     )
-                    assert verdict == is_factor_critical(shrunk), (i, sorted(h.edges), lower, kept)
+                    where = (i, sorted(h.edges), lower, kept)
+                    assert verdict == is_factor_critical(shrunk), where
+                    assert verdict == table.critical(table.mask({min(lower), *kept})), where
 
 
 def _above_visits(monkeypatch, graph):
@@ -572,6 +644,6 @@ def test_kept_outside_the_graph_is_refused():
     for kept in ((0, 1), (1, 2, 7)):
         with pytest.raises(ValueError):
             is_factorizable(g, kept=kept)
-        for ask in (enumerate_perfect_matchings, is_factor_critical, gallai_edmonds):
+        for ask in (is_factor_critical, gallai_edmonds):
             with pytest.raises(ValueError):
                 ask(g, kept=kept)

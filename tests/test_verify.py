@@ -11,7 +11,7 @@ from cathedral.canonical import CanonicalPartition, GraphStructure
 from cathedral.cli import main
 from cathedral.construction import saturate
 from cathedral.errors import NotFactorizableError
-from cathedral.graph import Graph, add_edges, complement_pairs, delete_vertices
+from cathedral.graph import Graph, add_edges, complement_pairs, delete_vertices, induced_subgraph
 from cathedral.matching import enumerate_perfect_matchings
 from cathedral.serialize import report_json
 from cathedral.verify import (
@@ -254,7 +254,8 @@ def test_the_grown_count_is_the_host_count_plus_the_pair_deleted_count(config):
 @_SEEDED_CORPORA
 def test_kept_answers_as_the_induced_subgraph(config):
     # the pair verdicts ask their G-u-v this way; the new-matching check
-    # counts its G-u-v with the capped counter, tested against kept= below
+    # counts its G-u-v with the capped counter, tested against the
+    # enumeration of the induced subgraph below
     rng = random.Random(config.seed)
     for trial in range(config.trials):
         graph = random_factorizable_graph(config, trial)
@@ -301,8 +302,8 @@ def test_the_new_matching_check_skips_where_the_grown_enumeration_truncates(conf
 
 def _kept_count(graph, limit, kept):
     """min(|PM(G[kept])|, limit) and whether G[kept] has more than
-    ``limit``, by the enumeration."""
-    enum = enumerate_perfect_matchings(graph, limit, kept=kept)
+    ``limit``, by the enumeration of the induced subgraph."""
+    enum = enumerate_perfect_matchings(induced_subgraph(graph, kept), limit)
     return len(enum), enum.truncated
 
 
@@ -328,40 +329,52 @@ def test_the_capped_counter_agrees_with_the_enumeration(config):
 
 
 class _CountedRows(tuple):
-    """An index adjacency that counts its row reads: one per mask a counter
-    expands, and one per vertex an enumeration matches."""
+    """An index adjacency that adds each row read to its ``tally``: one per
+    mask a counter expands, and one per vertex an enumeration matches."""
 
-    reads = 0
+    tally: list[int]
 
     def __getitem__(self, i):
-        self.reads += 1
+        self.tally[0] += 1
         return tuple.__getitem__(self, i)
+
+
+def _counted(graph: Graph, tally: list[int]) -> Graph:
+    """A copy of the graph whose index adjacency counts its row reads."""
+    copy = Graph(graph.vertices, graph.edges)
+    rows = copy.__dict__["index_adjacency"] = _CountedRows(graph.index_adjacency)
+    rows.tally = tally
+    return copy
 
 
 @_SEEDED_CORPORA
 def test_the_capped_counter_expands_only_what_the_enumerations_visit(config):
     # per pair, in pair order, no more masks than the enumeration with the
-    # same cap visits; then every count below the limit comes from the memo
+    # same cap visits on the induced subgraph, whose positions keep their
+    # rank order, so that it walks the same tree; then every count below
+    # the limit comes from the memo
+    reads = [0]
     for trial in range(config.trials):
         seeded = random_factorizable_graph(config, trial)
-        graph = Graph(seeded.vertices, seeded.edges)
-        rows = graph.__dict__["index_adjacency"] = _CountedRows(seeded.index_adjacency)
+        graph = _counted(seeded, reads)
         pos = graph.positions
         masks = {p: 1 << pos[p[0]] | 1 << pos[p[1]] for p in combinations(graph.vertices, 2)}
+        every = seeded.vertex_set
+        subgraphs = {p: _counted(induced_subgraph(seeded, every.difference(p)), reads) for p in masks}
         for cap in (1, 3, 65):
             count = _capped_matching_counter(graph, cap + 1)
             counted = {}
             for pair, mask in masks.items():
-                before = rows.reads
+                before = reads[0]
                 counted[pair] = count(mask)
-                expanded, before = rows.reads - before, rows.reads
-                enumerate_perfect_matchings(graph, cap, kept=graph.vertex_set.difference(pair))
-                assert expanded <= rows.reads - before, (sorted(graph.edges), pair, cap)
-            before = rows.reads
+                expanded, before = reads[0] - before, reads[0]
+                enumerate_perfect_matchings(subgraphs[pair], cap)
+                assert expanded <= reads[0] - before, (sorted(graph.edges), pair, cap)
+            before = reads[0]
             for pair, mask in masks.items():
                 if counted[pair] <= cap:
                     assert count(mask) == counted[pair]
-            assert rows.reads == before
+            assert reads[0] == before
 
 
 @pytest.mark.parametrize(
@@ -396,14 +409,15 @@ def test_the_capped_counter_has_no_recursion_limit(n):
 
 def test_the_suite_counts_no_pair_deletion_by_enumeration(monkeypatch):
     # every G-u-v of the new-matching check is counted on the graph's one
-    # memo; only G and its closures are enumerated
+    # memo; G, its closures and its parts are enumerated, and no G-u-v of a
+    # complement pair is among them
     enumerated, counters = [], []
     enumerate_all = cathedral.matching.enumerate_perfect_matchings
     counter = cathedral.verify._capped_matching_counter
 
-    def enumerate_recorded(graph, cap=cathedral.matching.DEFAULT_ENUMERATION_CAP, *, kept=None):
-        enumerated.append(kept)
-        return enumerate_all(graph, cap, kept=kept)
+    def enumerate_recorded(graph, cap=cathedral.matching.DEFAULT_ENUMERATION_CAP):
+        enumerated.append(graph)
+        return enumerate_all(graph, cap)
 
     for module in (cathedral.matching, cathedral.verify):
         monkeypatch.setattr(module, "enumerate_perfect_matchings", enumerate_recorded)
@@ -415,9 +429,13 @@ def test_the_suite_counts_no_pair_deletion_by_enumeration(monkeypatch):
     config = TrialConfig(seed=0, max_vertices=10)
     graphs = [g for t in range(20) if (g := random_factorizable_graph(config, t)).order == 10]
     for graph in graphs:
+        enumerated.clear()
         assert run_suite(graph, config).ok
-    assert graphs and enumerated and counters
-    assert [kept for kept in enumerated if kept is not None] == []
+        assert graph in enumerated
+        every = graph.vertex_set
+        pairs = {induced_subgraph(graph, every.difference(p)) for p in complement_pairs(graph)}
+        assert pairs and not pairs.intersection(enumerated), sorted(graph.edges)
+    assert graphs and counters
 
 
 def test_a_closure_with_more_than_twice_the_cap_fails(monkeypatch):
