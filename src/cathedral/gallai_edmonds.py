@@ -4,12 +4,17 @@ The exposable part holds every vertex some maximum matching leaves uncovered:
 the outer marks of the failed searches of the one blossom pass, merged by
 ``_blossom_matching`` alone and checked against the Gallai-Edmonds
 deficiency identity.  The components of G[D] and A = N(D) it counts come
-from the package's one component walk on G's one index.  The partition of
-the subgraph induced by ``kept`` runs on G's index with the other positions
-hidden, so no G-x is built.  The partition of every G-x of a factorizable G is
-``GraphStructure.deletion_partitions``, which checks each row of its deletion
-table here.  The path characterizations of the same partition live in the
-verifier as conformance checks, not here.
+from the package's one component walk on G's one index.  When D is every
+visible position and at most one position is hidden, A = N(D) - D - hidden
+is empty, so the identity reads exposed = c(G - hidden), and that count comes
+from G's one low-point pass instead, which counts c(G - x) for every x at
+once.  The partition of the subgraph induced by ``kept`` runs on G's index
+with the other positions hidden, so no G-x is built.  The partition of every
+G-x of a factorizable G is ``GraphStructure.deletion_partitions``, which
+checks each row of its deletion table here; in an elementary graph whose
+classes are singletons every row is V - x, so no row is walked.  The path
+characterizations of the same partition live in the verifier as conformance
+checks, not here.
 """
 
 from __future__ import annotations
@@ -45,14 +50,24 @@ def _checked_partition(
     graph less the ``hidden`` positions, where a maximum matching exposes
     ``exposed`` vertices: one per component of G[D], less |A|.  The count of
     those components and A come from one walk of G's index, so checking a
-    partition builds no graph."""
+    partition builds no graph.  When D is every visible position and at most
+    one is hidden, A = N(D) - D - hidden and C are empty, so the identity
+    reads exposed = c(G - hidden), taken from the graph's cached
+    ``parts_less_each`` without a walk."""
+    vs = graph.vertices
+    visible = len(vs) - len(hidden)
+    if len(hidden) <= 1 and d.count(True) == visible and not any(d[h] for h in hidden):
+        whole, less = graph.parts_less_each
+        parts = less[next(iter(hidden))] if hidden else whole
+        if exposed != parts:
+            raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = 0")
+        return GEPartition(frozenset(compress(vs, d)), frozenset(), frozenset())
     _, parts, in_a = _walk_parts(graph.index_adjacency, d)
     for h in hidden:
         in_a[h] = False
     a = sum(in_a)
     if exposed != parts - a:
         raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = {a}")
-    vs = graph.vertices
     rest = [not (x or y) for x, y in zip(d, in_a)]
     for h in hidden:
         rest[h] = False

@@ -6,8 +6,10 @@ Graphs are values: every operation returns a new graph, vertex iteration is
 always in ascending id order, and ids are preserved by every operation
 (contraction reuses the minimum id of the collapsed set).
 Each graph has one adjacency, ``index_adjacency`` (neighbours by position),
-and every connectivity question of the package runs on one walk of such
-rows, ``_walk_parts``.
+and every connectivity question of the package runs on such rows: the parts
+of a marked subset on one component walk, ``_walk_parts``, and the parts of
+the graph less each single position on one low-point depth-first pass,
+``_parts_less_each``, cached per graph as ``parts_less_each``.
 """
 
 from __future__ import annotations
@@ -96,6 +98,13 @@ class Graph:
             rows[i].append(j)
             rows[j].append(i)
         return tuple([tuple(sorted(row)) for row in rows])
+
+    @cached_property
+    def parts_less_each(self) -> tuple[int, tuple[int, ...]]:
+        """The number of connected parts of the graph, and of the graph less
+        the vertex at each position, from one pass over ``index_adjacency``
+        on first use."""
+        return _parts_less_each(self.index_adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (min(u, v), max(u, v)) in self.edges
@@ -267,6 +276,48 @@ def _walk_parts(
                     stack.append(w)
         count += 1
     return label, count, touched
+
+
+def _parts_less_each(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
+    """The number c of connected parts of ``rows``, and for each position v
+    the number of parts with v removed, by one Hopcroft-Tarjan low-point
+    depth-first pass over an explicit stack.  A child w of v in the search
+    forest whose subtree reaches back no higher than v (low[w] >= order[v])
+    becomes a part of its own without v.  So a non-root v leaves c plus its
+    count of such children, and a root, all of whose children are such,
+    leaves c - 1 plus its number of children."""
+    n = len(rows)
+    order = [-1] * n
+    low = [0] * n
+    less = [0] * n  # children cut off, less one at each root
+    clock = whole = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        whole += 1
+        less[root] = -1
+        order[root] = low[root] = clock
+        clock += 1
+        stack = [(root, iter(rows[root]))]
+        while stack:
+            v, ws = stack[-1]
+            for w in ws:
+                if order[w] < 0:
+                    order[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, iter(rows[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= order[u]:
+                        less[u] += 1
+    return whole, tuple([whole + cut for cut in less])
 
 
 def connected_components(

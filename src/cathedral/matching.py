@@ -8,8 +8,9 @@ answers: ties break by ascending vertex id everywhere, and the walker visits
 every simple alternating path (with an expansion budget that aborts loudly
 instead of guessing).  Both run on the graph's one adjacency,
 ``Graph.index_adjacency``, and over explicit stacks, so neither has a
-recursion limit; the walker and ``graph._walk_parts``, the component walk,
-are the package's only two walks.  A path search, or the
+recursion limit; the walker, ``graph._walk_parts``, the component walk,
+and ``graph._parts_less_each``, the low-point pass, are the package's only
+walks.  A path search, or the
 factorizability and factor-criticality tests given ``kept`` (as in
 ``graph.connected_components``) runs in the subgraph induced by it: on the
 host's index, with every other position hidden (computed once per call), so

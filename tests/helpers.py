@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, compress
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -47,6 +48,14 @@ def factorizable_graphs(draw, max_vertices: int = 8) -> Graph:
     pairs = [p for p in combinations(range(n), 2) if p not in planted]
     extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return Graph(range(n), planted | extra)
+
+
+def labelled_graphs(order: int) -> Iterator[Graph]:
+    """Every graph on the vertices 0..order-1, one per subset of the
+    possible edges: 2^(order choose 2) of them, the edgeless one first."""
+    pairs = list(combinations(range(order), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(range(order), compress(pairs, [mask >> k & 1 for k in range(len(pairs))]))
 
 
 def sparse_many_component_graphs(count: int) -> list[Graph]:

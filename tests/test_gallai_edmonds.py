@@ -25,6 +25,20 @@ def test_pendant_fixture_deletions():
     assert (ge.d, ge.a, ge.c) == (frozenset({0, 1, 2}), frozenset(), frozenset())
 
 
+def test_an_all_exposable_subgraph_counts_its_own_parts():
+    # D is every kept vertex, so the identity counts the parts of G less the
+    # one vertex left out: two triangles joined through 3 have one part and
+    # two without 3, and a triangle beside the isolated 3 has two and one
+    triangles = [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6)]
+    bridged = Graph(range(7), [*triangles, (0, 3), (3, 4)])
+    beside = Graph(range(4), triangles[:3])
+    for g in (bridged, beside):
+        kept = g.vertex_set - {3}
+        assert gallai_edmonds(g, kept=kept).parts() == (kept, frozenset(), frozenset())
+    disjoint = Graph([0, 1, 2, 4, 5, 6], triangles)
+    assert gallai_edmonds(disjoint).parts() == (disjoint.vertex_set, frozenset(), frozenset())
+
+
 def test_factorizable_graph_is_all_inner():
     ge = gallai_edmonds(P4)
     assert (ge.d, ge.a, ge.c) == (frozenset(), frozenset(), frozenset({0, 1, 2, 3}))

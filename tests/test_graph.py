@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from helpers import (
     T,
     factorizable_graphs,
     graphs,
+    labelled_graphs,
     mid_size_graphs,
     sparse_many_component_graphs,
 )
@@ -236,6 +239,27 @@ def test_connected_components_cases():
     assert connected_components(P4, {0, 2, 3}) == ((0,), (2, 3))
     assert connected_components(P4, ()) == ()
     assert connected_components(T, iter([3, 0, 1])) == ((0, 1), (3,))
+
+
+def _assert_parts_less_each(g: Graph) -> None:
+    whole, less = g.parts_less_each
+    where = (g.vertices, sorted(g.edges))
+    assert whole == len(connected_components(g)), where
+    deleted = [delete_vertices(g, [x]) for x in g.vertices]
+    assert less == tuple(len(connected_components(h)) for h in deleted), where
+
+
+def test_parts_less_each_vertex_match_the_deleted_graphs():
+    # every labelled graph of order at most 5: the empty graph, single and
+    # isolated vertices, and disconnected graphs among them
+    small = chain.from_iterable(labelled_graphs(order) for order in range(6))
+    for g in [*small, *sparse_many_component_graphs(20), *mid_size_graphs(20)]:
+        _assert_parts_less_each(g)
+
+
+@given(st.one_of(graphs(12), relabelled_graphs()))
+def test_parts_less_each_vertex_match_the_deleted_graphs_fuzz(g):
+    _assert_parts_less_each(g)
 
 
 def test_connected_components_of_a_subset_reject_foreign_vertices():

@@ -61,6 +61,7 @@ from cathedral.verify import TrialConfig, random_factorizable_graph
 
 from helpers import (
     C5,
+    K4,
     P4,
     assert_kept_is_the_induced_subgraph,
     factorizable_graphs,
@@ -90,6 +91,7 @@ from oracles import (
     subset_table,
     sweep_order,
 )
+from small_scope import sweep
 
 CORPORA = {101: 300, 303: 200}
 
@@ -152,6 +154,12 @@ def test_deletion_structures_match_their_definitions(source):
                 assert saturate(h, descending=descending) == restart_saturate(h, descending), where
         for x, ge in GraphStructure(h).deletion_partitions.items():
             assert ge.parts() == deleted_partition(h, x), (where, x)
+
+
+def test_every_labelled_graph_of_order_2_and_4_matches_its_definitions():
+    # the CI step sweeps order 6 with the same function
+    assert sweep(2) == Counter(graphs=2, factorizable=1, saturated=1)
+    assert sweep(4) == Counter(graphs=64, factorizable=37, saturated=19)
 
 
 @given(graphs())
@@ -440,6 +448,16 @@ def test_deficiency_check_rejects_a_deletion_set_with_a_part_too_many(monkeypatc
     monkeypatch.setattr(ExposableAfterDeletion, "row", every_other)
     with pytest.raises(DeficiencyViolation, match=r"1 exposed vertices, 2 parts of D, \|A\| = 0"):
         GraphStructure(g).deletion_partitions
+
+
+def test_deficiency_check_rejects_a_deletion_set_that_holds_its_deleted_vertex(monkeypatch):
+    # every row of K_4 marks x and every vertex but the next: as many marks
+    # as G-x has vertices, but D is not G-x, so the check walks D and finds
+    # the next vertex in A
+    marks_x = lambda self, i: [j != (i + 1) % len(self.adj) for j in range(len(self.adj))]
+    monkeypatch.setattr(ExposableAfterDeletion, "row", marks_x)
+    with pytest.raises(DeficiencyViolation, match=r"1 exposed vertices, 1 parts of D, \|A\| = 1"):
+        GraphStructure(K4).deletion_partitions
 
 
 def _assert_threshold(query, answer, spent):

@@ -2,11 +2,14 @@
 
 Every reader of the canonical structures holds one per-graph structure, so
 an `analyze` request fills one deletion table, computes one perfect matching
-and checks factorizability once, and its deletion partitions build no graph.
+and checks factorizability once, and its deletion partitions build no graph
+and walk only the rows short of G-x, reading the others off one low-point
+pass.
 `decompose` reads every level and foundation off the input's one table, and
 `construct_tree` fills one table per foundation and one for its whole output,
 which for a one-level tree is the foundation's; both find each foundation
-with contraction searches instead of computing the component order.  The
+with contraction searches instead of computing the component order, and
+`foundation_via_ge` on a saturated graph runs one.  The
 verifier reads one table per graph it grows, reads the rebuilt graph's table
 off the structure `construct_tree` checked it on, builds each induced part and tests each G-u-v once per
 context, reads the paths of every G-x off the host's sweep, and its confined
@@ -20,6 +23,7 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -82,10 +86,16 @@ def _count(monkeypatch) -> Counter:
     """Count structures, deletion tables and graphs built (checked or not),
     deletion rows searched ("rows") and tables with a row searched
     ("searched"), and calls of `is_factorizable`, the blossom pass
-    `_blossom_pass` and the contraction search `_contracted_outer` from now
+    `_blossom_pass`, the contraction search `_contracted_outer` and the
+    factor-criticality test on it, `_contracts_to_factor_critical`, from now
     on."""
     counts: Counter = Counter()
-    for name in ("is_factorizable", "_blossom_pass", "_contracted_outer"):
+    for name in (
+        "is_factorizable",
+        "_blossom_pass",
+        "_contracted_outer",
+        "_contracts_to_factor_critical",
+    ):
         original = getattr(cathedral.matching, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -239,16 +249,72 @@ def test_each_level_runs_one_contraction_search_however_ids_fall(monkeypatch, gr
     assert counts["_contracted_outer"] == 40
 
 
-@pytest.mark.parametrize(
-    "graph", [_CLOSURE, _NUMBERINGS["chain-reversed"]], ids=["closure", "chain-reversed"]
-)
+_SATURATED = {
+    "closure": _CLOSURE,
+    "chain-reversed": _NUMBERINGS["chain-reversed"],
+    **{f"p{order}-closure": saturate(path(order))[0] for order in (8, 20, 40)},
+    # K_4 with the tower K_2 over its class {0}: the least degree, 2, lies
+    # in the tower, the greatest, 5, at 0 in the foundation
+    "k4-tower": Graph(range(6), [*combinations(range(4), 2), (4, 5), (0, 4), (0, 5)]),
+}
+
+
+@pytest.mark.parametrize("graph", _SATURATED.values(), ids=_SATURATED)
 def test_the_minimum_is_tried_at_the_greatest_degree_first(monkeypatch, graph):
     # the component of the vertex of greatest degree is the foundation of a
-    # saturated graph; trying the components in id order ran 40 searches
+    # saturated graph; trying the components in id order ran 40 searches on
+    # the first two, trying that component last ran one per component, and
+    # trying the component of a vertex of least degree first ran two on the
+    # tower graph
     tree = decompose(graph)
     counts = _count(monkeypatch)
     assert foundation_via_ge(graph) == tree.foundation_vertices
-    assert counts["_contracted_outer"] == 1
+    assert (counts["_contracts_to_factor_critical"], counts["_contracted_outer"]) == (1, 1)
+
+
+def _count_walks(monkeypatch) -> Counter:
+    """Count the component walks `_walk_parts` and the low-point passes
+    `_parts_less_each` from now on."""
+    counts: Counter = Counter()
+    for name in ("_walk_parts", "_parts_less_each"):
+        original = getattr(cathedral.graph, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        _rebind(monkeypatch, original, counted)
+    return counts
+
+
+def test_a_bicritical_graph_walks_no_deletion(monkeypatch):
+    # every class of K_6 is a singleton, so each D(G-x) is V-x, with A and C
+    # empty, and the one low-point pass counts every G-x's parts
+    k6 = Graph(range(6), combinations(range(6), 2))
+    counts = _count_walks(monkeypatch)
+    partitions = GraphStructure(k6).deletion_partitions
+    assert {x: ge.parts() for x, ge in partitions.items()} == {
+        x: (k6.vertex_set - {x}, frozenset(), frozenset()) for x in k6.vertices
+    }
+    assert (counts["_walk_parts"], counts["_parts_less_each"]) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "graph, short",
+    [(ELEMENTARY, 0), (SPARSE, 18), (saturate(path(8))[0], 7)],
+    ids=["elementary", "sparse", "p8-closure"],
+)
+def test_the_deletion_partitions_walk_exactly_the_rows_short_of_g_less_x(
+    monkeypatch, graph, short
+):
+    # a fresh copy, so no earlier test's pass is cached on the graph
+    graph = Graph(graph.vertices, graph.edges)
+    structure = GraphStructure(graph)
+    n = graph.order
+    assert sum(structure.table.row(i).count(True) < n - 1 for i in range(n)) == short
+    counts = _count_walks(monkeypatch)
+    structure.deletion_partitions
+    assert (counts["_walk_parts"], counts["_parts_less_each"]) == (short, int(short < n))
 
 
 def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
