@@ -1,6 +1,9 @@
 """Maximum matchings, perfect-matching enumeration, and alternating-path
 predicates, on two primitives: one Edmonds search, which one lazy pass runs
-from the exposed roots, and one alternating walker.
+from the exposed roots, and one alternating walker.  The search shrinks each
+blossom through its base's list of members and returns once every visible
+vertex is outer, so past its three n-long arrays it costs what it reaches;
+the pass merges the positions each failed search marked, not n marks each.
 
 The enumeration and the exhaustive path searches are the oracles the rest of
 the package is checked against, so this module favors exact, deterministic
@@ -24,10 +27,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotFactorizableError, SearchBudgetExceeded
+from .errors import NotFactorizableError, SearchBudgetExceeded, StructureViolation
 from .graph import Edge, Graph, _vertex_id, edge
 
 # an index adjacency: a graph's own tuples, or a grown deletion table's lists
@@ -110,93 +112,130 @@ def restrict_matching(matching: Matching, subgraph: Graph) -> Matching:
     return Matching(subgraph, (e for e in matching.edges if e[0] in kept and e[1] in kept))
 
 
-def _lca(base: list[int], mate: list[int], parent: list[int], a: int, b: int) -> int:
-    """The base at which the tree paths from ``a`` and ``b`` meet."""
-    seen = [False] * len(base)
-    while True:
-        a = base[a]
-        seen[a] = True
-        if mate[a] == -1:
-            break
-        a = parent[mate[a]]
-    while True:
-        b = base[b]
-        if seen[b]:
-            return b
-        b = parent[mate[b]]
-
-
-def _mark_path(
-    base: list[int],
-    mate: list[int],
-    parent: list[int],
-    v: int,
-    stem: int,
-    child: int,
-    in_blossom: list[bool],
-) -> None:
-    """Flag the blossoms on the tree path from ``v`` down to ``stem``, and
-    point its outer vertices across the new blossom towards ``child``."""
-    while base[v] != stem:
-        in_blossom[base[v]] = True
-        in_blossom[base[mate[v]]] = True
-        parent[v] = child
-        child = mate[v]
-        v = parent[mate[v]]
-
-
 def _edmonds_search(
     adj: Rows,
     mate: list[int],
     root: int,
     hidden: Iterable[int] = (),
     merged: Iterable[int] = (),
-) -> list[bool] | None:
+) -> tuple[list[bool], list[int]] | None:
     """Search from the exposed ``root``, shrinking blossoms, with the
     ``hidden`` vertices deleted and the ``merged`` ones (root among them)
     shrunk in advance into root's blossom.  ``mate`` leaves root and every
     hidden vertex exposed.  Flip an augmenting path into ``mate`` and return
-    None, or return the outer marks: the vertices even alternating paths
-    reach, every merged one included and no hidden one."""
+    None, or return the outer marks by position (the vertices even
+    alternating paths reach, every merged one included and no hidden one)
+    with the search's queue: the marked positions, each once, in the order
+    they were marked.
+
+    A blossom shrinks through its base's list of members: the bases on the
+    two tree paths hand their members to the stem's list, and the vertices
+    that turn outer, the inner ones on the paths, are queued in ascending
+    order, as a scan of every position would queue them.  The stem is found
+    by walking the bases of the two paths.  No step scans all n positions,
+    and a search that shrinks no blossom allocates no member list.  A
+    blossom or augmenting walk passes each vertex at most once, so one that
+    takes n steps, which only a broken shrink can make, raises
+    StructureViolation instead of spinning.
+
+    The search returns as soon as every visible (not hidden) position is
+    outer, and the marks it returns are final.  An augmenting path ends at
+    an exposed vertex that the search enters unlabelled, so neither the
+    root, nor hidden, nor merged.  Every other outer vertex is matched: it
+    entered as the mate of an inner vertex, or is an inner vertex that a
+    blossom absorbed, and an inner vertex is entered matched, or the search
+    would have augmented there.  So once every visible vertex is outer, no
+    exposed vertex is left to augment to, and the marks, which only grow
+    and never reach a hidden vertex, cannot change.  A tree step leaves its
+    new inner vertex unmarked, so only the start or a shrink can mark the
+    last visible vertex, and the count is read there.  It counts the marks
+    as they flip and the distinct hidden positions, so a position repeated
+    in ``hidden`` or ``merged`` cannot end the search early.
+    """
     n = len(adj)
     outer = [False] * n
     parent = [-1] * n
     base = list(range(n))
+    visible = n
     for h in hidden:
-        parent[h] = h  # looks labelled already, so it is never entered
-    queue = deque([root])
+        if parent[h] == -1:
+            parent[h] = h  # looks labelled already, so it is never entered
+            visible -= 1
     outer[root] = True
+    queue = [root]
+    members: list[list[int] | None] | None = None  # by base, from the first shrink
     for v in merged:
         # labelled, so it is never entered, and outer to the test below,
         # which reads the label of its mate: merged too, as root is for
         # root's partner, whose entry alone still names root
         parent[v] = v
-        if v != root:
+        if not outer[v]:
             base[v] = root
             outer[v] = True
             queue.append(v)
-    while queue:
-        v = queue.popleft()
+    if len(queue) > 1:
+        members = [None] * n
+        members[root] = queue[:]
+    if len(queue) == visible:
+        return outer, queue
+    for v in queue:  # the list grows as vertices turn outer: a FIFO
         mv = mate[v]  # changes only by an augmentation, which returns
         for w in adj[v]:
             if base[v] == base[w] or mv == w:
                 continue
             mw = mate[w]
             if w == root or (mw != -1 and parent[mw] != -1):
-                stem = _lca(base, mate, parent, v, w)
-                in_blossom = [False] * n
-                _mark_path(base, mate, parent, v, stem, w, in_blossom)
-                _mark_path(base, mate, parent, w, stem, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
+                # the stem: the first base on w's tree path that is on v's
+                a = base[v]
+                path = {a}
+                while mate[a] != -1:
+                    a = base[parent[mate[a]]]
+                    path.add(a)
+                stem = base[w]
+                while stem not in path:
+                    stem = base[parent[mate[stem]]]
+                # point the outer vertices of each path across the new
+                # blossom, and collect the bases the paths pass through
+                bases = []
+                steps = n  # each step passes an outer vertex outside the stem's blossom
+                for x, child in (v, w), (w, v):
+                    while base[x] != stem:
+                        steps -= 1
+                        if not steps:
+                            raise StructureViolation("a blossom walk passed every vertex")
+                        bases.append(base[x])
+                        bases.append(base[mate[x]])
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                if members is None:
+                    members = [None] * n
+                into = members[stem]
+                if into is None:
+                    into = members[stem] = [stem]
+                fresh = []
+                for b in bases:
+                    if base[b] == stem:
+                        continue  # a base met twice, already shrunk
+                    group = members[b] or (b,)
+                    for i in group:
                         base[i] = stem
                         if not outer[i]:
                             outer[i] = True
-                            queue.append(i)
+                            fresh.append(i)
+                    into.extend(group)
+                fresh.sort()  # the order a scan of every position gives
+                queue.extend(fresh)
+                if len(queue) == visible:
+                    return outer, queue
             elif parent[w] == -1:
                 parent[w] = v
                 if mw == -1:
+                    steps = n  # each step flips a matched pair of the path
                     while w != -1:
+                        steps -= 1
+                        if not steps:
+                            raise StructureViolation("an augmenting walk passed every vertex")
                         pv = parent[w]
                         nxt = mate[pv]
                         mate[w] = pv
@@ -205,7 +244,7 @@ def _edmonds_search(
                     return None
                 outer[mw] = True
                 queue.append(mw)
-    return outer
+    return outer, queue
 
 
 def _contracted_outer(adj: Rows, mate: list[int], merged: list[int], kept: list[int]) -> list[bool]:
@@ -231,7 +270,8 @@ def _contracted_outer(adj: Rows, mate: list[int], merged: list[int], kept: list[
     near[root] = -1
     for h in hidden:
         near[h] = -1
-    return _edmonds_search(adj, near, root, hidden, merged)
+    outer, _ = _edmonds_search(adj, near, root, hidden, merged)
+    return outer
 
 
 def _contracts_to_factor_critical(
@@ -244,12 +284,13 @@ def _contracts_to_factor_critical(
 
 def _blossom_pass(
     adj: Rows, hidden: frozenset[int] = frozenset()
-) -> tuple[list[int], Iterator[tuple[int, list[bool] | None]]]:
+) -> tuple[list[int], Iterator[tuple[int, list[int] | None]]]:
     """A greedy start ``mate`` of the graph less the ``hidden`` positions,
     and the lazy pass from its exposed roots in ascending order: it flips
     each augmenting path it finds into ``mate``, and yields each failed root
-    with its search's outer marks, or with None if it has no neighbour
-    outside ``hidden`` to search.  Drained, it leaves ``mate`` maximum.
+    with the positions its search marked outer, root first, or with None if
+    it has no neighbour outside ``hidden`` to search.  Drained, it leaves
+    ``mate`` maximum.
 
     A failed search leaves a Hungarian tree T: its inner vertices I are
     matched into its outer ones, and each of its |I| + 1 outer blossoms is
@@ -280,15 +321,15 @@ def _blossom_pass(
 
 def _failed_roots(
     adj: Rows, mate: list[int], hidden: frozenset[int]
-) -> Iterator[tuple[int, list[bool] | None]]:
+) -> Iterator[tuple[int, list[int] | None]]:
     """The lazy rest of ``_blossom_pass``: a search from each root that
     ``mate`` exposes, in ascending order, yielding the failed ones."""
     for v, ws in enumerate(adj):
         if mate[v] == -1 and v not in hidden:
             if hidden.issuperset(ws):
                 yield v, None
-            elif (outer := _edmonds_search(adj, mate, v, hidden)) is not None:
-                yield v, outer
+            elif (found := _edmonds_search(adj, mate, v, hidden)) is not None:
+                yield v, found[1]
 
 
 def _blossom_matching(
@@ -296,12 +337,12 @@ def _blossom_matching(
 ) -> tuple[list[int], list[bool]]:
     """A maximum matching ``mate`` of the graph less the ``hidden`` positions,
     and the marks of D, the vertices some maximum matching leaves exposed:
-    the drained pass's failed roots and the marks of their searches."""
+    the drained pass's failed roots and the positions their searches
+    marked, so the merge reads only what each search reached."""
     mate, failures = _blossom_pass(adj, hidden)
     marks = [False] * len(adj)
-    for root, outer in failures:
-        marks[root] = True
-        for i in compress(range(len(adj)), outer or ()):
+    for root, marked in failures:
+        for i in marked or (root,):
             marks[i] = True
     return mate, marks
 
@@ -351,8 +392,8 @@ def is_factor_critical(graph: Graph, *, kept: Iterable[int] | None = None) -> bo
     if len(within) % 2 == 0:
         return False
     _, failures = _blossom_pass(graph.index_adjacency, hidden)
-    _, outer = next(failures)
-    return (1 if outer is None else sum(outer)) == len(within)
+    _, marked = next(failures)
+    return (1 if marked is None else len(marked)) == len(within)
 
 
 class ExposableAfterDeletion:
@@ -381,7 +422,8 @@ class ExposableAfterDeletion:
         if row is None:
             near = self.mate[:]
             near[i] = near[self.mate[i]] = -1
-            row = self.rows[i] = _edmonds_search(self.adj, near, self.mate[i], (i,))
+            row, _ = _edmonds_search(self.adj, near, self.mate[i], (i,))
+            self.rows[i] = row
         return row
 
     def add_edge(self, u: int, v: int) -> None:

@@ -50,6 +50,26 @@ def factorizable_graphs(draw, max_vertices: int = 8) -> Graph:
     return Graph(range(n), planted | extra)
 
 
+class CountedRows(tuple):
+    """An index adjacency that adds each row read to its ``tally``."""
+
+    tally: list[int]
+
+    def __getitem__(self, i):
+        self.tally[0] += 1
+        return tuple.__getitem__(self, i)
+
+
+def counted_rows(graph: Graph, tally: list[int]) -> Graph:
+    """A copy of the graph whose index adjacency counts its row reads: one
+    per mask a matching counter expands, per vertex an enumeration matches,
+    and per vertex an Edmonds search scans."""
+    copy = Graph(graph.vertices, graph.edges)
+    rows = copy.__dict__["index_adjacency"] = CountedRows(graph.index_adjacency)
+    rows.tally = tally
+    return copy
+
+
 def labelled_graphs(order: int) -> Iterator[Graph]:
     """Every graph on the vertices 0..order-1, one per subset of the
     possible edges: 2^(order choose 2) of them, the edgeless one first."""

@@ -284,7 +284,7 @@ def final_search_exposable(graph: Graph) -> frozenset[int]:
     final matching."""
     adj = graph.index_adjacency
     mate, _ = _blossom_matching(adj)
-    marks = [_edmonds_search(adj, mate, root) for root, m in enumerate(mate) if m == -1]
+    marks = [_edmonds_search(adj, mate, root)[0] for root, m in enumerate(mate) if m == -1]
     return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
 
 

@@ -5,8 +5,12 @@ the subset-table oracles of ``tests/oracles.py``.
 
 Each graph on the vertices 0..n-1 must be refused exactly when the oracle
 finds no perfect matching.  A factorizable one must give the oracle's
-allowed edges, saturation verdict and the (D, A, C) partition of every G-x.
-The orders default to 6: 32,768 graphs, 24,823 of them factorizable.  Any
+allowed edges, canonical classes, component order (``sweep_order``, which
+asks the subset table of each contraction), saturation verdict and the
+(D, A, C) partition of every G-x.  The order runs the Edmonds search's
+contraction form, with the lower component merged into the root's blossom,
+so every graph of the order with two or more components meets it.  The
+orders default to 6: 32,768 graphs, 24,823 of them factorizable.  Any
 mismatch raises AssertionError with the graph's edges.  Pytest does not
 collect this file; ``tests/test_primitives.py`` sweeps orders 2 and 4.
 """
@@ -21,7 +25,14 @@ from cathedral.canonical import GraphStructure
 from cathedral.errors import NotFactorizableError
 
 from helpers import labelled_graphs
-from oracles import deleted_partition, deletion_allowed_edges, deletion_is_saturated, subset_table
+from oracles import (
+    deleted_partition,
+    deletion_allowed_edges,
+    deletion_is_saturated,
+    deletion_partition,
+    subset_table,
+    sweep_order,
+)
 
 
 def sweep(order: int) -> Counter:
@@ -40,6 +51,9 @@ def sweep(order: int) -> Counter:
         assert table.matchable(table.full), where
         counts["factorizable"] += 1
         assert structure.allowed == deletion_allowed_edges(g), where
+        assert structure.partition.classes == deletion_partition(g), where
+        poset = structure.poset
+        assert poset.leq == sweep_order(g, poset.components), where
         assert structure.saturated == deletion_is_saturated(g), where
         counts["saturated"] += structure.saturated
         for x, ge in structure.deletion_partitions.items():

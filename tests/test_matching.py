@@ -9,6 +9,7 @@ from cathedral.cli import main
 from cathedral.errors import SearchBudgetExceeded
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
+    ExposableAfterDeletion,
     Matching,
     PathKind,
     alternating_circuit_exists,
@@ -21,10 +22,26 @@ from cathedral.matching import (
     maximum_matching,
     perfect_matching_union,
     restrict_matching,
+    _blossom_pass,
+    _contracts_to_factor_critical,
+    _edmonds_search,
 )
 
-from helpers import C4, C5, E0, K1, K2, K4, P4, T, factorizable_graphs, graphs
-from oracles import brute_matching_number, brute_perfect_matchings
+from helpers import (
+    C4,
+    C5,
+    E0,
+    K1,
+    K2,
+    K4,
+    P4,
+    T,
+    chain_graph,
+    counted_rows,
+    factorizable_graphs,
+    graphs,
+)
+from oracles import brute_matching_number, brute_perfect_matchings, subset_table
 
 
 def test_matching_validates_edges_and_disjointness():
@@ -78,6 +95,119 @@ def test_factorizability_stops_at_the_first_root_that_cannot_augment(monkeypatch
     star = Graph(range(4002), [(0, v) for v in range(1, 4001)] + [(4000, 4001)])
     assert not is_factorizable(star)
     assert len(searches) <= 2
+
+
+# the first graph of the benchmark's elementary-analyze batch at seed 0
+ELEMENTARY_SEED0 = Graph(
+    range(20),
+    [
+        (0, 1), (0, 5), (0, 14), (0, 17), (1, 9), (1, 16), (1, 19), (2, 3), (2, 8), (2, 11),
+        (2, 14), (2, 16), (3, 4), (3, 8), (4, 5), (4, 7), (4, 8), (4, 9), (4, 13), (5, 9), (6, 7),
+        (6, 9), (6, 14), (6, 16), (6, 17), (7, 9), (7, 10), (7, 12), (7, 17), (8, 9), (8, 14),
+        (8, 15), (8, 17), (8, 18), (8, 19), (9, 12), (9, 14), (9, 15), (9, 16), (9, 19), (10, 11),
+        (10, 13), (10, 14), (10, 16), (11, 13), (11, 16), (12, 13), (12, 14), (12, 17), (13, 19),
+        (14, 15), (14, 17), (15, 16), (15, 17), (15, 18), (16, 17), (16, 19), (18, 19),
+    ],
+)  # fmt: skip
+K6 = Graph(range(6), combinations(range(6), 2))
+
+
+@pytest.mark.parametrize(
+    "graph, first, every", [(K6, 1, 6), (ELEMENTARY_SEED0, 12, 179)], ids=["K6", "elementary"]
+)
+def test_a_deletion_search_reads_no_row_once_every_visible_vertex_is_outer(graph, first, every):
+    # searched until its queue empties, the first row reads 5 rows of K6
+    # and 19 of the benchmark graph, and the whole table 30 and 380
+    reads = [0]
+    table = ExposableAfterDeletion(counted_rows(graph, reads))
+    reads[0] = 0
+    table.row(0)
+    assert reads[0] == first
+    for i in range(graph.order):
+        table.row(i)
+    assert reads[0] == every
+
+
+def test_a_contraction_search_reads_no_row_once_every_visible_vertex_is_outer():
+    # the depth-4 chain graph contracted at its lowest component {0, 1} is
+    # factor-critical: the row of the contracted vertex's root marks every
+    # vertex, where a search until its queue empties reads 8 rows
+    reads = [0]
+    adj = counted_rows(chain_graph(4), reads).index_adjacency
+    assert _contracts_to_factor_critical(adj, [i ^ 1 for i in range(8)], [0, 1], list(range(2, 8)))
+    assert reads[0] == 1
+
+
+def test_a_repeated_hidden_or_merged_position_cannot_end_a_search_early():
+    # the search counts distinct hidden positions and the marks as they
+    # flip, so repeats give the marks, queue and row reads of no repeat; a
+    # count of the entries passed would end it early at some repeat
+    def searched(graph, root, hidden, merged):
+        reads = [0]
+        near = [i ^ 1 for i in range(graph.order)]
+        for h in (root, *hidden):
+            near[h] = -1
+        adj = counted_rows(graph, reads).index_adjacency
+        return _edmonds_search(adj, near, root, hidden, merged), reads[0]
+
+    expected = searched(K6, 1, (0,), ())
+    assert expected[0][1] == [1, 3, 2, 5, 4]
+    for k in range(2, 7):
+        assert searched(K6, 1, (0,) * k, ()) == expected, k
+    # the chain graph's two lowest components, contracted at the first
+    chain, hidden = chain_graph(4), (4, 5, 6, 7)
+    expected = searched(chain, 0, hidden, [0, 1])
+    assert expected[0][1] == [0, 1, 3, 2]
+    for k in range(2, 6):
+        assert searched(chain, 0, hidden * k, [0] + [1] * k) == expected, k
+
+
+def _nested_cycles(k: int) -> Graph:
+    """A triangle, then k - 1 paths of two new vertices, the j-th from 2j to
+    2j - 1: each closes an odd cycle through the blossom before it."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    for j in range(1, k):
+        edges += [(2 * j, 2 * j + 1), (2 * j + 1, 2 * j + 2), (2 * j - 1, 2 * j + 2)]
+    return Graph(range(2 * k + 1), edges)
+
+
+# odd graphs in some of whose searches a shrunk blossom shrinks again into
+# a larger one: two 5-cycles through vertex 4, and chains of odd cycles
+NESTED_BLOSSOMS = {
+    "cycles-in-cycles": Graph(
+        range(9),
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7), (7, 8), (6, 8), (2, 8), (0, 5)],
+    ),
+    "nested-3": _nested_cycles(3),
+    "nested-4": _nested_cycles(4),
+}
+
+
+@pytest.mark.parametrize("g", NESTED_BLOSSOMS.values(), ids=NESTED_BLOSSOMS)
+def test_every_root_of_nested_blossoms_marks_what_the_subset_table_says(g):
+    # under every perfect matching of G - r, the search from r marks the
+    # vertices v with G - v factorizable: the symmetric difference with a
+    # perfect matching of G - v is an even alternating path from r to v
+    table = subset_table(g)
+    expected = [table.without(v) for v in g.vertices]
+    searched = 0
+    for r in g.vertices:
+        for matching in brute_perfect_matchings(delete_vertices(g, (r,))):
+            mate = [-1] * g.order
+            for u, v in matching:
+                mate[u], mate[v] = v, u
+            found = _edmonds_search(g.index_adjacency, mate, r)
+            assert found is not None and found[0] == expected, (r, matching)
+            searched += 1
+    assert searched >= g.order
+
+
+def test_the_pass_hands_on_the_positions_each_failed_search_marked():
+    # on the star each failed search marks its leaf and vertex 1 (vertex 0
+    # is inner), so the merge of D reads two positions per failure, not n
+    star = Graph(range(402), [(0, v) for v in range(1, 401)] + [(400, 401)])
+    _, failures = _blossom_pass(star.index_adjacency)
+    assert list(failures) == [(v, [v, 1]) for v in range(2, 400)]
 
 
 def test_maximum_matching_deterministic():

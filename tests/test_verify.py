@@ -27,7 +27,16 @@ from cathedral.verify import (
     run_trials,
 )
 
-from helpers import C5, K4, P4, T, assert_kept_is_the_induced_subgraph, kept_sets, plant_k10_closure
+from helpers import (
+    C5,
+    K4,
+    P4,
+    T,
+    assert_kept_is_the_induced_subgraph,
+    counted_rows,
+    kept_sets,
+    plant_k10_closure,
+)
 
 
 def test_config_validation():
@@ -328,25 +337,6 @@ def test_the_capped_counter_agrees_with_the_enumeration(config):
     assert compared
 
 
-class _CountedRows(tuple):
-    """An index adjacency that adds each row read to its ``tally``: one per
-    mask a counter expands, and one per vertex an enumeration matches."""
-
-    tally: list[int]
-
-    def __getitem__(self, i):
-        self.tally[0] += 1
-        return tuple.__getitem__(self, i)
-
-
-def _counted(graph: Graph, tally: list[int]) -> Graph:
-    """A copy of the graph whose index adjacency counts its row reads."""
-    copy = Graph(graph.vertices, graph.edges)
-    rows = copy.__dict__["index_adjacency"] = _CountedRows(graph.index_adjacency)
-    rows.tally = tally
-    return copy
-
-
 @_SEEDED_CORPORA
 def test_the_capped_counter_expands_only_what_the_enumerations_visit(config):
     # per pair, in pair order, no more masks than the enumeration with the
@@ -356,11 +346,13 @@ def test_the_capped_counter_expands_only_what_the_enumerations_visit(config):
     reads = [0]
     for trial in range(config.trials):
         seeded = random_factorizable_graph(config, trial)
-        graph = _counted(seeded, reads)
+        graph = counted_rows(seeded, reads)
         pos = graph.positions
         masks = {p: 1 << pos[p[0]] | 1 << pos[p[1]] for p in combinations(graph.vertices, 2)}
         every = seeded.vertex_set
-        subgraphs = {p: _counted(induced_subgraph(seeded, every.difference(p)), reads) for p in masks}
+        subgraphs = {
+            p: counted_rows(induced_subgraph(seeded, every.difference(p)), reads) for p in masks
+        }
         for cap in (1, 3, 65):
             count = _capped_matching_counter(graph, cap + 1)
             counted = {}
