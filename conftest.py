@@ -10,8 +10,9 @@ src = str(Path(__file__).parent / "src")
 if src not in sys.path:
     sys.path.insert(0, src)
 
-# a test still running after this many seconds is taken to spin: every
-# thread's stack is printed and the run ends.  The slowest test takes about 9 s
+# a test, or the collection of the test modules, still running after this
+# many seconds is taken to spin: every thread's stack is printed and the run
+# ends.  The slowest test takes about 9 s, and collection about 1.5 s
 HANG_LIMIT_S = 120
 
 _STDERR = pytest.StashKey[int]()
@@ -25,6 +26,14 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_collection(session):
+    # some test modules run the package's searches at import
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=session.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

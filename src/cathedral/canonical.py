@@ -2,11 +2,10 @@
 order, and the upper-bound structure tying the two together.
 
 One perfect matching and the sets D(G-u) determine all of them, so each
-graph gets one GraphStructure on one table of D(G-u), whose one blossom
-pass checks factorizability and keeps the perfect matching, and reads every
-structure, saturation and the deletion partitions off that table.  It is
-the only reader of that table: the public functions take the graph alone,
-derive its components from it, and read its structure.
+graph gets one GraphStructure, the one owner of its perfect matching and of
+its rows D(G-u), each one search (``matching._rooted_marks``) run on first
+use, which every structure, saturation and the deletion partitions read.
+The public functions take the graph alone and read its structure.
 
 A component sits below another when some separating superset of both
 contracts, at the lower one, to a factor-critical graph;
@@ -33,8 +32,8 @@ from .errors import (
 from .gallai_edmonds import GEPartition, _checked_partition
 from .graph import Edge, Graph, _walk_parts, connected_components, neighbors
 # is_factorizable is unused here, but bench/selftest.py pins this binding (ROADMAP item 1)
-from .matching import ExposableAfterDeletion, is_factorizable  # noqa: F401
-from .matching import _contracted_outer, _contracts_to_factor_critical
+from .matching import is_factorizable  # noqa: F401
+from .matching import _contracted_outer, _perfect_mate, _rooted_marks
 
 
 @dataclass(frozen=True)
@@ -85,18 +84,29 @@ class ComponentPoset:
 @dataclass(frozen=True, eq=False)
 class GraphStructure:
     """The canonical structures of one factorizable graph, each computed on
-    first use and kept.  Building one builds its one ``table`` of D(G-u),
-    whose blossom pass is the precondition check: it refuses a graph without
-    a perfect matching at its first failed search, and otherwise keeps the
-    perfect matching.  Every structure reads the table's rows, that matching
-    and the graph's index adjacency, all by position, and builds vertex-id
-    sets only for the objects it returns."""
+    first use and kept.  Building one runs the blossom pass of
+    ``_perfect_mate``, the precondition check: it refuses a graph without a
+    perfect matching at its first failed search, and otherwise keeps the
+    perfect matching ``mate``.  Every structure reads the rows D(G-u), that
+    matching and the graph's index adjacency, all by position, and builds
+    vertex-id sets only for the objects it returns."""
 
     graph: Graph
-    table: ExposableAfterDeletion = field(init=False, repr=False)
+    mate: list[int] = field(init=False, repr=False)
+    rows: list[list[bool] | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", ExposableAfterDeletion(self.graph))
+        object.__setattr__(self, "mate", _perfect_mate(self.graph.index_adjacency))
+        object.__setattr__(self, "rows", [None] * len(self.mate))
+
+    def row(self, i: int) -> list[bool]:
+        """D(G-u) for the vertex u at position i, as outer marks by position:
+        one search from u's partner with u hidden, run on first use."""
+        row = self.rows[i]
+        if row is None:
+            adj, mate = self.graph.index_adjacency, self.mate
+            row = self.rows[i] = _rooted_marks(adj, mate, mate[i], (i,))
+        return row
 
     @cached_property
     def _allowed_adjacency(self) -> list[list[int]]:
@@ -107,7 +117,7 @@ class GraphStructure:
         for i, ws in enumerate(adj):
             # ascending, so a vertex with no later neighbour needs no row
             if ws and ws[-1] > i:
-                row = self.table.row(i)
+                row = self.row(i)
                 for j in ws:
                     if j > i and row[j]:
                         out[i].append(j)
@@ -147,11 +157,11 @@ class GraphStructure:
         transitivity is still checked, and a violation raises
         EquivalenceViolation because it would mean the matching engine is
         broken."""
-        table, vertices = self.table, self.graph.vertices
+        vertices = self.graph.vertices
         related: list[set[int]] = [{i} for i in range(len(vertices))]
         for part in self._parts:
             for at, i in enumerate(part[:-1], 1):
-                row = table.row(i)
+                row = self.row(i)
                 for j in part[at:]:
                     if not row[j]:
                         related[i].add(j)
@@ -180,7 +190,7 @@ class GraphStructure:
         X outer, as the perfect matching's edges lie inside components, so
         only components outside X drop; once none drops, every vertex is
         outer and the union is X.  Each search but the last drops one."""
-        adj, mate, parts = self.table.adj, self.table.mate, self._parts
+        adj, mate, parts = self.graph.index_adjacency, self.mate, self._parts
         up = [i for i in range(len(parts)) if i != lower]
         while up:
             kept = [v for i in up for v in parts[i]]
@@ -243,7 +253,8 @@ class GraphStructure:
         and such unions are closed under union."""
         parts = self._parts
         rest = [v for j in level if j != low for v in parts[j]]
-        return _contracts_to_factor_critical(self.table.adj, self.table.mate, parts[low], rest)
+        outer = _contracted_outer(self.graph.index_adjacency, self.mate, parts[low], rest)
+        return all([outer[v] for v in rest])  # factor-critical: all of it outer
 
     @cached_property
     def saturated(self) -> bool:
@@ -254,7 +265,7 @@ class GraphStructure:
         for i, ws in enumerate(adj):
             # ascending, so a vertex joined to every later one needs no row
             if n - 1 - i > len(ws) - bisect_right(ws, i):
-                row = self.table.row(i)
+                row = self.row(i)
                 joined = set(ws)
                 if not all([row[j] or j in joined for j in range(i + 1, n)]):
                     return False
@@ -263,12 +274,11 @@ class GraphStructure:
     @cached_property
     def deletion_partitions(self) -> dict[int, GEPartition]:
         """The partition of G-x for every vertex x, in ascending order of x: D
-        is D(G-x), the table's row of x, A its neighbors other than x, C the
-        rest of G-x.  A perfect matching of G leaves one vertex of G-x
-        exposed."""
-        graph, table = self.graph, self.table
+        is D(G-x), the row of x, A its neighbors other than x, C the rest of
+        G-x.  A perfect matching of G leaves one vertex of G-x exposed."""
+        graph = self.graph
         return {
-            x: _checked_partition(graph, table.row(i), 1, (i,))
+            x: _checked_partition(graph, self.row(i), 1, (i,))
             for i, x in enumerate(graph.vertices)
         }
 

@@ -8,7 +8,9 @@ by one contraction search, and re-checks what the structure does not settle
 failure raises StructureViolation.  construct and construct_tree check each
 foundation on its own structure and the whole output on one, by the same
 lemma; construct_tree checks and joins each level in one walk, bottom up.
-The verifier re-checks the parts' own structures from scratch.
+The verifier re-checks the parts' own structures from scratch.  saturate
+grows its own adjacency under its own perfect matching, with one deletion
+search (``matching._rooted_marks``) per run of pairs uv with one u.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .graph import (
     edge,
     neighbors,
 )
-from .matching import ExposableAfterDeletion, is_factorizable
+from .matching import Rows, _perfect_mate, _rooted_marks, is_factorizable
 
 
 def is_saturated(graph: Graph) -> bool:
@@ -63,14 +65,22 @@ def saturate(graph: Graph, *, descending: bool = False) -> tuple[Graph, tuple[Ed
     """
     if not is_factorizable(graph):
         raise NotFactorizableError("saturate needs a graph with a perfect matching")
-    exposable = ExposableAfterDeletion(graph)
+    adj: Rows = graph.index_adjacency
+    mate = _perfect_mate(adj)
     index = graph.positions
     added: list[Edge] = []
+    at, row = -1, []
     # both scan orders group pairs by u, so D(G-u) is searched where u's run
     # starts; adding uv leaves G-u unchanged, so it stays current for the run
     for u, v in sorted(complement_pairs(graph), reverse=descending):
-        if not exposable.row(index[u])[index[v]]:
-            exposable.add_edge(u, v)
+        i, j = index[u], index[v]
+        if i != at:
+            at, row = i, _rooted_marks(adj, mate, mate[i], (i,))
+        if not row[j]:
+            if adj is graph.index_adjacency:
+                adj = [list(ws) for ws in adj]  # the graph's own rows stay as built
+            adj[i].append(j)
+            adj[j].append(i)
             added.append((u, v))
     return add_edges(graph, added), tuple(added)
 
@@ -217,12 +227,12 @@ def _claim(used: set[int], vertices: frozenset[int]) -> None:
 def _joined(
     edges: set[Edge], levels: list[tuple[GraphStructure, frozenset[int]]]
 ) -> GraphStructure:
-    """The structure of the joined graph, checked on its one table: it is
+    """The structure of the joined graph, checked on its rows D(G-u): it is
     saturated, and each level's foundation (``levels`` holds its own
     structure and the level's vertices, lower levels first, the whole output
     last) is a factor-component and the minimum of the level's components.
     By the lemma of ``_decompose_saturated``, the level graphs of a saturated
-    output read its table cut to them, so this checks each level as its own
+    output read its rows cut to them, so this checks each level as its own
     structure would.  When every tower is empty the output is the foundation
     itself, and the foundation's own structure serves as the output's."""
     root, vertices = levels[-1]
@@ -250,7 +260,7 @@ def construct(spec: ConstructionSpec) -> Graph:
     tower; validates the input, each tower saturated on its own structure,
     then checks the output once (saturated, foundation is a factor-component
     and the minimum element).  With every tower empty the output is the
-    foundation, and one D(G-u) table serves both."""
+    foundation, and one structure's rows D(G-u) serve both."""
     foundation = spec.foundation
     base = _checked_foundation(foundation, spec.towers)
     if base is None:
@@ -270,8 +280,8 @@ def construct(spec: ConstructionSpec) -> Graph:
 def construct_tree(tree: CathedralTree) -> Graph:
     """Rebuild a graph from its decomposition: one walk checks each level's
     input and joins the level, bottom up, then one check of the whole output.
-    It fills one D(G-u) table per foundation and one for the output, and a
-    one-level tree's output is its foundation, so it fills exactly one."""
+    It builds one structure per foundation and one for the output, and a
+    one-level tree's output is its foundation, so it builds exactly one."""
     return _construct_tree(tree).graph
 
 

@@ -1,8 +1,8 @@
 """The exposable / neighbor / inner three-way vertex partition.
 
 The exposable part holds every vertex some maximum matching leaves uncovered:
-the outer marks of the failed searches of the one blossom pass, merged by
-``_blossom_matching`` alone and checked against the Gallai-Edmonds
+the outer marks of the failed searches of the one blossom pass, merged here
+from the positions each search marked and checked against the Gallai-Edmonds
 deficiency identity.  The components of G[D] and A = N(D) it counts come
 from the package's one component walk on G's one index.  When D is every
 visible position and at most one position is hidden, A = N(D) - D - hidden
@@ -11,7 +11,7 @@ from G's one low-point pass instead, which counts c(G - x) for every x at
 once.  The partition of the subgraph induced by ``kept`` runs on G's index
 with the other positions hidden, so no G-x is built.  The partition of every
 G-x of a factorizable G is ``GraphStructure.deletion_partitions``, which
-checks each row of its deletion table here; in an elementary graph whose
+checks each of its rows D(G-x) here; in an elementary graph whose
 classes are singletons every row is V - x, so no row is walked.  The path
 characterizations of the same partition live in the verifier as conformance
 checks, not here.
@@ -27,7 +27,7 @@ from .errors import DeficiencyViolation
 from .graph import Graph, _walk_parts
 # matching_number is unused here, but bench/selftest.py pins this binding
 # until the benchmark reads counters inside the library (ROADMAP item 1)
-from .matching import _blossom_matching, _confined, matching_number  # noqa: F401
+from .matching import _blossom_pass, _confined, matching_number  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,13 @@ def _checked_partition(
 
 def gallai_edmonds(graph: Graph, *, kept: Iterable[int] | None = None) -> GEPartition:
     """The partition of the graph, or of the subgraph induced by ``kept``,
-    read off one blossom pass: its exposed count and its marks of D."""
+    read off one blossom pass: D marks the positions its failed searches
+    marked, and its drained matching gives the exposed count."""
     _, hidden = _confined(graph, kept)
-    mate, d = _blossom_matching(graph.index_adjacency, hidden)
+    mate, failures = _blossom_pass(graph.index_adjacency, hidden)
+    d = [False] * len(mate)
+    for _, marked in failures:
+        for i in marked:
+            d[i] = True
     return _checked_partition(graph, d, mate.count(-1) - len(hidden), hidden)
 

@@ -1,9 +1,10 @@
 """Maximum matchings, perfect-matching enumeration, and alternating-path
-predicates, on two primitives: one Edmonds search, which one lazy pass runs
-from the exposed roots, and one alternating walker.  The search shrinks each
+predicates, on two primitives: one Edmonds search and one alternating
+walker.  The search runs in two setups only: the lazy pass from the exposed
+roots, and ``_rooted_marks``, one search from a single root under a perfect
+matching, which reads D(G-u) and every contraction.  It shrinks each
 blossom through its base's list of members and returns once every visible
-vertex is outer, so past its three n-long arrays it costs what it reaches;
-the pass merges the positions each failed search marked, not n marks each.
+vertex is outer, so past its three n-long arrays it costs what it reaches.
 
 The enumeration and the exhaustive path searches are the oracles the rest of
 the package is checked against, so this module favors exact, deterministic
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import NotFactorizableError, SearchBudgetExceeded, StructureViolation
 from .graph import Edge, Graph, _vertex_id, edge
 
-# an index adjacency: a graph's own tuples, or a grown deletion table's lists
+# an index adjacency: a graph's own tuples, or the lists saturate grows
 Rows = Sequence[Sequence[int]]
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -247,6 +248,31 @@ def _edmonds_search(
     return outer, queue
 
 
+def _rooted_marks(
+    adj: Rows, mate: list[int], root: int, hidden: Iterable[int], merged: Iterable[int] = ()
+) -> list[bool]:
+    """The outer marks, by position, of one search from ``root`` with the
+    ``hidden`` positions deleted and the ``merged`` ones shrunk into root's
+    blossom, under a copy of the perfect matching ``mate`` of G that exposes
+    root and every hidden position.  The mate of each hidden position must be
+    hidden too, or root.
+
+    Then every other visible vertex keeps a visible mate, so root is the only
+    exposed vertex the search can reach, and the merged ones are labelled
+    from the start.  An augmenting path ends at an exposed vertex the search
+    enters unlabelled, so none exists, and a search that augments anyway
+    (``mate`` not perfect) raises StructureViolation.
+    """
+    near = mate[:]
+    near[root] = -1
+    for h in hidden:
+        near[h] = -1
+    found = _edmonds_search(adj, near, root, hidden, merged)
+    if found is None:
+        raise StructureViolation("a search under a perfect matching augmented")
+    return found[0]
+
+
 def _contracted_outer(adj: Rows, mate: list[int], merged: list[int], kept: list[int]) -> list[bool]:
     """The outer marks, by position in G, of G[merged ∪ kept] with ``merged``
     contracted to one vertex H, given G's index adjacency ``adj``, a perfect
@@ -265,32 +291,18 @@ def _contracted_outer(adj: Rows, mate: list[int], merged: list[int], kept: list[
     contracted graph's, and a parallel edge changes no outer mark.
     """
     hidden = set(range(len(adj))).difference(merged, kept)
-    root = merged[0]
-    near = mate[:]
-    near[root] = -1
-    for h in hidden:
-        near[h] = -1
-    outer, _ = _edmonds_search(adj, near, root, hidden, merged)
-    return outer
-
-
-def _contracts_to_factor_critical(
-    adj: Rows, mate: list[int], merged: list[int], kept: list[int]
-) -> bool:
-    """Whether G[merged ∪ kept]/merged is factor-critical: all of it outer."""
-    outer = _contracted_outer(adj, mate, merged, kept)
-    return all([outer[v] for v in kept])
+    return _rooted_marks(adj, mate, merged[0], hidden, merged)
 
 
 def _blossom_pass(
     adj: Rows, hidden: frozenset[int] = frozenset()
-) -> tuple[list[int], Iterator[tuple[int, list[int] | None]]]:
+) -> tuple[list[int], Iterator[tuple[int, list[int]]]]:
     """A greedy start ``mate`` of the graph less the ``hidden`` positions,
     and the lazy pass from its exposed roots in ascending order: it flips
     each augmenting path it finds into ``mate``, and yields each failed root
-    with the positions its search marked outer, root first, or with None if
-    it has no neighbour outside ``hidden`` to search.  Drained, it leaves
-    ``mate`` maximum.
+    with the positions its search marked outer, root first.  A root with no
+    neighbour outside ``hidden`` starts no search and yields itself alone,
+    as its search would.  Drained, it leaves ``mate`` maximum.
 
     A failed search leaves a Hungarian tree T: its inner vertices I are
     matched into its outer ones, and each of its |I| + 1 outer blossoms is
@@ -321,30 +333,25 @@ def _blossom_pass(
 
 def _failed_roots(
     adj: Rows, mate: list[int], hidden: frozenset[int]
-) -> Iterator[tuple[int, list[int] | None]]:
+) -> Iterator[tuple[int, list[int]]]:
     """The lazy rest of ``_blossom_pass``: a search from each root that
     ``mate`` exposes, in ascending order, yielding the failed ones."""
     for v, ws in enumerate(adj):
         if mate[v] == -1 and v not in hidden:
             if hidden.issuperset(ws):
-                yield v, None
+                yield v, [v]  # what its search would mark, without n-long arrays
             elif (found := _edmonds_search(adj, mate, v, hidden)) is not None:
                 yield v, found[1]
 
 
-def _blossom_matching(
-    adj: Rows, hidden: frozenset[int] = frozenset()
-) -> tuple[list[int], list[bool]]:
-    """A maximum matching ``mate`` of the graph less the ``hidden`` positions,
-    and the marks of D, the vertices some maximum matching leaves exposed:
-    the drained pass's failed roots and the positions their searches
-    marked, so the merge reads only what each search reached."""
-    mate, failures = _blossom_pass(adj, hidden)
-    marks = [False] * len(adj)
-    for root, marked in failures:
-        for i in marked or (root,):
-            marks[i] = True
-    return mate, marks
+def _perfect_mate(adj: Rows) -> list[int]:
+    """A perfect matching of the graph, by position, from one blossom pass,
+    which refuses a graph without one: at once for odd order, otherwise at
+    the pass's first failed search."""
+    mate, failures = _blossom_pass(adj)
+    if len(mate) % 2 or next(failures, None) is not None:
+        raise NotFactorizableError("canonical structures need a graph with a perfect matching")
+    return mate
 
 
 def maximum_matching(graph: Graph) -> Matching:
@@ -393,45 +400,7 @@ def is_factor_critical(graph: Graph, *, kept: Iterable[int] | None = None) -> bo
         return False
     _, failures = _blossom_pass(graph.index_adjacency, hidden)
     _, marked = next(failures)
-    return (1 if marked is None else len(marked)) == len(within)
-
-
-class ExposableAfterDeletion:
-    """D(G-u) for the vertices u of a factorizable graph G: the vertices v
-    with G-u-v factorizable.  Building it checks that G is factorizable: its
-    one blossom pass keeps the perfect matching ``mate`` and refuses any
-    other graph.  ``row(i)`` holds D(G-u) as the outer marks, by
-    position, of one deletion search, run on first use and building no
-    graph: drop the vertex at i and its edge in the perfect matching
-    ``mate``, then search ``adj`` from its former partner.  ``adj`` is G's own
-    index adjacency until the first ``add_edge`` copies it to grow G, which
-    keeps ``mate`` perfect but leaves the rows already searched as they
-    were."""
-
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        self.adj: Rows = graph.index_adjacency
-        self.mate, failures = _blossom_pass(self.adj)
-        # odd order refuses at once; otherwise at the pass's first failed search
-        if len(self.mate) % 2 or next(failures, None) is not None:
-            raise NotFactorizableError("canonical structures need a graph with a perfect matching")
-        self.rows: list[list[bool] | None] = [None] * len(self.mate)
-
-    def row(self, i: int) -> list[bool]:
-        row = self.rows[i]
-        if row is None:
-            near = self.mate[:]
-            near[i] = near[self.mate[i]] = -1
-            row, _ = _edmonds_search(self.adj, near, self.mate[i], (i,))
-            self.rows[i] = row
-        return row
-
-    def add_edge(self, u: int, v: int) -> None:
-        if self.adj is self.graph.index_adjacency:
-            self.adj = [list(row) for row in self.adj]
-        i, j = self.graph.positions[u], self.graph.positions[v]
-        self.adj[i].append(j)
-        self.adj[j].append(i)
+    return len(marked) == len(within)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import combinations
 
+import cathedral.matching
 from cathedral.graph import Edge, Graph, add_edges, complement_pairs
-from cathedral.matching import _blossom_matching, _edmonds_search
+from cathedral.matching import _edmonds_search
 
 
 def adjacency(graph: Graph) -> dict[int, list[int]]:
@@ -279,11 +280,13 @@ def deletion_gallai_edmonds(graph: Graph) -> tuple[frozenset[int], frozenset[int
 
 
 def final_search_exposable(graph: Graph) -> frozenset[int]:
-    """D as the package read it before its one-pass marks: a blossom
-    matching, then one search from each vertex it exposes, all under that
-    final matching."""
+    """D as the package read it before its one-pass marks: the drained
+    blossom pass's matching, then one search from each vertex it exposes,
+    all under that final matching.  The pass is looked up on its module, so
+    a test that refuses the package's pass refuses this oracle too."""
     adj = graph.index_adjacency
-    mate, _ = _blossom_matching(adj)
+    mate, failures = cathedral.matching._blossom_pass(adj)
+    list(failures)
     marks = [_edmonds_search(adj, mate, root)[0] for root, m in enumerate(mate) if m == -1]
     return frozenset(v for i, v in enumerate(graph.vertices) if any(o[i] for o in marks))
 

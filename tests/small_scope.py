@@ -7,12 +7,15 @@ Each graph on the vertices 0..n-1 must be refused exactly when the oracle
 finds no perfect matching.  A factorizable one must give the oracle's
 allowed edges, canonical classes, component order (``sweep_order``, which
 asks the subset table of each contraction), saturation verdict and the
-(D, A, C) partition of every G-x.  The order runs the Edmonds search's
-contraction form, with the lower component merged into the root's blossom,
-so every graph of the order with two or more components meets it.  The
-orders default to 6: 32,768 graphs, 24,823 of them factorizable.  Any
-mismatch raises AssertionError with the graph's edges.  Pytest does not
-collect this file; ``tests/test_primitives.py`` sweeps orders 2 and 4.
+(D, A, C) partition of every G-x; its closure in both scan orders must be
+the restart oracle's (``restart_saturate``), and a saturated one must come
+back from ``construct_tree(decompose(g))``.  The order runs the Edmonds
+search's contraction form, with the lower component merged into the root's
+blossom, so every graph of the order with two or more components meets it.
+The orders default to 6: 32,768 graphs, 24,823 of them factorizable and
+5,508 saturated.  Any mismatch raises AssertionError with the graph's
+edges.  Pytest does not collect this file; ``tests/test_primitives.py``
+sweeps orders 2 and 4.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import time
 from collections import Counter
 
 from cathedral.canonical import GraphStructure
+from cathedral.construction import construct_tree, decompose, saturate
 from cathedral.errors import NotFactorizableError
 
 from helpers import labelled_graphs
@@ -30,6 +34,7 @@ from oracles import (
     deletion_allowed_edges,
     deletion_is_saturated,
     deletion_partition,
+    restart_saturate,
     subset_table,
     sweep_order,
 )
@@ -58,6 +63,10 @@ def sweep(order: int) -> Counter:
         counts["saturated"] += structure.saturated
         for x, ge in structure.deletion_partitions.items():
             assert ge.parts() == deleted_partition(g, x), (where, x)
+        for descending in (False, True):
+            assert saturate(g, descending=descending) == restart_saturate(g, descending), where
+        if structure.saturated:
+            assert construct_tree(decompose(g)) == g, where
     return counts
 
 

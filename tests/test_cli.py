@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cathedral
+import cathedral.canonical
 import cathedral.cli
 from cathedral.cli import MAX_TRIAL_VERTICES, build_parser, main
 from cathedral.construction import decompose
@@ -332,6 +333,20 @@ def test_internal_errors_exit_4_on_one_line(edge_files, monkeypatch, capsys, err
     assert main(["saturated", edge_files["t"]]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(error) in err and "internal" in err
+
+
+def test_a_search_that_augments_exits_4_on_one_line(tmp_path, monkeypatch, capsys):
+    # under P_4's non-perfect matching [1, 0, -1, -1] the row of 0 searches
+    # from 1 and augments to 2, which a perfect matching rules out
+    monkeypatch.setattr(cathedral.canonical, "_perfect_mate", lambda adj: [1, 0, -1, -1])
+    path = tmp_path / "p4.edges"
+    path.write_text(render_edge_list(P4))
+    assert main(["analyze", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "structure violation (internal bug): a search under a perfect matching augmented\n"
+    )
 
 
 def test_a_tree_too_deep_to_write_exits_2_on_one_line(edge_files, monkeypatch, capsys):

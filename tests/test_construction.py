@@ -5,7 +5,6 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings
 
-import cathedral.canonical
 from cathedral.canonical import GraphStructure, canonical_partition, factor_components
 from cathedral.cli import main
 from cathedral.construction import (
@@ -32,7 +31,7 @@ from cathedral.errors import (
     VertexIdCollision,
 )
 from cathedral.graph import Graph, add_edges, induced_subgraph, render_edge_list
-from cathedral.matching import ExposableAfterDeletion, enumerate_perfect_matchings
+from cathedral.matching import enumerate_perfect_matchings
 from cathedral.serialize import tree_from_json, tree_to_json
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
@@ -124,7 +123,7 @@ def test_a_failing_contraction_search_is_a_structure_violation(monkeypatch, tmp_
     # the search that checks each foundation is the falsification check: if
     # the named component fails it, decompose and the construction's re-check refuse
     tree = decompose(T)
-    monkeypatch.setattr(cathedral.canonical, "_contracts_to_factor_critical", lambda *args: False)
+    monkeypatch.setattr(GraphStructure, "is_minimum_of", lambda self, level, low: False)
     with pytest.raises(MinimumComponentMissing):
         decompose(T)
     path = tmp_path / "t.edges"
@@ -232,21 +231,21 @@ def _parts(tree: CathedralTree):
             yield from _parts(sub)
 
 
-def _exposable(table: ExposableAfterDeletion, u: int) -> frozenset[int]:
-    """D(G-u) as vertex ids, off the table's row of u."""
-    vertices = table.graph.vertices
-    return frozenset(compress(vertices, table.row(table.graph.positions[u])))
+def _exposable(structure: GraphStructure, u: int) -> frozenset[int]:
+    """D(G-u) as vertex ids, off the structure's row of u."""
+    vertices = structure.graph.vertices
+    return frozenset(compress(vertices, structure.row(structure.graph.positions[u])))
 
 
 def _assert_parts_cut_the_table(closure: Graph) -> int:
     """Every level and foundation of the closure's decomposition has, from
     scratch, the D(G-u) of the whole cut to it; returns the vertices checked."""
-    table = ExposableAfterDeletion(closure)
+    whole = GraphStructure(closure)
     checked = 0
     for part in _parts(decompose(closure)):
-        own = ExposableAfterDeletion(induced_subgraph(closure, part))
+        own = GraphStructure(induced_subgraph(closure, part))
         for u in part:
-            assert _exposable(own, u) == _exposable(table, u) & part
+            assert _exposable(own, u) == _exposable(whole, u) & part
         checked += len(part)
     return checked
 

@@ -5,11 +5,11 @@ import cathedral.matching
 import pytest
 from hypothesis import given, settings
 
+from cathedral.canonical import GraphStructure
 from cathedral.cli import main
-from cathedral.errors import SearchBudgetExceeded
+from cathedral.errors import SearchBudgetExceeded, StructureViolation
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
-    ExposableAfterDeletion,
     Matching,
     PathKind,
     alternating_circuit_exists,
@@ -23,7 +23,7 @@ from cathedral.matching import (
     perfect_matching_union,
     restrict_matching,
     _blossom_pass,
-    _contracts_to_factor_critical,
+    _contracted_outer,
     _edmonds_search,
 )
 
@@ -119,12 +119,12 @@ def test_a_deletion_search_reads_no_row_once_every_visible_vertex_is_outer(graph
     # searched until its queue empties, the first row reads 5 rows of K6
     # and 19 of the benchmark graph, and the whole table 30 and 380
     reads = [0]
-    table = ExposableAfterDeletion(counted_rows(graph, reads))
+    structure = GraphStructure(counted_rows(graph, reads))
     reads[0] = 0
-    table.row(0)
+    structure.row(0)
     assert reads[0] == first
     for i in range(graph.order):
-        table.row(i)
+        structure.row(i)
     assert reads[0] == every
 
 
@@ -134,8 +134,19 @@ def test_a_contraction_search_reads_no_row_once_every_visible_vertex_is_outer():
     # vertex, where a search until its queue empties reads 8 rows
     reads = [0]
     adj = counted_rows(chain_graph(4), reads).index_adjacency
-    assert _contracts_to_factor_critical(adj, [i ^ 1 for i in range(8)], [0, 1], list(range(2, 8)))
+    outer = _contracted_outer(adj, [i ^ 1 for i in range(8)], [0, 1], list(range(2, 8)))
+    assert outer == [True] * 8
     assert reads[0] == 1
+
+
+def test_a_deletion_search_that_augments_is_a_structure_violation():
+    # the row of 0 searches from its partner 1 with 0 hidden; under the
+    # non-perfect [1, 0, -1, -1] it augments to 2, which a perfect matching
+    # rules out, and refuses instead of reading marks it does not have
+    structure = GraphStructure(P4)
+    structure.mate[:] = [1, 0, -1, -1]
+    with pytest.raises(StructureViolation, match="a search under a perfect matching augmented"):
+        structure.row(0)
 
 
 def test_a_repeated_hidden_or_merged_position_cannot_end_a_search_early():

@@ -42,11 +42,10 @@ from cathedral.errors import DeficiencyViolation, SearchBudgetExceeded, Structur
 from cathedral.gallai_edmonds import gallai_edmonds
 from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
 from cathedral.matching import (
-    ExposableAfterDeletion,
     Matching,
     PathKind,
-    _blossom_matching,
-    _contracts_to_factor_critical,
+    _contracted_outer,
+    _perfect_mate,
     alternating_circuit_exists,
     alternating_path_exists,
     alternating_reachability,
@@ -215,8 +214,8 @@ def test_the_oracles_run_none_of_the_package_searches(monkeypatch):
 
 @pytest.mark.parametrize("seed", sorted(CORPORA))
 def test_saturate_grows_a_copy_of_the_graph_rows(seed):
-    # the deletion table searches the graph's own rows until its first added
-    # edge, then a copy it grows (whose verdicts the restart oracle checks
+    # saturate searches the graph's own rows until its first added edge,
+    # then a copy it grows (whose verdicts the restart oracle checks
     # above): the graph's rows stay as built and refuse a stray append
     grew = 0
     for i, g in enumerate(_corpus(seed)):
@@ -288,7 +287,7 @@ def test_each_union_verdict_matches_its_contraction(source):
     for i, g in enumerate(graphs):
         for h in (g, saturate(g)[0]):
             index, adj = h.positions, h.index_adjacency
-            mate, _ = _blossom_matching(adj)
+            mate = _perfect_mate(adj)
             comps = factor_components(h).components
             for lower in comps:
                 # the table of h contracted at the lower component, as the
@@ -298,9 +297,9 @@ def test_each_union_verdict_matches_its_contraction(source):
                 for bits in range(1 << len(rest)):
                     kept = frozenset().union(*(c for j, c in enumerate(rest) if bits >> j & 1))
                     shrunk = contract(induced_subgraph(h, lower | kept), lower).graph
-                    verdict = _contracts_to_factor_critical(
-                        adj, mate, [index[v] for v in lower], [index[v] for v in sorted(kept)]
-                    )
+                    inside = [index[v] for v in sorted(kept)]
+                    outer = _contracted_outer(adj, mate, [index[v] for v in lower], inside)
+                    verdict = all(outer[v] for v in inside)
                     where = (i, sorted(h.edges), lower, kept)
                     assert verdict == is_factor_critical(shrunk), where
                     assert verdict == table.critical(table.mask({min(lower), *kept})), where
@@ -357,9 +356,9 @@ def test_each_deletion_row_marks_what_the_deleted_graph_exposes(source):
     graphs = sparse_many_component_graphs(20) if source == "sparse" else mid_size_graphs(20)
     for i, g in enumerate(graphs):
         for h in (g, saturate(g)[0]):
-            table = ExposableAfterDeletion(h)
+            structure = GraphStructure(h)
             for u, at in h.positions.items():
-                row = table.row(at)
+                row = structure.row(at)
                 expected = gallai_edmonds(delete_vertices(h, [u])).d
                 assert frozenset(compress(h.vertices, row)) == expected, (source, i, u)
                 assert not row[at], (source, i, u)
@@ -421,20 +420,24 @@ def test_order_runs_fewer_searches_per_component_than_components(monkeypatch):
 
 
 def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
-    # the pass's matching is right and its D empty: C5's one exposed vertex
-    # then has no component of G[D] to lie in
+    # the pass's matching is right and its failed searches mark nothing:
+    # C5's one exposed vertex then has no component of G[D] to lie in
     module = importlib.import_module("cathedral.gallai_edmonds")
-    blossom = module._blossom_matching
-    wrong = lambda adj, hidden: (blossom(adj, hidden)[0], [False] * len(adj))
-    monkeypatch.setattr(module, "_blossom_matching", wrong)
+    blossom = module._blossom_pass
+
+    def wrong(adj, hidden):
+        mate, failures = blossom(adj, hidden)
+        return mate, ((root, []) for root, _ in failures)
+
+    monkeypatch.setattr(module, "_blossom_pass", wrong)
     with pytest.raises(StructureViolation, match="exposed vertices"):
         gallai_edmonds(C5)
 
 
 def test_deficiency_check_rejects_a_wrong_deletion_set(monkeypatch):
     # every row empty: D is empty, so no G-x has its one exposed vertex
-    empty = lambda self, i: [False] * len(self.adj)
-    monkeypatch.setattr(ExposableAfterDeletion, "row", empty)
+    empty = lambda self, i: [False] * len(self.mate)
+    monkeypatch.setattr(GraphStructure, "row", empty)
     with pytest.raises(DeficiencyViolation, match="exposed vertices"):
         GraphStructure(P4).deletion_partitions
 
@@ -444,8 +447,8 @@ def test_deficiency_check_rejects_a_deletion_set_with_a_part_too_many(monkeypatc
     # the part {2, 3}, which has no neighbour outside D to pay for it
     g = Graph(range(4), [(0, 1), (2, 3)])
     assert GraphStructure(g).deletion_partitions[0].d == frozenset({1})
-    every_other = lambda self, i: [j != i for j in range(len(self.adj))]
-    monkeypatch.setattr(ExposableAfterDeletion, "row", every_other)
+    every_other = lambda self, i: [j != i for j in range(len(self.mate))]
+    monkeypatch.setattr(GraphStructure, "row", every_other)
     with pytest.raises(DeficiencyViolation, match=r"1 exposed vertices, 2 parts of D, \|A\| = 0"):
         GraphStructure(g).deletion_partitions
 
@@ -454,8 +457,8 @@ def test_deficiency_check_rejects_a_deletion_set_that_holds_its_deleted_vertex(m
     # every row of K_4 marks x and every vertex but the next: as many marks
     # as G-x has vertices, but D is not G-x, so the check walks D and finds
     # the next vertex in A
-    marks_x = lambda self, i: [j != (i + 1) % len(self.adj) for j in range(len(self.adj))]
-    monkeypatch.setattr(ExposableAfterDeletion, "row", marks_x)
+    marks_x = lambda self, i: [j != (i + 1) % len(self.mate) for j in range(len(self.mate))]
+    monkeypatch.setattr(GraphStructure, "row", marks_x)
     with pytest.raises(DeficiencyViolation, match=r"1 exposed vertices, 1 parts of D, \|A\| = 1"):
         GraphStructure(K4).deletion_partitions
 

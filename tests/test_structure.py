@@ -1,22 +1,23 @@
-"""One perfect matching and one D(G-u) table per graph.
+"""One perfect matching and one set of rows D(G-u) per graph.
 
 Every reader of the canonical structures holds one per-graph structure, so
-an `analyze` request fills one deletion table, computes one perfect matching
+an `analyze` request builds one structure, computes one perfect matching
 and checks factorizability once, and its deletion partitions build no graph
 and walk only the rows short of G-x, reading the others off one low-point
-pass.
-`decompose` reads every level and foundation off the input's one table, and
-`construct_tree` fills one table per foundation and one for its whole output,
-which for a one-level tree is the foundation's; both find each foundation
-with contraction searches instead of computing the component order, and
-`foundation_via_ge` on a saturated graph runs one.  The
-verifier reads one table per graph it grows, reads the rebuilt graph's table
-off the structure `construct_tree` checked it on, builds each induced part and tests each G-u-v once per
-context, reads the paths of every G-x off the host's sweep, and its confined
-path searches build no subgraph.  Every search reads its graph's one position
-index, built on first use.  The counts are taken on every cathedral
-binding of the counted functions, and graphs are counted on both
-constructors, the checked one and the unchecked `Graph._trusted`.
+pass.  `decompose` reads every level and foundation off the input's one
+structure, and `construct_tree` builds one structure per foundation and one
+for its whole output, which for a one-level tree is the foundation's; both
+find each foundation with contraction searches instead of computing the
+component order, and `foundation_via_ge` on a saturated graph runs one.
+`saturate` keeps its own perfect matching and searches one row per run of
+u.  The verifier reads one structure per graph it grows, reads the rebuilt
+graph's rows off the structure `construct_tree` checked it on, builds each
+induced part and tests each G-u-v once per context, reads the paths of
+every G-x off the host's sweep, and its confined path searches build no
+subgraph.  Every search reads its graph's one position index, built on
+first use.  The counts are taken on every cathedral binding of the counted
+functions, and graphs are counted on both constructors, the checked one and
+the unchecked `Graph._trusted`.
 """
 
 import json
@@ -42,7 +43,6 @@ from cathedral.construction import (
 )
 from cathedral.errors import ComponentLimitError
 from cathedral.graph import Graph, render_edge_list
-from cathedral.matching import ExposableAfterDeletion
 from cathedral.serialize import analysis_dict
 from cathedral.verify import (
     _CHECKS,
@@ -83,18 +83,20 @@ def _rebind(monkeypatch, original, replacement) -> None:
 
 
 def _count(monkeypatch) -> Counter:
-    """Count structures, deletion tables and graphs built (checked or not),
-    deletion rows searched ("rows") and tables with a row searched
+    """Count structures and graphs built (checked or not), a structure's
+    deletion rows searched ("rows") and structures with a row searched
     ("searched"), and calls of `is_factorizable`, the blossom pass
-    `_blossom_pass`, the contraction search `_contracted_outer` and the
-    factor-criticality test on it, `_contracts_to_factor_critical`, from now
-    on."""
+    `_blossom_pass`, the perfect matching a structure or saturate keeps,
+    `_perfect_mate`, the single-root search `_rooted_marks`, the contraction
+    search on it, `_contracted_outer`, and the minimum test that reads it,
+    `GraphStructure.is_minimum_of`, from now on."""
     counts: Counter = Counter()
     for name in (
         "is_factorizable",
         "_blossom_pass",
+        "_perfect_mate",
+        "_rooted_marks",
         "_contracted_outer",
-        "_contracts_to_factor_critical",
     ):
         original = getattr(cathedral.matching, name)
 
@@ -103,11 +105,7 @@ def _count(monkeypatch) -> Counter:
             return _original(*args, **kwargs)
 
         _rebind(monkeypatch, original, counted)
-    init = ExposableAfterDeletion.__init__
-    monkeypatch.setattr(
-        ExposableAfterDeletion, "__init__", lambda self, g: counts.update(["tables"]) or init(self, g)
-    )
-    row = ExposableAfterDeletion.row
+    row = GraphStructure.row
 
     def counted_row(self, i):
         # a row is searched when it is first read
@@ -115,7 +113,13 @@ def _count(monkeypatch) -> Counter:
             counts.update(["rows"] + ["searched"] * all(r is None for r in self.rows))
         return row(self, i)
 
-    monkeypatch.setattr(ExposableAfterDeletion, "row", counted_row)
+    monkeypatch.setattr(GraphStructure, "row", counted_row)
+    minimum_of = GraphStructure.is_minimum_of
+    monkeypatch.setattr(
+        GraphStructure,
+        "is_minimum_of",
+        lambda self, *args: counts.update(["is_minimum_of"]) or minimum_of(self, *args),
+    )
     # a _TrialContext builds through GraphStructure's __post_init__ too
     post_init = GraphStructure.__post_init__
     monkeypatch.setattr(
@@ -143,10 +147,11 @@ def _count(monkeypatch) -> Counter:
     "graph, ge", [(ELEMENTARY, True), (SPARSE, False)], ids=["elementary-ge", "sparse"]
 )
 def test_analyze_reads_one_table(monkeypatch, graph, ge):
-    # one pass, the table's: it is the precondition and keeps the perfect matching
+    # one pass, the structure's: it is the precondition and keeps the perfect matching
     counts = _count(monkeypatch)
     analysis = analysis_dict(graph, include_deleted_partitions=ge)
-    assert (counts["tables"], counts["is_factorizable"], counts["_blossom_pass"]) == (1, 0, 1)
+    assert (counts["_perfect_mate"], counts["is_factorizable"]) == (1, 0)
+    assert counts["_blossom_pass"] == 1
     assert ("deleted_partitions" in analysis) == ge
 
 
@@ -159,11 +164,11 @@ def test_analyze_ge_builds_no_graph_per_deletion(monkeypatch, tmp_path, capsys):
     counts = _count(monkeypatch)
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["deleted_partitions"]) == ELEMENTARY.order
-    assert (counts["graphs"], counts["tables"]) == (1, 1)
+    assert (counts["graphs"], counts["_perfect_mate"]) == (1, 1)
 
 
 def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
-    # the precondition, the table and the structure's readers share the
+    # the precondition, the rows and the structure's readers share the
     # parsed graph's index; the allowed-edge skeleton is never searched.
     # Holding every indexed graph keeps its id from being reused
     indexed, derived = [], []
@@ -200,8 +205,8 @@ def test_decompose_fills_one_table(monkeypatch):
     closure = saturate(path(40))[0]
     counts = _count(monkeypatch)
     tree = decompose(closure)
-    decomposed = counts["tables"]
-    # construct_tree checks each foundation on its own table, then the
+    decomposed = counts["_perfect_mate"]
+    # construct_tree checks each foundation on its own structure, then the
     # whole output on one
     counts.clear()
     assert construct_tree(tree) == closure
@@ -210,7 +215,7 @@ def test_decompose_fills_one_table(monkeypatch):
         levels += 1
         (tree,) = [sub for _, sub in tree.classes if sub is not None] or [None]
     assert levels == 20
-    assert (decomposed, counts["tables"]) == (1, levels + 1)
+    assert (decomposed, counts["_perfect_mate"]) == (1, levels + 1)
 
 
 def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
@@ -221,10 +226,10 @@ def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
     assert graph == chain_graph(48)
     counts = _count(monkeypatch)
     assert decompose(graph) == tree
-    assert (counts["_contracted_outer"], counts["tables"]) == (48, 1)
+    assert (counts["_contracted_outer"], counts["_perfect_mate"]) == (48, 1)
     counts.clear()
     assert construct_tree(tree) == graph
-    assert (counts["_contracted_outer"], counts["tables"]) == (48, 49)
+    assert (counts["_contracted_outer"], counts["_perfect_mate"]) == (48, 49)
 
 
 _CLOSURE = saturate(path(80))[0]
@@ -269,7 +274,7 @@ def test_the_minimum_is_tried_at_the_greatest_degree_first(monkeypatch, graph):
     tree = decompose(graph)
     counts = _count(monkeypatch)
     assert foundation_via_ge(graph) == tree.foundation_vertices
-    assert (counts["_contracts_to_factor_critical"], counts["_contracted_outer"]) == (1, 1)
+    assert (counts["is_minimum_of"], counts["_contracted_outer"]) == (1, 1)
 
 
 def _count_walks(monkeypatch) -> Counter:
@@ -311,16 +316,16 @@ def test_the_deletion_partitions_walk_exactly_the_rows_short_of_g_less_x(
     graph = Graph(graph.vertices, graph.edges)
     structure = GraphStructure(graph)
     n = graph.order
-    assert sum(structure.table.row(i).count(True) < n - 1 for i in range(n)) == short
+    assert sum(structure.row(i).count(True) < n - 1 for i in range(n)) == short
     counts = _count_walks(monkeypatch)
     structure.deletion_partitions
     assert (counts["_walk_parts"], counts["_parts_less_each"]) == (short, int(short < n))
 
 
 def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
-    # one search per vertex of each K2 foundation's table, one per vertex of
-    # the output's, and one contraction search per level: 383 of them, where
-    # a table per level output ran 9408
+    # one search per vertex of each K2 foundation's structure, one per vertex
+    # of the output's, and one contraction search per level: 383 of them,
+    # where a structure per level output ran 9408
     tree, graph = chain_tree(96), chain_graph(96)
     searches = []
     search = cathedral.matching._edmonds_search
@@ -335,26 +340,25 @@ def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
 
 def test_a_one_level_construction_fills_one_table(monkeypatch):
     # with every tower empty the output is the foundation, read off its
-    # table; each empty tower's structure holds an empty table, which has no
-    # row to search
+    # structure; each empty tower's structure has no row to search
     closure = saturate(ELEMENTARY)[0]
     tree = decompose(closure)
     assert all(sub is None for _, sub in tree.classes)
     counts = _count(monkeypatch)
     assert construct_tree(tree) == closure
-    assert (counts["tables"], counts["searched"]) == (1, 1)
+    assert (counts["_perfect_mate"], counts["searched"]) == (1, 1)
     counts.clear()
     spec = ConstructionSpec(closure, {cls: Graph() for cls, _ in tree.classes})
     assert construct(spec) == closure
-    assert (counts["tables"], counts["searched"]) == (1 + len(tree.classes), 1)
+    assert (counts["_perfect_mate"], counts["searched"]) == (1 + len(tree.classes), 1)
 
 
 def test_a_deep_chain_tree_runs_one_deletion_search_per_vertex(monkeypatch):
-    # every level reads the input's table, so each vertex is searched once
+    # every level reads the input's rows, so each vertex is searched once
     graph = chain_graph(96)
     counts = _count(monkeypatch)
     assert decompose(graph) == chain_tree(96)
-    assert counts["tables"] == 1
+    assert counts["_perfect_mate"] == 1
     assert counts["rows"] <= 192 and counts["_contracted_outer"] <= 96
 
 
@@ -373,36 +377,36 @@ def test_the_foundation_is_found_without_the_component_order(monkeypatch):
 
 
 def test_trial_context_artifacts_share_one_table(monkeypatch):
-    # and the context, a structure, runs one pass, its table's
+    # and the context, a structure, runs one pass, its own
     counts = _count(monkeypatch)
     ctx = _TrialContext(ELEMENTARY, TrialConfig(seed=0))
     for artifact in ("components", "partition", "poset", "saturated", "deletion_partitions"):
         getattr(ctx, artifact)
-    assert (counts["structures"], counts["tables"], counts["_blossom_pass"]) == (1, 1, 1)
+    assert (counts["structures"], counts["_perfect_mate"], counts["_blossom_pass"]) == (1, 1, 1)
     assert counts["is_factorizable"] == 0
 
 
 def test_verify_reads_the_tables_of_the_graphs_it_holds(monkeypatch):
-    # the tree decomposes on the context's own table, both construction
+    # the tree decomposes on the context's own structure, both construction
     # checks read the structure construct_tree checked the rebuilt graph on,
     # and the part checks read one context per component, foundation and tower
     config = TrialConfig(seed=0)
     closure = saturate(random_factorizable_graph(config, 0))[0]
     ctx = _TrialContext(closure, config)
     counts = _count(monkeypatch)
-    tables = {}
+    mates = {}
     for name, check in _CHECKS:
-        before = counts["tables"]
+        before = counts["_perfect_mate"]
         assert _run_one(name, check, ctx)[0].status != "fail"
-        tables[name] = counts["tables"] - before
-    assert tables["construction-foundation-minimum"] == 0
-    assert tables["construction-output-saturated"] == 0
-    assert tables["saturated-partition-matches-parts"] == tables["allowed-edges-from-parts"] == 0
-    # one table in each scan order's saturate, and one in the context both
-    # share, as both give this closure back
-    assert tables["closure-saturated-and-preserving"] == 3
-    # the context's own table was built with the context
-    assert sum(tables.values()) == 13
+        mates[name] = counts["_perfect_mate"] - before
+    assert mates["construction-foundation-minimum"] == 0
+    assert mates["construction-output-saturated"] == 0
+    assert mates["saturated-partition-matches-parts"] == mates["allowed-edges-from-parts"] == 0
+    # one perfect matching in each scan order's saturate, and one in the
+    # context both share, as both give this closure back
+    assert mates["closure-saturated-and-preserving"] == 3
+    # the context's own structure was built with the context
+    assert sum(mates.values()) == 13
 
 
 def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
@@ -412,14 +416,14 @@ def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
     config = TrialConfig(seed=0)
     ctx = _TrialContext(random_factorizable_graph(config, 0), config)
     counts = _count(monkeypatch)
-    tables = {}
+    mates = {}
     for name, check in _CHECKS:
-        before = counts["tables"]
+        before = counts["_perfect_mate"]
         assert _run_one(name, check, ctx)[0].status != "fail"
-        tables[name] = counts["tables"] - before
-    assert tables["incomparable-pair-edge-witness"] == 31
-    # the context's own table was built with the context
-    assert sum(tables.values()) == 39
+        mates[name] = counts["_perfect_mate"] - before
+    assert mates["incomparable-pair-edge-witness"] == 31
+    # the context's own structure was built with the context
+    assert sum(mates.values()) == 39
 
 
 def _record(monkeypatch, name: str) -> list:
@@ -495,18 +499,29 @@ def test_confined_path_queries_build_no_subgraph(monkeypatch):
 
 
 def test_saturate_fills_one_growing_table(monkeypatch):
-    # two passes: its precondition's, which the benchmark counts, and its table's
+    # two passes: its precondition's, which the benchmark counts, and its
+    # perfect matching's
     counts = _count(monkeypatch)
     assert saturate(SPARSE)[1]
-    assert (counts["is_factorizable"], counts["_blossom_pass"], counts["tables"]) == (1, 2, 1)
+    assert (counts["is_factorizable"], counts["_blossom_pass"]) == (1, 2)
+    assert counts["_perfect_mate"] == 1
     assert counts["structures"] == 0
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_saturate_runs_one_deletion_search_per_run_of_u(monkeypatch, descending):
+    # P_8's 21 complement pairs uv, u < v, fall into six runs of u, 0 to 5
+    # (6-7 is an edge), and each run reads the row of u searched where it starts
+    counts = _count(monkeypatch)
+    assert saturate(path(8), descending=descending)[1]
+    assert (counts["_rooted_marks"], counts["rows"]) == (6, 0)
 
 
 def test_component_cap_is_checked_before_the_partition(monkeypatch, tmp_path, capsys):
     counts = _count(monkeypatch)
     with pytest.raises(ComponentLimitError):
         analysis_dict(SPARSE, max_components=1)
-    assert counts["tables"] == 1
+    assert counts["_perfect_mate"] == 1
     path = tmp_path / "sparse.edges"
     path.write_text(render_edge_list(SPARSE))
     assert main(["analyze", str(path), "--max-components", "1"]) == 3
@@ -521,8 +536,8 @@ def test_component_cap_is_checked_before_the_partition(monkeypatch, tmp_path, ca
 )
 def test_every_graph_verb_refuses_the_star_at_once(monkeypatch, tmp_path, capsys, verb):
     # vertex 0 joined to 1..8000 and the edge 8000-8001: the factorizability
-    # check, the structure's table's pass or saturate's own, stops at the
-    # first exposed leaf, before any row is searched
+    # check, the structure's pass or saturate's own, stops at the first
+    # exposed leaf, before any row is searched
     star = tmp_path / "star.edges"
     star.write_text(
         render_edge_list(Graph(range(8002), [(0, v) for v in range(1, 8001)] + [(8000, 8001)]))
@@ -539,7 +554,7 @@ def test_every_graph_verb_refuses_the_star_at_once(monkeypatch, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "perfect matching" in err
     assert len(searches) == 1 and counts["rows"] == 0
-    assert counts["tables"] == (verb != ["saturate"])
+    assert counts["_perfect_mate"] == (verb != ["saturate"])
 
 
 @pytest.mark.parametrize("graph", [ELEMENTARY, SPARSE], ids=["elementary", "sparse"])
@@ -551,7 +566,7 @@ def test_every_graph_verb_refuses_the_star_at_once(monkeypatch, tmp_path, capsys
 def test_each_structure_holds_one_table_and_runs_one_pass(
     monkeypatch, tmp_path, capsys, graph, verb
 ):
-    # the table's pass is the structure's precondition.  ELEMENTARY is
+    # the structure's pass is its precondition.  ELEMENTARY is
     # saturated and SPARSE is not, so on SPARSE `saturated` answers 1 and
     # decompose refuses with 3, both after building the structure
     path = tmp_path / "g.edges"
@@ -560,5 +575,5 @@ def test_each_structure_holds_one_table_and_runs_one_pass(
     counts = _count(monkeypatch)
     assert main([verb[0], str(path), *verb[1:]]) == code
     capsys.readouterr()
-    assert (counts["structures"], counts["tables"], counts["_blossom_pass"]) == (1, 1, 1)
+    assert (counts["structures"], counts["_perfect_mate"], counts["_blossom_pass"]) == (1, 1, 1)
     assert counts["is_factorizable"] == 0
