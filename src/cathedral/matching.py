@@ -2,9 +2,11 @@
 predicates, on two primitives: one Edmonds search and one alternating
 walker.  The search runs in two setups only: the lazy pass from the exposed
 roots, and ``_rooted_marks``, one search from a single root under a perfect
-matching, which reads D(G-u) and every contraction.  It shrinks each
-blossom through its base's list of members and returns once every visible
-vertex is outer, so past its three n-long arrays it costs what it reaches.
+matching, which reads D(G-u) and every contraction.  It absorbs a
+blossom of one matched pair, the common shape, in constant time, shrinks
+every other through its base's list of members, and returns once every
+visible vertex is outer, so past its three n-long arrays it costs what it
+reaches.
 
 The enumeration and the exhaustive path searches are the oracles the rest of
 the package is checked against, so this module favors exact, deterministic
@@ -129,15 +131,39 @@ def _edmonds_search(
     with the search's queue: the marked positions, each once, in the order
     they were marked.
 
-    A blossom shrinks through its base's list of members: the bases on the
-    two tree paths hand their members to the stem's list, and the vertices
-    that turn outer, the inner ones on the paths, are queued in ascending
-    order, as a scan of every position would queue them.  The stem is found
-    by walking the bases of the two paths.  No step scans all n positions,
-    and a search that shrinks no blossom allocates no member list.  A
-    blossom or augmenting walk passes each vertex at most once, so one that
-    takes n steps, which only a broken shrink can make, raises
-    StructureViolation instead of spinning.
+    A vertex is outer when ``outer`` says so: the search marks root, every
+    merged vertex, the mate of each inner vertex, and each inner vertex a
+    blossom absorbs.  That is the older test, w is root or w's mate has a
+    parent, on every w it met: an inner w's mate is outer without a parent,
+    since a blossom walk through that mate would have absorbed w, and the
+    mate of an unlabelled w is unlabelled or absent.  ``base[v]`` is read
+    once per scanned v, and again after a general shrink, the only step
+    that moves it.
+
+    Most shrinks absorb one matched pair, in constant time.  Say v meets an
+    outer w, not root, that is its own base (``base[w] == w``) and heads no
+    blossom of its own (``members[w]`` unset), and the parent of w's mate x
+    lies in v's blossom (``base[parent[x]] == base[v]``).  Then w's tree
+    path is w, x, ``parent[x]`` and on up from v's blossom, so the two paths
+    meet at ``base[v]``, the stem, and the new blossom is v's plus {w, x}:
+    w points across to v, w and x take the stem as base and join its list,
+    and x, the one inner vertex on the paths, turns outer and is queued,
+    exactly as the general shrink would do it.  A w that heads a blossom
+    takes the general path, because its members hold w as their base: the
+    shortcut would leave them there, unrebased, so one blossom would read as
+    two, and every later edge between the halves would shrink them again.
+
+    Every other shrink goes through its base's list of members: the bases
+    on the two tree paths hand their members to the stem's list, and the
+    vertices that turn outer, the inner ones on the paths, are queued in
+    ascending order, as a scan of every position would queue them.  The
+    stem is found by walking the bases of the two paths; the walk up v's
+    stops at root, the one base of an outer blossom that is not matched to
+    an inner vertex.  No step scans all n positions, and a search that
+    shrinks no blossom allocates no member list.  The two stem walks pass
+    distinct bases, and a blossom or augmenting walk passes each vertex at
+    most once, so a walk that takes n steps, which only a broken shrink can
+    make, raises StructureViolation instead of spinning.
 
     The search returns as soon as every visible (not hidden) position is
     outer, and the marks it returns are final.  An augmenting path ends at
@@ -165,11 +191,7 @@ def _edmonds_search(
     outer[root] = True
     queue = [root]
     members: list[list[int] | None] | None = None  # by base, from the first shrink
-    for v in merged:
-        # labelled, so it is never entered, and outer to the test below,
-        # which reads the label of its mate: merged too, as root is for
-        # root's partner, whose entry alone still names root
-        parent[v] = v
+    for v in merged:  # outer, so never entered
         if not outer[v]:
             base[v] = root
             outer[v] = True
@@ -181,19 +203,49 @@ def _edmonds_search(
         return outer, queue
     for v in queue:  # the list grows as vertices turn outer: a FIFO
         mv = mate[v]  # changes only by an augmentation, which returns
+        bv = base[v]  # changes only by a general shrink, which reads it again
         for w in adj[v]:
-            if base[v] == base[w] or mv == w:
+            if bv == base[w] or mv == w:
                 continue
-            mw = mate[w]
-            if w == root or (mw != -1 and parent[mw] != -1):
+            if outer[w]:
+                x = mate[w]
+                if (
+                    base[w] == w
+                    and w != root
+                    and base[parent[x]] == bv
+                    and (members is None or members[w] is None)
+                ):
+                    # the one-pair blossom: v's, with w and its mate x
+                    parent[w] = v
+                    base[w] = base[x] = bv
+                    outer[x] = True
+                    if members is None:
+                        members = [None] * n
+                    into = members[bv]
+                    if into is None:
+                        members[bv] = [bv, w, x]
+                    else:
+                        into.append(w)
+                        into.append(x)
+                    queue.append(x)
+                    if len(queue) == visible:
+                        return outer, queue
+                    continue
                 # the stem: the first base on w's tree path that is on v's
-                a = base[v]
+                a = bv
                 path = {a}
-                while mate[a] != -1:
+                steps = n  # the two walks pass distinct bases, fewer than n
+                while a != root:
+                    steps -= 1
+                    if not steps:
+                        raise StructureViolation("a stem walk passed every vertex")
                     a = base[parent[mate[a]]]
                     path.add(a)
                 stem = base[w]
                 while stem not in path:
+                    steps -= 1
+                    if not steps:
+                        raise StructureViolation("a stem walk passed every vertex")
                     stem = base[parent[mate[stem]]]
                 # point the outer vertices of each path across the new
                 # blossom, and collect the bases the paths pass through
@@ -225,12 +277,15 @@ def _edmonds_search(
                             outer[i] = True
                             fresh.append(i)
                     into.extend(group)
-                fresh.sort()  # the order a scan of every position gives
+                if len(fresh) > 1:
+                    fresh.sort()  # the order a scan of every position gives
                 queue.extend(fresh)
                 if len(queue) == visible:
                     return outer, queue
+                bv = base[v]
             elif parent[w] == -1:
                 parent[w] = v
+                mw = mate[w]
                 if mw == -1:
                     steps = n  # each step flips a matched pair of the path
                     while w != -1:

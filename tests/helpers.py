@@ -70,6 +70,20 @@ def counted_rows(graph: Graph, tally: list[int]) -> Graph:
     return copy
 
 
+class CountedList(list):
+    """A list that adds each item read to its ``tally``: as a search's
+    ``mate``, it counts the search's reads of the matching, which grow with
+    every stem and blossom walk."""
+
+    def __init__(self, items, tally: list[int]) -> None:
+        super().__init__(items)
+        self.tally = tally
+
+    def __getitem__(self, i):
+        self.tally[0] += 1
+        return list.__getitem__(self, i)
+
+
 def labelled_graphs(order: int) -> Iterator[Graph]:
     """Every graph on the vertices 0..order-1, one per subset of the
     possible edges: 2^(order choose 2) of them, the edgeless one first."""

@@ -36,6 +36,7 @@ from helpers import (
     K4,
     P4,
     T,
+    CountedList,
     chain_graph,
     counted_rows,
     factorizable_graphs,
@@ -213,12 +214,51 @@ def test_every_root_of_nested_blossoms_marks_what_the_subset_table_says(g):
     assert searched >= g.order
 
 
+# a graph in one of whose rows, D(G-3), an outer w that heads its own
+# blossom (w is its base, and its members are more than w) meets a vertex
+# of the blossom its mate's parent lies in
+HEADED_BLOSSOM = Graph(
+    range(16),
+    [
+        (0, 1), (0, 4), (0, 6), (0, 10), (0, 13), (0, 14), (1, 2), (1, 5), (1, 7), (1, 8),
+        (1, 14), (2, 3), (2, 4), (2, 8), (2, 9), (2, 14), (3, 5), (3, 10), (4, 5), (4, 10),
+        (4, 13), (5, 6), (5, 8), (5, 9), (5, 13), (5, 14), (6, 7), (6, 12), (6, 13), (7, 12),
+        (8, 9), (10, 11), (10, 12), (10, 14), (11, 13), (12, 13), (12, 14), (13, 14), (14, 15),
+    ],
+)  # fmt: skip
+
+
+def test_a_vertex_that_heads_its_own_blossom_shrinks_with_its_members():
+    # the one-pair shrink rebases w and its mate alone, so taken at a w that
+    # heads its own blossom it would leave w's members on a base that is no
+    # longer one: every search here still marks D(G-u), but later shrinks
+    # walk those members again, and the rows read the mate 629 times, 104
+    # of them in row 3 (43 here).  A general shrink that left v on its old
+    # base would read it 578 times
+    structure = GraphStructure(HEADED_BLOSSOM)
+    table = subset_table(HEADED_BLOSSOM)
+    adj, mate = HEADED_BLOSSOM.index_adjacency, structure.mate
+    reads = [0]
+    for i, u in enumerate(HEADED_BLOSSOM.vertices):
+        expected = [v != u and table.without(u, v) for v in HEADED_BLOSSOM.vertices]
+        assert structure.row(i) == expected, u
+        near = mate[:]
+        near[i] = near[mate[i]] = -1
+        found = _edmonds_search(adj, CountedList(near, reads), mate[i], (i,))
+        assert found is not None and found[0] == expected, u
+    assert reads[0] == 549
+
+
 def test_the_pass_hands_on_the_positions_each_failed_search_marked():
     # on the star each failed search marks its leaf and vertex 1 (vertex 0
-    # is inner), so the merge of D reads two positions per failure, not n
-    star = Graph(range(402), [(0, v) for v in range(1, 401)] + [(400, 401)])
-    _, failures = _blossom_pass(star.index_adjacency)
-    assert list(failures) == [(v, [v, 1]) for v in range(2, 400)]
+    # is inner), so the merge of D reads two positions per failure, not n;
+    # and each search scans those two rows and stops, whatever the order of
+    # the star: 7,996 row reads for the 3,998 failures on 4002 vertices
+    reads = [0]
+    star = Graph(range(4002), [(0, v) for v in range(1, 4001)] + [(4000, 4001)])
+    _, failures = _blossom_pass(counted_rows(star, reads).index_adjacency)
+    assert list(failures) == [(v, [v, 1]) for v in range(2, 4000)]
+    assert reads[0] == 7996
 
 
 def test_maximum_matching_deterministic():
