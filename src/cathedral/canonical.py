@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     ClassAssignmentViolation,
@@ -29,7 +29,7 @@ from .errors import (
     EquivalenceViolation,
     PartialOrderViolation,
 )
-from .gallai_edmonds import GEPartition, _checked_partition
+from .gallai_edmonds import GEPartition, _checked_marks, _partition_of
 from .graph import Edge, Graph, _walk_parts, connected_components, neighbors
 # is_factorizable is unused here, but bench/selftest.py pins this binding (ROADMAP item 1)
 from .matching import is_factorizable  # noqa: F401
@@ -272,15 +272,21 @@ class GraphStructure:
         return True
 
     @cached_property
-    def deletion_partitions(self) -> dict[int, GEPartition]:
-        """The partition of G-x for every vertex x, in ascending order of x: D
-        is D(G-x), the row of x, A its neighbors other than x, C the rest of
-        G-x.  A perfect matching of G leaves one vertex of G-x exposed."""
+    def deletion_marks(self) -> list[tuple[Sequence[bool], Sequence[bool], Sequence[bool]]]:
+        """The partition of G-x for the vertex x at each position, as the
+        marks by position of D, A and C: D is D(G-x), the row of x, A its
+        neighbors other than x, C the rest of G-x.  A perfect matching of G
+        leaves one vertex of G-x exposed, and each row is checked against
+        that count once, here."""
         graph = self.graph
-        return {
-            x: _checked_partition(graph, self.row(i), 1, (i,))
-            for i, x in enumerate(graph.vertices)
-        }
+        return [_checked_marks(graph, self.row(i), 1, (i,)) for i in range(graph.order)]
+
+    @cached_property
+    def deletion_partitions(self) -> dict[int, GEPartition]:
+        """``deletion_marks`` as vertex-id sets, keyed by x in ascending
+        order."""
+        vs = self.graph.vertices
+        return {x: _partition_of(vs, marks) for x, marks in zip(vs, self.deletion_marks)}
 
 
 def allowed_edges(graph: Graph) -> frozenset[Edge]:

@@ -16,6 +16,7 @@ search (``matching._rooted_marks``) per run of pairs uv with one u.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Collection
 
 from .canonical import GraphStructure
@@ -337,4 +338,5 @@ def _foundation_via_ge(structure: GraphStructure) -> frozenset[int]:
         return frozenset()
     if structure.minimum is None:
         raise NoMinimumComponent("the component order has no minimum element")
-    return graph.vertex_set.difference(*(ge.c for ge in structure.deletion_partitions.values()))
+    vs = graph.vertices
+    return graph.vertex_set.difference(*(compress(vs, c) for _, _, c in structure.deletion_marks))

@@ -10,11 +10,14 @@ is empty, so the identity reads exposed = c(G - hidden), and that count comes
 from G's one low-point pass instead, which counts c(G - x) for every x at
 once.  The partition of the subgraph induced by ``kept`` runs on G's index
 with the other positions hidden, so no G-x is built.  The partition of every
-G-x of a factorizable G is ``GraphStructure.deletion_partitions``, which
-checks each of its rows D(G-x) here; in an elementary graph whose
-classes are singletons every row is V - x, so no row is walked.  The path
-characterizations of the same partition live in the verifier as conformance
-checks, not here.
+G-x of a factorizable G is ``GraphStructure.deletion_partitions``: the
+structure checks each of its rows D(G-x) here once, and keeps the checked
+D, A and C as marks by position, ``deletion_marks``, which the analysis
+output writes straight through ``itertools.compress`` on the ascending
+vertex ids, with no set built and nothing sorted.  In an elementary graph
+whose classes are singletons every row is V - x, so no row is walked, and
+its A and C are one shared empty sequence.  The path characterizations of
+the same partition live in the verifier as conformance checks, not here.
 """
 
 from __future__ import annotations
@@ -43,25 +46,30 @@ class GEPartition:
         return self.d, self.a, self.c
 
 
-def _checked_partition(
+# the A and C marks of a partition whose D is every visible position: as
+# marks by position, an empty sequence marks nothing
+_NONE: tuple[bool, ...] = ()
+
+
+def _checked_marks(
     graph: Graph, d: Sequence[bool], exposed: int, hidden: Collection[int]
-) -> GEPartition:
-    """D, given by its marks by position, its neighbors and the rest, in the
-    graph less the ``hidden`` positions, where a maximum matching exposes
-    ``exposed`` vertices: one per component of G[D], less |A|.  The count of
-    those components and A come from one walk of G's index, so checking a
-    partition builds no graph.  When D is every visible position and at most
-    one is hidden, A = N(D) - D - hidden and C are empty, so the identity
-    reads exposed = c(G - hidden), taken from the graph's cached
-    ``parts_less_each`` without a walk."""
-    vs = graph.vertices
-    visible = len(vs) - len(hidden)
+) -> tuple[Sequence[bool], Sequence[bool], Sequence[bool]]:
+    """D, given by its marks by position, its neighbors and the rest, each as
+    marks by position, in the graph less the ``hidden`` positions, where a
+    maximum matching exposes ``exposed`` vertices: one per component of
+    G[D], less |A|.  The count of those components and A come from one walk
+    of G's index, so checking a partition builds no graph.  When D is every
+    visible position and at most one is hidden, A = N(D) - D - hidden and C
+    are empty, so the identity reads exposed = c(G - hidden), taken from the
+    graph's cached ``parts_less_each`` without a walk, and A and C are both
+    the one empty sequence ``_NONE``."""
+    visible = len(graph.vertices) - len(hidden)
     if len(hidden) <= 1 and d.count(True) == visible and not any(d[h] for h in hidden):
         whole, less = graph.parts_less_each
         parts = less[next(iter(hidden))] if hidden else whole
         if exposed != parts:
             raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = 0")
-        return GEPartition(frozenset(compress(vs, d)), frozenset(), frozenset())
+        return d, _NONE, _NONE
     _, parts, in_a = _walk_parts(graph.index_adjacency, d)
     for h in hidden:
         in_a[h] = False
@@ -71,9 +79,12 @@ def _checked_partition(
     rest = [not (x or y) for x, y in zip(d, in_a)]
     for h in hidden:
         rest[h] = False
-    return GEPartition(
-        frozenset(compress(vs, d)), frozenset(compress(vs, in_a)), frozenset(compress(vs, rest))
-    )
+    return d, in_a, rest
+
+
+def _partition_of(vertices: Sequence[int], marks: Iterable[Sequence[bool]]) -> GEPartition:
+    """The partition whose D, A and C the three ``marks`` give by position."""
+    return GEPartition(*(frozenset(compress(vertices, m)) for m in marks))
 
 
 def gallai_edmonds(graph: Graph, *, kept: Iterable[int] | None = None) -> GEPartition:
@@ -86,5 +97,6 @@ def gallai_edmonds(graph: Graph, *, kept: Iterable[int] | None = None) -> GEPart
     for _, marked in failures:
         for i in marked:
             d[i] = True
-    return _checked_partition(graph, d, mate.count(-1) - len(hidden), hidden)
+    marks = _checked_marks(graph, d, mate.count(-1) - len(hidden), hidden)
+    return _partition_of(graph.vertices, marks)
 

@@ -125,7 +125,8 @@ def _edmonds_search(
     """Search from the exposed ``root``, shrinking blossoms, with the
     ``hidden`` vertices deleted and the ``merged`` ones (root among them)
     shrunk in advance into root's blossom.  ``mate`` leaves root and every
-    hidden vertex exposed.  Flip an augmenting path into ``mate`` and return
+    hidden vertex exposed, and matches each merged vertex but root to a
+    merged vertex.  Flip an augmenting path into ``mate`` and return
     None, or return the outer marks by position (the vertices even
     alternating paths reach, every merged one included and no hidden one)
     with the search's queue: the marked positions, each once, in the order
@@ -139,6 +140,17 @@ def _edmonds_search(
     mate of an unlabelled w is unlabelled or absent.  ``base[v]`` is read
     once per scanned v, and again after a general shrink, the only step
     that moves it.
+
+    No test singles out v's own mate: the tests of each w skip it anyway.
+    Root's mate is -1, and a merged vertex's mate is merged as well, so on
+    root's base.  Any other outer v entered as the mate of an inner vertex,
+    or is an inner vertex a blossom absorbed.  In the first case its mate
+    is labelled and, until a blossom absorbs it, not outer, so neither
+    branch takes it; a blossom absorbs it only with v, since each walk
+    hands on the base of an outer vertex of its path with its inner mate's,
+    and the one-pair shrink rebases w with its mate.  In the second case
+    its mate is the outer vertex it is matched to on the walk's path, which
+    the same shrink absorbs.  Either way v and its mate end on one base.
 
     Most shrinks absorb one matched pair, in constant time.  Say v meets an
     outer w, not root, that is its own base (``base[w] == w``) and heads no
@@ -202,10 +214,9 @@ def _edmonds_search(
     if len(queue) == visible:
         return outer, queue
     for v in queue:  # the list grows as vertices turn outer: a FIFO
-        mv = mate[v]  # changes only by an augmentation, which returns
         bv = base[v]  # changes only by a general shrink, which reads it again
         for w in adj[v]:
-            if bv == base[w] or mv == w:
+            if bv == base[w]:
                 continue
             if outer[w]:
                 x = mate[w]

@@ -10,7 +10,7 @@ for).
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 from typing import Any, Callable
 
 from .canonical import ComponentPoset, GraphStructure, _require_within_limit, minimum_component
@@ -43,6 +43,7 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
     type(None): lambda value: "null",
 }
 _LISTS = frozenset({list, tuple})
+_INT = frozenset({int})
 
 
 def _key(key: Any) -> str:
@@ -62,13 +63,15 @@ def _key(key: Any) -> str:
 
 
 def _leaf(value: Any, newline: str) -> str | None:
-    """A scalar, or a non-empty list of scalars of one type, as json writes
-    it where ``newline`` (a line break and the indentation) closes it; None
-    for any other value."""
+    """A scalar, or a list or tuple that is empty or holds scalars of one
+    type, as json writes it where ``newline`` (a line break and the
+    indentation) closes it; None for any other value."""
     write = _SCALARS.get(type(value))
     if write is not None:
         return write(value)
-    if type(value) in _LISTS and value:
+    if type(value) in _LISTS:
+        if not value:
+            return "[]"
         kinds = set(map(type, value))
         if len(kinds) == 1:
             write = _SCALARS.get(kinds.pop())
@@ -99,11 +102,18 @@ def _compound(value: Any, newline: str) -> str:
             return "[]"
         kinds = set(map(type, value))
         if kinds <= _LISTS and all(value):
-            # lists of scalars of one type, such as the edge lists
-            kinds = set(map(type, chain.from_iterable(value)))
+            flat = tuple(chain.from_iterable(value))
+            kinds = set(map(type, flat))
+            below = inner + "  "
+            width = len(value[0])
+            if kinds == _INT and all([len(item) == width for item in value]):
+                # rows of exact ints of one length, such as the edge lists:
+                # one template, as "%d" % v is int.__repr__(v) for those
+                row = "[" + below + ("," + below).join(["%d"] * width) + inner + "]"
+                return ("[" + inner + ("," + inner).join([row] * len(value)) + newline + "]") % flat
+            # lists of scalars of one type
             write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
             if write is not None:
-                below = inner + "  "
                 for item in value:
                     append("[" + below + ("," + below).join(map(write, item)) + inner + "]")
                 return "[" + inner + ("," + inner).join(parts) + newline + "]"
@@ -246,14 +256,16 @@ def analysis_dict(
         "saturated": structure.saturated,
     }
     if include_deleted_partitions:
+        # marks by position over the ascending ids, so each list is sorted
+        vs = graph.vertices
         out["deleted_partitions"] = [
             {
                 "vertex": x,
-                "d": sorted(ge.d),
-                "a": sorted(ge.a),
-                "c": sorted(ge.c),
+                "d": list(compress(vs, d)),
+                "a": list(compress(vs, a)),
+                "c": list(compress(vs, c)),
             }
-            for x, ge in structure.deletion_partitions.items()
+            for x, (d, a, c) in zip(vs, structure.deletion_marks)
         ]
     return out
 

@@ -48,8 +48,9 @@ SUBSET = (
     "tests/test_construction.py",
     "tests/test_canonical.py",
     "tests/test_acceptance.py",
+    "tests/test_serialize.py",
 )
-LIMIT_S = 300.0  # the subset passes in about 30 s
+LIMIT_S = 300.0  # the subset passes in about 50 s
 HANG_MARK = "Timeout ("  # how faulthandler's dump, armed by conftest.py, begins
 
 
@@ -65,6 +66,8 @@ class Mutant:
 
 MATCHING = "src/cathedral/matching.py"
 CANONICAL = "src/cathedral/canonical.py"
+GALLAI_EDMONDS = "src/cathedral/gallai_edmonds.py"
+SERIALIZE = "src/cathedral/serialize.py"
 
 CATALOGUE = (
     Mutant(
@@ -155,6 +158,37 @@ CATALOGUE = (
         "            if n - 1 - i > len(ws) - bisect_right(ws, i):\n",
         "            if True:\n",
         "``saturated`` runs the row of a vertex joined to every later one",
+    ),
+    Mutant(
+        "fast-check-skips-parts-comparison",
+        GALLAI_EDMONDS,
+        "        if exposed != parts:\n"
+        '            raise DeficiencyViolation(f"{exposed} exposed vertices, {parts} parts of D, |A| = 0")\n',
+        "",
+        "a D that is every visible position passes the deficiency check "
+        "whatever the count of parts of G less the hidden ones",
+    ),
+    Mutant(
+        "deletion-lists-reversed",
+        SERIALIZE,
+        '                "d": list(compress(vs, d)),\n',
+        '                "d": list(reversed(list(compress(vs, d)))),\n',
+        "the analysis writes each D(G-x) in descending order",
+    ),
+    Mutant(
+        "template-without-equal-lengths",
+        SERIALIZE,
+        "            if kinds == _INT and all([len(item) == width for item in value]):\n",
+        "            if kinds == _INT:\n",
+        "the one-template writer takes rows of exact ints of unequal lengths, "
+        "each written as wide as the first",
+    ),
+    Mutant(
+        "empty-leaf-written-as-object",
+        SERIALIZE,
+        '            return "[]"\n        kinds = set(map(type, value))\n        if len(kinds) == 1:\n',
+        '            return "{}"\n        kinds = set(map(type, value))\n        if len(kinds) == 1:\n',
+        "an empty list or tuple is written as json writes an empty object",
     ),
 )
 

@@ -171,7 +171,11 @@ class SubsetTable:
         self._memo = {0: True}
 
     def mask(self, vertices: Iterable[int]) -> int:
-        return sum(self.bit[v] for v in vertices)
+        """The bits of ``vertices``, a repeated vertex counted once."""
+        out = 0
+        for v in vertices:
+            out |= self.bit[v]
+        return out
 
     def matchable(self, remaining: int) -> bool:
         known = self._memo.get(remaining)

@@ -5,8 +5,10 @@ definition, read off the graph's subset table, on the seeded corpora, on
 induced and contracted subgraphs whose vertex ids are not 0..n-1, and on
 graphs of 18 to 22 vertices: allowed edges, the canonical partition and the
 pairwise same-class test, saturation, and the partition of every
-single-vertex deletion.  The table itself is checked against combination
-filtering on every vertex subset, and the oracles that read it must answer
+single-vertex deletion, as the structure checks it and as ``analyze --ge``
+writes it.  The table itself is checked against combination
+filtering on every vertex subset, deletes a repeated vertex once, and the
+oracles that read it must answer
 with the package's searches disabled.  The alternating walker
 must spend exactly the expansions the per-query loops spent, so every query
 aborts at the same budget threshold, and a search confined to a vertex set
@@ -19,6 +21,7 @@ in the same order.
 
 import importlib
 import random
+import re
 from collections import Counter
 from itertools import combinations, compress
 
@@ -37,10 +40,11 @@ from cathedral.canonical import (
     factor_components,
     same_class,
 )
+from cathedral.cli import main
 from cathedral.construction import is_saturated, saturate
 from cathedral.errors import DeficiencyViolation, SearchBudgetExceeded, StructureViolation
 from cathedral.gallai_edmonds import gallai_edmonds
-from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph
+from cathedral.graph import Graph, contract, delete_vertices, induced_subgraph, render_edge_list
 from cathedral.matching import (
     Matching,
     PathKind,
@@ -56,6 +60,7 @@ from cathedral.matching import (
     maximum_matching,
     restrict_matching,
 )
+from cathedral.serialize import analysis_dict
 from cathedral.verify import TrialConfig, random_factorizable_graph
 
 from helpers import (
@@ -171,6 +176,17 @@ def test_the_subset_table_matches_combination_filtering(g):
         for kept in combinations(g.vertices, size):
             expected = bool(brute_perfect_matchings(induced_subgraph(g, kept)))
             assert table.matchable(table.mask(kept)) == expected, (sorted(g.edges), kept)
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_the_subset_table_deletes_a_repeated_vertex_once(g):
+    # G-u-u is G-u: a mask summed over the removed vertices would take u's
+    # bit twice, which is the next vertex's bit
+    table = SubsetTable(g)
+    for u in g.vertices:
+        assert table.mask([u, u]) == table.mask([u])
+        assert table.without(u, u) == table.without(u), (sorted(g.edges), u)
 
 
 def test_the_oracles_run_none_of_the_package_searches(monkeypatch):
@@ -434,33 +450,76 @@ def test_deficiency_check_rejects_a_wrong_exposable_set(monkeypatch):
         gallai_edmonds(C5)
 
 
-def test_deficiency_check_rejects_a_wrong_deletion_set(monkeypatch):
+def _refused_on_every_path(graph, match, tmp_path, capsys):
+    """A wrong row is refused by the deletion partitions, by the analysis
+    that writes them, and by ``analyze --ge`` with exit 4."""
+    with pytest.raises(DeficiencyViolation, match=match):
+        GraphStructure(graph).deletion_partitions
+    with pytest.raises(DeficiencyViolation, match=match):
+        analysis_dict(graph, include_deleted_partitions=True)
+    edges = tmp_path / "graph.edges"
+    edges.write_text(render_edge_list(graph))
+    assert main(["analyze", str(edges), "--ge", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.search(match, captured.err), captured.err
+
+
+def test_deficiency_check_rejects_a_wrong_deletion_set(monkeypatch, tmp_path, capsys):
     # every row empty: D is empty, so no G-x has its one exposed vertex
     empty = lambda self, i: [False] * len(self.mate)
     monkeypatch.setattr(GraphStructure, "row", empty)
-    with pytest.raises(DeficiencyViolation, match="exposed vertices"):
-        GraphStructure(P4).deletion_partitions
+    _refused_on_every_path(P4, "exposed vertices", tmp_path, capsys)
 
 
-def test_deficiency_check_rejects_a_deletion_set_with_a_part_too_many(monkeypatch):
+def test_deficiency_check_rejects_a_deletion_set_with_a_part_too_many(
+    monkeypatch, tmp_path, capsys
+):
     # two disjoint edges: D(G-0) is {1}, one part; every vertex but 0 adds
     # the part {2, 3}, which has no neighbour outside D to pay for it
     g = Graph(range(4), [(0, 1), (2, 3)])
     assert GraphStructure(g).deletion_partitions[0].d == frozenset({1})
     every_other = lambda self, i: [j != i for j in range(len(self.mate))]
     monkeypatch.setattr(GraphStructure, "row", every_other)
-    with pytest.raises(DeficiencyViolation, match=r"1 exposed vertices, 2 parts of D, \|A\| = 0"):
-        GraphStructure(g).deletion_partitions
+    _refused_on_every_path(g, r"1 exposed vertices, 2 parts of D, \|A\| = 0", tmp_path, capsys)
 
 
-def test_deficiency_check_rejects_a_deletion_set_that_holds_its_deleted_vertex(monkeypatch):
-    # every row of K_4 marks x and every vertex but the next: as many marks
-    # as G-x has vertices, but D is not G-x, so the check walks D and finds
-    # the next vertex in A
-    marks_x = lambda self, i: [j != (i + 1) % len(self.mate) for j in range(len(self.mate))]
+def test_deficiency_check_rejects_a_deletion_set_that_holds_its_deleted_vertex(
+    monkeypatch, tmp_path, capsys
+):
+    # the row of K_4's last vertex marks itself and every vertex but 0: as
+    # many marks as G-3 has vertices, but D is not G-3, so the check walks D
+    # and finds 0 in A.  Only the check reads a row at or before its own
+    # vertex, so the analysis computes everything else right and reaches it
+    right = GraphStructure.row
+    marks_x = lambda self, i: right(self, i) if i < 3 else [False, True, True, True]
     monkeypatch.setattr(GraphStructure, "row", marks_x)
-    with pytest.raises(DeficiencyViolation, match=r"1 exposed vertices, 1 parts of D, \|A\| = 1"):
-        GraphStructure(K4).deletion_partitions
+    match = r"1 exposed vertices, 1 parts of D, \|A\| = 1"
+    _refused_on_every_path(K4, match, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("source", ["sparse", "mid"])
+def test_the_analysis_writes_the_checked_deletion_partitions(source):
+    # each entry of ``deleted_partitions`` is the structure's checked
+    # partition of G-x and its definition, read off the subset table, as
+    # ascending lists.  The check's two branches are both reached: the walk
+    # on every row of the sparse graphs, and on the mid-size ones also the
+    # count alone, where D(G-x) is all of G-x
+    graphs = sparse_many_component_graphs(40) if source == "sparse" else mid_size_graphs(60)
+    whole = 0
+    for i, g in enumerate(graphs):
+        written = analysis_dict(g, include_deleted_partitions=True)["deleted_partitions"]
+        partitions = GraphStructure(g).deletion_partitions
+        assert [entry["vertex"] for entry in written] == list(partitions) == list(g.vertices)
+        for entry in written:
+            x = entry["vertex"]
+            parts = (entry["d"], entry["a"], entry["c"])
+            assert parts == tuple(sorted(part) for part in partitions[x].parts()), (i, x)
+            assert parts == tuple(sorted(part) for part in deleted_partition(g, x)), (i, x)
+            whole += len(entry["d"]) == g.order - 1
+    if source == "mid":
+        assert 0 < whole < sum(g.order for g in graphs)
+    else:
+        assert whole == 0
 
 
 def _assert_threshold(query, answer, spent):

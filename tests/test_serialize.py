@@ -30,14 +30,33 @@ _FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.
 _INTS = st.integers() | st.integers(-(10**60), 10**60)
 _SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _STRINGS
 _KEYS = _STRINGS | _INTS | _FLOATS | st.booleans() | st.none()
-# the shapes the writer joins in one call: lists of one scalar type, and
-# lists of such lists; mixed ones must not take that path
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _rows(k: int, elements=_INTS):
+    """Lists and tuples of k elements each, mixed in one list."""
+    row = st.lists(elements, min_size=k, max_size=k)
+    return st.lists(row | row.map(tuple), min_size=1)
+
+
+# the shapes the writer joins in one call: lists of one scalar type, lists
+# of such lists, and rows of exact ints of one length, written with one
+# template; mixed ones and the near-misses of a template must not take
+# those paths
 _FLAT = (
     st.lists(_INTS)
     | st.lists(st.booleans())
     | st.lists(_INTS | st.booleans())
     | st.lists(st.lists(_INTS, max_size=3))
     | st.lists(st.lists(st.booleans() | _INTS, max_size=3).map(tuple))
+    | st.integers(1, 3).flatmap(_rows)
+    | st.lists(st.lists(_INTS, min_size=1, max_size=3) | st.tuples(_INTS, _INTS), min_size=2)
+    | st.integers(1, 3).flatmap(lambda k: _rows(k, _INTS | st.booleans() | st.just(_Level.LOW)))
+    | st.lists(st.tuples(_INTS, _INTS) | st.just([]), min_size=1)
+    | st.lists(st.just([]) | st.just(()), min_size=1)
 )
 
 
@@ -56,10 +75,6 @@ JSON_VALUES = st.recursive(_SCALARS | _FLAT, _containers, max_leaves=40)
 @settings(max_examples=600, deadline=None)
 def test_to_json_is_json_dumps_with_indent_2(value):
     assert to_json(value) == _dumps(value)
-
-
-class _Level(enum.IntEnum):
-    LOW = 1
 
 
 class _Name(str):
@@ -98,6 +113,23 @@ _Pair = namedtuple("_Pair", "u v")
         -0.0,
         "plain",
         None,
+        # the one-template rows, and their near-misses
+        [[1, 2], [3, 4]],
+        [(0, 1), [2, 3], (4, 5)],
+        [[10**60, -(10**60)], (-1, 0)],
+        [[7]],
+        [[1, 2, 3], (4, 5, 6)],
+        [[1, 2], [3]],
+        [[1], [2, 3]],
+        [[1, 2], [3], [4, 5, 6]],
+        [[1, 2], [True, 3]],
+        [[1, True]],
+        [[_Level.LOW, 2], [3, 4]],
+        [[], [1, 2]],
+        [[]],
+        [[], []],
+        [(), [], ()],
+        {"a": [], "c": ()},
     ],
 )
 def test_to_json_agrees_on_edge_cases(value):
