@@ -12,7 +12,7 @@ if src not in sys.path:
 
 # a test, or the collection of the test modules, still running after this
 # many seconds is taken to spin: every thread's stack is printed and the run
-# ends.  The slowest test takes about 9 s, and collection about 1.5 s
+# ends.  The slowest test takes about 7 s, and collection about 1.8 s
 HANG_LIMIT_S = 120
 
 _STDERR = pytest.StashKey[int]()
@@ -30,7 +30,8 @@ def pytest_unconfigure(config):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_collection(session):
-    # some test modules run the package's searches at import
+    # the test modules build their corpora on first use, so collection runs
+    # no search; the guard still ends an import that spins
     faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=session.config.stash[_STDERR])
     yield
     faulthandler.cancel_dump_traceback_later()

@@ -19,7 +19,6 @@ failure falsifies a guarantee rather than signaling bad input.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -30,18 +29,22 @@ from .errors import (
     PartialOrderViolation,
 )
 from .gallai_edmonds import GEPartition, _checked_marks, _partition_of
-from .graph import Edge, Graph, _walk_parts, connected_components, neighbors
+from .graph import Edge, Graph, Value, _walk_parts, connected_components, neighbors
 # is_factorizable is unused here, but bench/selftest.py pins this binding (ROADMAP item 1)
 from .matching import is_factorizable  # noqa: F401
 from .matching import _contracted_outer, _perfect_mate, _rooted_marks
 
 
-@dataclass(frozen=True)
-class FactorComponents:
+class FactorComponents(Value):
     """Connected components of the allowed-edge subgraph, covering V(G)."""
 
+    _fields = ("components", "allowed")
     components: tuple[frozenset[int], ...]
     allowed: frozenset[Edge]
+
+    def __init__(self, components: tuple[frozenset[int], ...], allowed: frozenset[Edge]) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "allowed", allowed)
 
     @cached_property
     def component_of(self) -> dict[int, int]:
@@ -51,11 +54,14 @@ class FactorComponents:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class CanonicalPartition:
+class CanonicalPartition(Value):
     """Equivalence classes of the same-class relation, ordered by minimum id."""
 
+    _fields = ("classes",)
     classes: tuple[frozenset[int], ...]
+
+    def __init__(self, classes: tuple[frozenset[int], ...]) -> None:
+        object.__setattr__(self, "classes", classes)
 
     @cached_property
     def class_of(self) -> dict[int, int]:
@@ -68,36 +74,51 @@ class CanonicalPartition:
         return {cls for cls in self.classes if cls <= vertex_set}
 
 
-@dataclass(frozen=True)
-class ComponentPoset:
+class ComponentPoset(Value):
     """The full below-or-equal matrix over factor-components plus its
     transitive reduction (cover relation)."""
 
+    _fields = ("components", "leq", "hasse")
     components: FactorComponents
     leq: tuple[tuple[bool, ...], ...]
     hasse: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self,
+        components: FactorComponents,
+        leq: tuple[tuple[bool, ...], ...],
+        hasse: tuple[tuple[int, int], ...],
+    ) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "leq", leq)
+        object.__setattr__(self, "hasse", hasse)
 
     def __len__(self) -> int:
         return len(self.components)
 
 
-@dataclass(frozen=True, eq=False)
-class GraphStructure:
+class GraphStructure(Value):
     """The canonical structures of one factorizable graph, each computed on
     first use and kept.  Building one runs the blossom pass of
     ``_perfect_mate``, the precondition check: it refuses a graph without a
     perfect matching at its first failed search, and otherwise keeps the
     perfect matching ``mate``.  Every structure reads the rows D(G-u), that
     matching and the graph's index adjacency, all by position, and builds
-    vertex-id sets only for the objects it returns."""
+    vertex-id sets only for the objects it returns.  Structures compare by
+    identity."""
 
+    _fields = ("graph",)
     graph: Graph
-    mate: list[int] = field(init=False, repr=False)
-    rows: list[list[bool] | None] = field(init=False, repr=False)
+    mate: list[int]
+    rows: list[list[bool] | None]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mate", _perfect_mate(self.graph.index_adjacency))
-        object.__setattr__(self, "rows", [None] * len(self.mate))
+    def __init__(self, graph: Graph) -> None:
+        mate = _perfect_mate(graph.index_adjacency)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "mate", mate)
+        object.__setattr__(self, "rows", [None] * len(mate))
 
     def row(self, i: int) -> list[bool]:
         """D(G-u) for the vertex u at position i, as outer marks by position:
@@ -359,22 +380,40 @@ def minimum_component(poset: ComponentPoset) -> int | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class UpSets:
+class UpSets(Value):
     """Strict upper bounds of one component, split by the class each upper
     component attaches to.
 
     ``per_class`` maps a partition-class index (class inside the base
     component) to the strictly-upper component indices assigned to it; the
     assignment is by connected pieces of the strictly-upper induced subgraph,
-    each of which touches exactly one class of the base.
+    each of which touches exactly one class of the base.  Up-sets compare by
+    identity.
     """
 
+    # per_class is left out of the repr
+    _fields = ("base", "component_sets", "partition", "up_star")
     base: int
     component_sets: tuple[frozenset[int], ...]
     partition: CanonicalPartition
     up_star: frozenset[int]
-    per_class: dict[int, frozenset[int]] = field(repr=False)
+    per_class: dict[int, frozenset[int]]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        base: int,
+        component_sets: tuple[frozenset[int], ...],
+        partition: CanonicalPartition,
+        up_star: frozenset[int],
+        per_class: dict[int, frozenset[int]],
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "component_sets", component_sets)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "up_star", up_star)
+        object.__setattr__(self, "per_class", per_class)
 
     def strict_upper_components(self) -> frozenset[int]:
         return self.up_star - {self.base}

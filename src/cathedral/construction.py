@@ -15,7 +15,6 @@ search (``matching._rooted_marks``) per run of pairs uv with one u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Collection
 
@@ -39,6 +38,7 @@ from .errors import (
 from .graph import (
     Edge,
     Graph,
+    Value,
     add_edges,
     complement_pairs,
     connected_components,
@@ -86,8 +86,7 @@ def saturate(graph: Graph, *, descending: bool = False) -> tuple[Graph, tuple[Ed
     return add_edges(graph, added), tuple(added)
 
 
-@dataclass(frozen=True)
-class CathedralTree:
+class CathedralTree(Value):
     """Recursive foundation/towers decomposition of a saturated graph.
 
     The foundation is elementary and saturated on its own; classes list its
@@ -96,21 +95,36 @@ class CathedralTree:
     and foundation never share ids, which makes round trips exact.
     """
 
+    _fields = ("foundation_vertices", "foundation_edges", "classes")
     foundation_vertices: frozenset[int]
     foundation_edges: frozenset[Edge]
-    classes: tuple[tuple[frozenset[int], "CathedralTree | None"], ...]
+    classes: tuple[tuple[frozenset[int], CathedralTree | None], ...]
+
+    def __init__(
+        self,
+        foundation_vertices: frozenset[int],
+        foundation_edges: frozenset[Edge],
+        classes: tuple[tuple[frozenset[int], CathedralTree | None], ...],
+    ) -> None:
+        object.__setattr__(self, "foundation_vertices", foundation_vertices)
+        object.__setattr__(self, "foundation_edges", foundation_edges)
+        object.__setattr__(self, "classes", classes)
 
     def foundation_graph(self) -> Graph:
         return Graph(self.foundation_vertices, self.foundation_edges)
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(Value):
     """One level of the joining construction: a foundation graph plus one
     (possibly empty) tower graph per canonical class of the foundation."""
 
+    _fields = ("foundation", "towers")
     foundation: Graph
     towers: dict[frozenset[int], Graph]
+
+    def __init__(self, foundation: Graph, towers: dict[frozenset[int], Graph]) -> None:
+        object.__setattr__(self, "foundation", foundation)
+        object.__setattr__(self, "towers", towers)
 
 
 def decompose(graph: Graph) -> CathedralTree:

@@ -22,25 +22,29 @@ the same partition live in the verifier as conformance checks, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Collection, Iterable, Sequence
 
 from .errors import DeficiencyViolation
-from .graph import Graph, _walk_parts
+from .graph import Graph, Value, _walk_parts
 # matching_number is unused here, but bench/selftest.py pins this binding
 # until the benchmark reads counters inside the library (ROADMAP item 1)
 from .matching import _blossom_pass, _confined, matching_number  # noqa: F401
 
 
-@dataclass(frozen=True)
-class GEPartition:
+class GEPartition(Value):
     """The (D, A, C) partition: exposable vertices, their outside neighbors,
     and everything else."""
 
+    _fields = ("d", "a", "c")
     d: frozenset[int]
     a: frozenset[int]
     c: frozenset[int]
+
+    def __init__(self, d: frozenset[int], a: frozenset[int], c: frozenset[int]) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
 
     def parts(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return self.d, self.a, self.c

@@ -15,7 +15,6 @@ the graph less each single position on one low-point depth-first pass,
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -41,10 +40,45 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, init=False)
-class Graph:
+class Value:
+    """The base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields`` and sets each once, in its own
+    ``__init__``, with ``object.__setattr__``; any later assignment or
+    deletion raises AttributeError.  Two values are equal when they are of
+    the same class with equal fields, a value hashes as the tuple of its
+    fields, and it prints as ``Name(field=value, ...)``.  ``cached_property``
+    writes to the instance's ``__dict__`` directly, so it still caches.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Graph(Value):
     """Simple undirected graph over nonnegative integer vertex ids."""
 
+    _fields = ("vertices", "edges")
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
 
@@ -193,17 +227,24 @@ def delete_vertices(graph: Graph, removed: Iterable[int]) -> Graph:
     return induced_subgraph(graph, graph.vertex_set - frozenset(removed))
 
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(Value):
     """A graph with one vertex set collapsed, plus where each new id came from.
 
     origin_map partitions the old vertex set; merged_vertex maps to exactly
     the collapsed set, every other id to itself.
     """
 
+    _fields = ("graph", "merged_vertex", "origin_map")
     graph: Graph
     merged_vertex: int
     origin_map: dict[int, frozenset[int]]
+
+    def __init__(
+        self, graph: Graph, merged_vertex: int, origin_map: dict[int, frozenset[int]]
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "merged_vertex", merged_vertex)
+        object.__setattr__(self, "origin_map", origin_map)
 
 
 def contract(graph: Graph, merged: Iterable[int]) -> ContractionResult:

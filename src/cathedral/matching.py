@@ -27,13 +27,12 @@ inside it) would, and builds neither.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFactorizableError, SearchBudgetExceeded, StructureViolation
-from .graph import Edge, Graph, _vertex_id, edge
+from .graph import Edge, Graph, Value, _vertex_id, edge
 
 # an index adjacency: a graph's own tuples, or the lists saturate grows
 Rows = Sequence[Sequence[int]]
@@ -56,10 +55,10 @@ class PathKind(Enum):
     EXPOSED = "exposed"
 
 
-@dataclass(frozen=True, init=False)
-class Matching:
+class Matching(Value):
     """A set of pairwise vertex-disjoint edges of a host graph."""
 
+    _fields = ("graph", "edges")
     graph: Graph
     edges: frozenset[Edge]
 
@@ -469,13 +468,17 @@ def is_factor_critical(graph: Graph, *, kept: Iterable[int] | None = None) -> bo
     return len(marked) == len(within)
 
 
-@dataclass(frozen=True)
-class PerfectMatchingEnumeration:
+class PerfectMatchingEnumeration(Value):
     """All perfect matchings in lexicographic order, with a truncation flag
     set when more than the requested cap exist."""
 
+    _fields = ("matchings", "truncated")
     matchings: tuple[Matching, ...]
     truncated: bool
+
+    def __init__(self, matchings: tuple[Matching, ...], truncated: bool) -> None:
+        object.__setattr__(self, "matchings", matchings)
+        object.__setattr__(self, "truncated", truncated)
 
     def __len__(self) -> int:
         return len(self.matchings)
@@ -601,8 +604,7 @@ def _walk(
             path.pop()
 
 
-@dataclass(frozen=True)
-class AlternatingReach:
+class AlternatingReach(Value):
     """All-pairs reachability under one matching, by paths that start matched.
 
     ``saturated[u]`` holds the other endpoints of saturated paths (symmetric);
@@ -610,8 +612,15 @@ class AlternatingReach:
     ``u`` itself (the trivial path).
     """
 
+    _fields = ("saturated", "balanced")
     saturated: dict[int, frozenset[int]]
     balanced: dict[int, frozenset[int]]
+
+    def __init__(
+        self, saturated: dict[int, frozenset[int]], balanced: dict[int, frozenset[int]]
+    ) -> None:
+        object.__setattr__(self, "saturated", saturated)
+        object.__setattr__(self, "balanced", balanced)
 
 
 def alternating_reachability(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator
@@ -48,6 +47,7 @@ from .gallai_edmonds import gallai_edmonds
 from .graph import (
     Edge,
     Graph,
+    Value,
     add_edges,
     complement_pairs,
     connected_components,
@@ -83,25 +83,37 @@ _PATH_BUDGET = 2_000_000
 _SHRINK_ATTEMPTS = 400
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(Value):
     """Knobs for the random-instance generator and the suite budgets."""
 
+    _fields = ("seed", "trials", "max_vertices", "edge_probability", "enumeration_cap")
     seed: int
-    trials: int = 100
-    max_vertices: int = 8
-    edge_probability: float = 0.3
-    enumeration_cap: int = 64
+    trials: int
+    max_vertices: int
+    edge_probability: float
+    enumeration_cap: int
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
+    def __init__(
+        self,
+        seed: int,
+        trials: int = 100,
+        max_vertices: int = 8,
+        edge_probability: float = 0.3,
+        enumeration_cap: int = 64,
+    ) -> None:
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.max_vertices < 2 or self.max_vertices % 2 != 0:
+        if max_vertices < 2 or max_vertices % 2 != 0:
             raise ValueError("max_vertices must be even and at least 2")
-        if not 0.0 <= self.edge_probability <= 1.0:
+        if not 0.0 <= edge_probability <= 1.0:
             raise ValueError("edge_probability must lie in [0, 1]")
-        if self.enumeration_cap < 1:
+        if enumeration_cap < 1:
             raise ValueError("enumeration_cap must be at least 1")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "max_vertices", max_vertices)
+        object.__setattr__(self, "edge_probability", edge_probability)
+        object.__setattr__(self, "enumeration_cap", enumeration_cap)
 
 
 def _mix(seed: int, trial: int) -> int:
@@ -128,20 +140,41 @@ def random_factorizable_graph(config: TrialConfig, trial: int) -> Graph:
     return Graph(range(n), edges)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
+    _fields = ("check", "status", "reason", "counterexample", "millis")
     check: str
     status: str  # "pass" | "fail" | "skip"
-    reason: str = ""
-    counterexample: str = ""
-    millis: float = 0.0
+    reason: str
+    counterexample: str
+    millis: float
+
+    def __init__(
+        self,
+        check: str,
+        status: str,
+        reason: str = "",
+        counterexample: str = "",
+        millis: float = 0.0,
+    ) -> None:
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "millis", millis)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Value):
+    _fields = ("graph_text", "config", "results")
     graph_text: str
     config: TrialConfig
     results: tuple[CheckResult, ...]
+
+    def __init__(
+        self, graph_text: str, config: TrialConfig, results: tuple[CheckResult, ...]
+    ) -> None:
+        object.__setattr__(self, "graph_text", graph_text)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "results", results)
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(r for r in self.results if r.status == "fail")
@@ -198,14 +231,18 @@ class _Table(dict):
         return value
 
 
-@dataclass(frozen=True, eq=False)
 class _TrialContext(GraphStructure):
     """Shared, lazily computed artifacts for one graph under test, on top of
     the graph's canonical structures, each held once and read by every check
     that needs it.  A table's fill closes over the artifacts it reads, not
     over the context, so no reference cycle keeps a finished context alive."""
 
+    _fields = ("graph", "config")
     config: TrialConfig
+
+    def __init__(self, graph: Graph, config: TrialConfig) -> None:
+        super().__init__(graph)
+        object.__setattr__(self, "config", config)
 
     @cached_property
     def enumeration(self) -> PerfectMatchingEnumeration:
@@ -1241,7 +1278,15 @@ def run_suite(
         if closed.graph != graph:
             for name, fn in closure_runs:
                 result, _ = _run_one(name, fn, closed)
-                results.append(replace(result, check=f"{name}@closure"))
+                results.append(
+                    CheckResult(
+                        f"{name}@closure",
+                        result.status,
+                        result.reason,
+                        result.counterexample,
+                        result.millis,
+                    )
+                )
     return SuiteReport(_graph_text(graph), config, tuple(results))
 
 

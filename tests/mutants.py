@@ -39,8 +39,10 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "conftest.py", "pyproject.toml")
 LEFT_OUT = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
 
-# the modules whose tests read the fast paths' answers and costs
+# the modules whose tests read the value classes' semantics and the fast
+# paths' answers and costs
 SUBSET = (
+    "tests/test_values.py",
     "tests/test_matching.py",
     "tests/test_gallai_edmonds.py",
     "tests/test_primitives.py",
@@ -64,12 +66,36 @@ class Mutant:
     equivalent: str | None = None  # why it can change no answer and no cost
 
 
+GRAPH = "src/cathedral/graph.py"
 MATCHING = "src/cathedral/matching.py"
 CANONICAL = "src/cathedral/canonical.py"
 GALLAI_EDMONDS = "src/cathedral/gallai_edmonds.py"
 SERIALIZE = "src/cathedral/serialize.py"
 
 CATALOGUE = (
+    Mutant(
+        "value-eq-without-class-test",
+        GRAPH,
+        "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+        "",
+        "a value equals one of another class whose fields are equal",
+    ),
+    Mutant(
+        "value-hash-leaves-out-a-field",
+        GRAPH,
+        "        return hash(self._values())\n",
+        "        return hash(self._values()[1:])\n",
+        "a value hashes without its first field, so values that differ there collide",
+    ),
+    Mutant(
+        "value-assignment-guard-removed",
+        GRAPH,
+        "    def __setattr__(self, name: str, value: object) -> None:\n"
+        '        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")\n'
+        "\n",
+        "",
+        "a value's fields can be reassigned after it is built",
+    ),
     Mutant(
         "one-pair-heads-guard-dropped",
         MATCHING,

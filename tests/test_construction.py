@@ -1,3 +1,4 @@
+import functools
 import re
 from collections import Counter
 from itertools import compress
@@ -250,21 +251,22 @@ def _assert_parts_cut_the_table(closure: Graph) -> int:
     return checked
 
 
-_LEMMA_CORPUS = (
-    sparse_many_component_graphs(40)
-    + mid_size_graphs(60)
-    + [
-        random_factorizable_graph(TrialConfig(seed=0, max_vertices=12, edge_probability=0.25), t)
-        for t in range(300)
-    ]
-)
+@functools.cache
+def _lemma_corpus() -> list[Graph]:
+    # built on first use, so collecting this module runs no search
+    config = TrialConfig(seed=0, max_vertices=12, edge_probability=0.25)
+    return (
+        sparse_many_component_graphs(40)
+        + mid_size_graphs(60)
+        + [random_factorizable_graph(config, t) for t in range(300)]
+    )
 
 
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
 def test_every_level_and_foundation_reads_the_closure_table(descending):
     # the lemma decompose rests on, against from-scratch tables of the parts
     checked = sum(
-        _assert_parts_cut_the_table(saturate(g, descending=descending)[0]) for g in _LEMMA_CORPUS
+        _assert_parts_cut_the_table(saturate(g, descending=descending)[0]) for g in _lemma_corpus()
     )
     assert checked > 10_000
 

@@ -36,10 +36,15 @@ class _Level(enum.IntEnum):
     LOW = 1
 
 
+# the writer has no path that depends on a list's length, so four items show
+# every shape below; drawing longer ones took most of the property's time
+_LONGEST = 4
+
+
 def _rows(k: int, elements=_INTS):
     """Lists and tuples of k elements each, mixed in one list."""
     row = st.lists(elements, min_size=k, max_size=k)
-    return st.lists(row | row.map(tuple), min_size=1)
+    return st.lists(row | row.map(tuple), min_size=1, max_size=_LONGEST)
 
 
 # the shapes the writer joins in one call: lists of one scalar type, lists
@@ -47,28 +52,34 @@ def _rows(k: int, elements=_INTS):
 # template; mixed ones and the near-misses of a template must not take
 # those paths
 _FLAT = (
-    st.lists(_INTS)
-    | st.lists(st.booleans())
-    | st.lists(_INTS | st.booleans())
-    | st.lists(st.lists(_INTS, max_size=3))
-    | st.lists(st.lists(st.booleans() | _INTS, max_size=3).map(tuple))
-    | st.integers(1, 3).flatmap(_rows)
-    | st.lists(st.lists(_INTS, min_size=1, max_size=3) | st.tuples(_INTS, _INTS), min_size=2)
-    | st.integers(1, 3).flatmap(lambda k: _rows(k, _INTS | st.booleans() | st.just(_Level.LOW)))
-    | st.lists(st.tuples(_INTS, _INTS) | st.just([]), min_size=1)
-    | st.lists(st.just([]) | st.just(()), min_size=1)
+    st.lists(_INTS, max_size=_LONGEST)
+    | st.lists(st.booleans(), max_size=_LONGEST)
+    | st.lists(_INTS | st.booleans(), max_size=_LONGEST)
+    | st.lists(st.lists(_INTS, max_size=3), max_size=_LONGEST)
+    | st.lists(st.lists(st.booleans() | _INTS, max_size=3).map(tuple), max_size=_LONGEST)
+    | st.one_of([_rows(k) for k in (1, 2, 3)])
+    | st.lists(
+        st.lists(_INTS, min_size=1, max_size=3) | st.tuples(_INTS, _INTS),
+        min_size=2,
+        max_size=_LONGEST,
+    )
+    | st.one_of([_rows(k, _INTS | st.booleans() | st.just(_Level.LOW)) for k in (1, 2, 3)])
+    | st.lists(st.tuples(_INTS, _INTS) | st.just([]), min_size=1, max_size=_LONGEST)
+    | st.lists(st.just([]) | st.just(()), min_size=1, max_size=_LONGEST)
 )
 
 
 def _containers(children):
     return (
-        st.lists(children, max_size=5)
-        | st.lists(children, max_size=5).map(tuple)
-        | st.dictionaries(_KEYS, children, max_size=5)
+        st.lists(children, max_size=3)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=3)
     )
 
 
-JSON_VALUES = st.recursive(_SCALARS | _FLAT, _containers, max_leaves=40)
+# sixteen leaves in containers of at most three items still nest the flat
+# shapes six and seven containers deep
+JSON_VALUES = st.recursive(_SCALARS | _FLAT, _containers, max_leaves=16)
 
 
 @given(JSON_VALUES)

@@ -20,6 +20,7 @@ functions, and graphs are counted on both constructors, the checked one and
 the unchecked `Graph._trusted`.
 """
 
+import functools
 import json
 import random
 import sys
@@ -70,8 +71,26 @@ def _seeded(n: int, p: float, seed: int, keep) -> Graph:
             return g
 
 
-ELEMENTARY = _seeded(20, 0.3, 1, lambda k: k == 1)
-SPARSE = _seeded(18, 0.1, 2, lambda k: k >= 4)
+# the graphs several tests share, by name; each is built on its first use,
+# so collecting this module runs no search and a fault in one fails tests,
+# not the collection
+_CORPUS = {
+    "elementary": lambda: _seeded(20, 0.3, 1, lambda k: k == 1),
+    "sparse": lambda: _seeded(18, 0.1, 2, lambda k: k >= 4),
+    "closure-ascending": lambda: saturate(path(80))[0],
+    "closure-descending": lambda: saturate(path(80), descending=True)[0],
+    "closure-reversed": lambda: reversed_ids(corpus("closure-ascending")),
+    "chain-reversed": lambda: reversed_ids(chain_graph(40)),
+    **{f"p{order}-closure": lambda order=order: saturate(path(order))[0] for order in (8, 20, 40)},
+    # K_4 with the tower K_2 over its class {0}: the least degree, 2, lies
+    # in the tower, the greatest, 5, at 0 in the foundation
+    "k4-tower": lambda: Graph(range(6), [*combinations(range(4), 2), (4, 5), (0, 4), (0, 5)]),
+}
+
+
+@functools.cache
+def corpus(name: str) -> Graph:
+    return _CORPUS[name]()
 
 
 def _rebind(monkeypatch, original, replacement) -> None:
@@ -120,12 +139,12 @@ def _count(monkeypatch) -> Counter:
         "is_minimum_of",
         lambda self, *args: counts.update(["is_minimum_of"]) or minimum_of(self, *args),
     )
-    # a _TrialContext builds through GraphStructure's __post_init__ too
-    post_init = GraphStructure.__post_init__
+    # a _TrialContext builds through GraphStructure's __init__ too
+    init = GraphStructure.__init__
     monkeypatch.setattr(
         GraphStructure,
-        "__post_init__",
-        lambda self: counts.update(["structures"]) or post_init(self),
+        "__init__",
+        lambda self, graph: counts.update(["structures"]) or init(self, graph),
     )
     build = Graph.__init__
     monkeypatch.setattr(
@@ -144,10 +163,11 @@ def _count(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "graph, ge", [(ELEMENTARY, True), (SPARSE, False)], ids=["elementary-ge", "sparse"]
+    "name, ge", [("elementary", True), ("sparse", False)], ids=["elementary-ge", "sparse"]
 )
-def test_analyze_reads_one_table(monkeypatch, graph, ge):
+def test_analyze_reads_one_table(monkeypatch, name, ge):
     # one pass, the structure's: it is the precondition and keeps the perfect matching
+    graph = corpus(name)
     counts = _count(monkeypatch)
     analysis = analysis_dict(graph, include_deleted_partitions=ge)
     assert (counts["_perfect_mate"], counts["is_factorizable"]) == (1, 0)
@@ -159,11 +179,12 @@ def test_analyze_ge_builds_no_graph_per_deletion(monkeypatch, tmp_path, capsys):
     # the parse only: the components walk the allowed edges by position, and
     # the deficiency check of each G-x counts the components of G[D] on G's
     # own adjacency
+    graph = corpus("elementary")
     path = tmp_path / "elementary.edges"
-    path.write_text(render_edge_list(ELEMENTARY))
+    path.write_text(render_edge_list(graph))
     counts = _count(monkeypatch)
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["deleted_partitions"]) == ELEMENTARY.order
+    assert len(json.loads(capsys.readouterr().out)["deleted_partitions"]) == graph.order
     assert (counts["graphs"], counts["_perfect_mate"]) == (1, 1)
 
 
@@ -171,12 +192,12 @@ def test_each_graph_builds_one_index(monkeypatch, tmp_path, capsys):
     # the precondition, the rows and the structure's readers share the
     # parsed graph's index; the allowed-edge skeleton is never searched.
     # Holding every indexed graph keeps its id from being reused
+    path = tmp_path / "elementary.edges"
+    path.write_text(render_edge_list(corpus("elementary")))
     indexed, derived = [], []
     prop = Graph.__dict__["index_adjacency"]
     build = prop.func
     monkeypatch.setattr(prop, "func", lambda graph: indexed.append(graph) or build(graph))
-    path = tmp_path / "elementary.edges"
-    path.write_text(render_edge_list(ELEMENTARY))
     assert main(["analyze", str(path), "--ge", "--format", "json"]) == 0
     assert len(indexed) == 1
     # an induced subgraph builds its own index from its own edges, like any
@@ -232,20 +253,14 @@ def test_a_chain_tree_runs_one_contraction_search_per_level(monkeypatch):
     assert (counts["_contracted_outer"], counts["_perfect_mate"]) == (48, 49)
 
 
-_CLOSURE = saturate(path(80))[0]
-_NUMBERINGS = {
-    "closure-ascending": _CLOSURE,
-    "closure-descending": saturate(path(80), descending=True)[0],
-    "closure-reversed": reversed_ids(_CLOSURE),
-    "chain-reversed": reversed_ids(chain_graph(40)),
-}
-
-
-@pytest.mark.parametrize("graph", _NUMBERINGS.values(), ids=_NUMBERINGS)
-def test_each_level_runs_one_contraction_search_however_ids_fall(monkeypatch, graph):
+@pytest.mark.parametrize(
+    "name", ["closure-ascending", "closure-descending", "closure-reversed", "chain-reversed"]
+)
+def test_each_level_runs_one_contraction_search_however_ids_fall(monkeypatch, name):
     # 40 levels, each foundation named by degree and checked by one search;
     # trying each level's components in id order ran 820 searches on the
     # ascending closure and on the reversed chain
+    graph = corpus(name)
     counts = _count(monkeypatch)
     tree = decompose(graph)
     assert counts["_contracted_outer"] == 40
@@ -254,23 +269,24 @@ def test_each_level_runs_one_contraction_search_however_ids_fall(monkeypatch, gr
     assert counts["_contracted_outer"] == 40
 
 
-_SATURATED = {
-    "closure": _CLOSURE,
-    "chain-reversed": _NUMBERINGS["chain-reversed"],
-    **{f"p{order}-closure": saturate(path(order))[0] for order in (8, 20, 40)},
-    # K_4 with the tower K_2 over its class {0}: the least degree, 2, lies
-    # in the tower, the greatest, 5, at 0 in the foundation
-    "k4-tower": Graph(range(6), [*combinations(range(4), 2), (4, 5), (0, 4), (0, 5)]),
-}
-
-
-@pytest.mark.parametrize("graph", _SATURATED.values(), ids=_SATURATED)
-def test_the_minimum_is_tried_at_the_greatest_degree_first(monkeypatch, graph):
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param("closure-ascending", id="closure"),
+        "chain-reversed",
+        "p8-closure",
+        "p20-closure",
+        "p40-closure",
+        "k4-tower",
+    ],
+)
+def test_the_minimum_is_tried_at_the_greatest_degree_first(monkeypatch, name):
     # the component of the vertex of greatest degree is the foundation of a
     # saturated graph; trying the components in id order ran 40 searches on
     # the first two, trying that component last ran one per component, and
     # trying the component of a vertex of least degree first ran two on the
     # tower graph
+    graph = corpus(name)
     tree = decompose(graph)
     counts = _count(monkeypatch)
     assert foundation_via_ge(graph) == tree.foundation_vertices
@@ -305,15 +321,15 @@ def test_a_bicritical_graph_walks_no_deletion(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "graph, short",
-    [(ELEMENTARY, 0), (SPARSE, 18), (saturate(path(8))[0], 7)],
+    "name, short",
+    [("elementary", 0), ("sparse", 18), ("p8-closure", 7)],
     ids=["elementary", "sparse", "p8-closure"],
 )
 def test_the_deletion_partitions_walk_exactly_the_rows_short_of_g_less_x(
-    monkeypatch, graph, short
+    monkeypatch, name, short
 ):
     # a fresh copy, so no earlier test's pass is cached on the graph
-    graph = Graph(graph.vertices, graph.edges)
+    graph = Graph(corpus(name).vertices, corpus(name).edges)
     structure = GraphStructure(graph)
     n = graph.order
     assert sum(structure.row(i).count(True) < n - 1 for i in range(n)) == short
@@ -341,7 +357,7 @@ def test_construct_tree_runs_at_most_two_searches_per_vertex(monkeypatch):
 def test_a_one_level_construction_fills_one_table(monkeypatch):
     # with every tower empty the output is the foundation, read off its
     # structure; each empty tower's structure has no row to search
-    closure = saturate(ELEMENTARY)[0]
+    closure = saturate(corpus("elementary"))[0]
     tree = decompose(closure)
     assert all(sub is None for _, sub in tree.classes)
     counts = _count(monkeypatch)
@@ -379,7 +395,7 @@ def test_the_foundation_is_found_without_the_component_order(monkeypatch):
 def test_trial_context_artifacts_share_one_table(monkeypatch):
     # and the context, a structure, runs one pass, its own
     counts = _count(monkeypatch)
-    ctx = _TrialContext(ELEMENTARY, TrialConfig(seed=0))
+    ctx = _TrialContext(corpus("elementary"), TrialConfig(seed=0))
     for artifact in ("components", "partition", "poset", "saturated", "deletion_partitions"):
         getattr(ctx, artifact)
     assert (counts["structures"], counts["_perfect_mate"], counts["_blossom_pass"]) == (1, 1, 1)
@@ -502,7 +518,7 @@ def test_saturate_fills_one_growing_table(monkeypatch):
     # two passes: its precondition's, which the benchmark counts, and its
     # perfect matching's
     counts = _count(monkeypatch)
-    assert saturate(SPARSE)[1]
+    assert saturate(corpus("sparse"))[1]
     assert (counts["is_factorizable"], counts["_blossom_pass"]) == (1, 2)
     assert counts["_perfect_mate"] == 1
     assert counts["structures"] == 0
@@ -518,14 +534,15 @@ def test_saturate_runs_one_deletion_search_per_run_of_u(monkeypatch, descending)
 
 
 def test_component_cap_is_checked_before_the_partition(monkeypatch, tmp_path, capsys):
+    sparse = corpus("sparse")
     counts = _count(monkeypatch)
     with pytest.raises(ComponentLimitError):
-        analysis_dict(SPARSE, max_components=1)
+        analysis_dict(sparse, max_components=1)
     assert counts["_perfect_mate"] == 1
     path = tmp_path / "sparse.edges"
-    path.write_text(render_edge_list(SPARSE))
+    path.write_text(render_edge_list(sparse))
     assert main(["analyze", str(path), "--max-components", "1"]) == 3
-    k = len(factor_components(SPARSE))
+    k = len(factor_components(sparse))
     assert capsys.readouterr().err == f"error: {k} components exceed the component limit of 1\n"
 
 
@@ -557,21 +574,21 @@ def test_every_graph_verb_refuses_the_star_at_once(monkeypatch, tmp_path, capsys
     assert counts["_perfect_mate"] == (verb != ["saturate"])
 
 
-@pytest.mark.parametrize("graph", [ELEMENTARY, SPARSE], ids=["elementary", "sparse"])
+@pytest.mark.parametrize("name", ["elementary", "sparse"])
 @pytest.mark.parametrize(
     "verb",
     [["analyze"], ["analyze", "--ge"], ["decompose"], ["hasse"], ["saturated"]],
     ids=" ".join,
 )
 def test_each_structure_holds_one_table_and_runs_one_pass(
-    monkeypatch, tmp_path, capsys, graph, verb
+    monkeypatch, tmp_path, capsys, name, verb
 ):
-    # the structure's pass is its precondition.  ELEMENTARY is
-    # saturated and SPARSE is not, so on SPARSE `saturated` answers 1 and
-    # decompose refuses with 3, both after building the structure
+    # the structure's pass is its precondition.  The elementary graph is
+    # saturated and the sparse one is not, so on it `saturated` answers 1
+    # and decompose refuses with 3, both after building the structure
     path = tmp_path / "g.edges"
-    path.write_text(render_edge_list(graph))
-    code = {"saturated": 1, "decompose": 3}.get(verb[0], 0) if graph is SPARSE else 0
+    path.write_text(render_edge_list(corpus(name)))
+    code = {"saturated": 1, "decompose": 3}.get(verb[0], 0) if name == "sparse" else 0
     counts = _count(monkeypatch)
     assert main([verb[0], str(path), *verb[1:]]) == code
     capsys.readouterr()

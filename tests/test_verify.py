@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -9,7 +8,7 @@ import cathedral.matching
 import cathedral.verify
 from cathedral.canonical import CanonicalPartition, GraphStructure
 from cathedral.cli import main
-from cathedral.construction import saturate
+from cathedral.construction import CathedralTree, saturate
 from cathedral.errors import NotFactorizableError
 from cathedral.graph import Graph, add_edges, complement_pairs, delete_vertices, induced_subgraph
 from cathedral.matching import enumerate_perfect_matchings
@@ -472,7 +471,9 @@ def test_a_decomposition_construct_refuses_fails_the_checks_that_rebuild_it(monk
     def merged(*args):
         tree = decompose(*args)
         (first, tower), (second, _), *rest = tree.classes
-        return replace(tree, classes=((first | second, tower), *rest))
+        return CathedralTree(
+            tree.foundation_vertices, tree.foundation_edges, ((first | second, tower), *rest)
+        )
 
     monkeypatch.setattr(cathedral.verify, "_decompose_saturated", merged)
     config = TrialConfig(seed=0)
