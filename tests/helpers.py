@@ -141,11 +141,11 @@ def mid_size_graphs(count: int) -> list[Graph]:
 def plant_k10_closure(monkeypatch) -> Graph:
     """Make the verifier's ``saturate`` return K_10, with its 945 perfect
     matchings, and return the 10-vertex perfect matching, which has one."""
-    import cathedral.verify
+    import cathedral.checks
 
     k10 = Graph(range(10), combinations(range(10), 2))
     monkeypatch.setattr(
-        cathedral.verify, "saturate", lambda graph, descending=False: (k10, tuple(sorted(k10.edges - graph.edges)))
+        cathedral.checks, "saturate", lambda graph, descending=False: (k10, tuple(sorted(k10.edges - graph.edges)))
     )
     return Graph(range(10), [(i, i + 1) for i in range(0, 10, 2)])
 

@@ -39,8 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "conftest.py", "pyproject.toml")
 LEFT_OUT = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
 
-# the modules whose tests read the value classes' semantics and the fast
-# paths' answers and costs
+# the modules whose tests read the value classes' semantics, the fast
+# paths' answers and costs, and last what the CLI's import loads
 SUBSET = (
     "tests/test_values.py",
     "tests/test_matching.py",
@@ -51,6 +51,7 @@ SUBSET = (
     "tests/test_canonical.py",
     "tests/test_acceptance.py",
     "tests/test_serialize.py",
+    "tests/test_startup.py",
 )
 LIMIT_S = 300.0  # the subset passes in about 50 s
 HANG_MARK = "Timeout ("  # how faulthandler's dump, armed by conftest.py, begins
@@ -71,6 +72,7 @@ MATCHING = "src/cathedral/matching.py"
 CANONICAL = "src/cathedral/canonical.py"
 GALLAI_EDMONDS = "src/cathedral/gallai_edmonds.py"
 SERIALIZE = "src/cathedral/serialize.py"
+VERIFY = "src/cathedral/verify.py"
 
 CATALOGUE = (
     Mutant(
@@ -215,6 +217,14 @@ CATALOGUE = (
         '            return "[]"\n        kinds = set(map(type, value))\n        if len(kinds) == 1:\n',
         '            return "{}"\n        kinds = set(map(type, value))\n        if len(kinds) == 1:\n',
         "an empty list or tuple is written as json writes an empty object",
+    ),
+    Mutant(
+        "checks-loaded-with-the-verifier",
+        VERIFY,
+        "        for t in range(config.trials)\n    ]\n",
+        "        for t in range(config.trials)\n    ]\n\n\nfrom . import checks  # noqa: E402,F401\n",
+        "the verifier imports its checks at module level, so every CLI verb "
+        "compiles them (cost only: every answer is unchanged)",
     ),
 )
 

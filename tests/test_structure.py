@@ -29,10 +29,11 @@ from itertools import combinations
 
 import pytest
 
+import cathedral.checks
 import cathedral.graph
 import cathedral.matching
-import cathedral.verify
 from cathedral.canonical import GraphStructure, factor_components
+from cathedral.checks import _CHECKS, _check_upward_reachability, _run_one, _TrialContext
 from cathedral.cli import main
 from cathedral.construction import (
     ConstructionSpec,
@@ -45,16 +46,7 @@ from cathedral.construction import (
 from cathedral.errors import ComponentLimitError
 from cathedral.graph import Graph, render_edge_list
 from cathedral.serialize import analysis_dict
-from cathedral.verify import (
-    _CHECKS,
-    TrialConfig,
-    _check_upward_reachability,
-    _run_one,
-    _TrialContext,
-    random_factorizable_graph,
-    run_suite,
-    run_trials,
-)
+from cathedral.verify import TrialConfig, random_factorizable_graph, run_suite, run_trials
 
 from helpers import chain_graph, chain_tree, path, reversed_ids
 
@@ -444,12 +436,12 @@ def test_the_edge_witness_reads_one_table_per_grown_graph(monkeypatch):
 
 def _record(monkeypatch, name: str) -> list:
     """The arguments, keyword values last, of every call of
-    `cathedral.verify.<name>` from now on; holding them keeps every graph
+    `cathedral.checks.<name>` from now on; holding them keeps every graph
     alive, so no graph's id is reused."""
     calls = []
-    original = getattr(cathedral.verify, name)
+    original = getattr(cathedral.checks, name)
     monkeypatch.setattr(
-        cathedral.verify,
+        cathedral.checks,
         name,
         lambda *args, **kwargs: calls.append((*args, *kwargs.values())) or original(*args, **kwargs),
     )

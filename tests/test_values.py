@@ -16,6 +16,7 @@ from cathedral.canonical import (
     factor_components,
     up_sets,
 )
+from cathedral.checks import _TrialContext
 from cathedral.construction import ConstructionSpec, decompose, saturate
 from cathedral.gallai_edmonds import gallai_edmonds
 from cathedral.graph import Graph, contract, render_edge_list
@@ -24,7 +25,7 @@ from cathedral.matching import (
     enumerate_perfect_matchings,
     maximum_matching,
 )
-from cathedral.verify import CheckResult, SuiteReport, TrialConfig, _TrialContext
+from cathedral.verify import CheckResult, SuiteReport, TrialConfig
 
 from helpers import K2, T
 

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
+import cathedral.checks
 import cathedral.matching
-import cathedral.verify
 from cathedral.canonical import CanonicalPartition, GraphStructure
+from cathedral.checks import _CHECKS, _capped_matching_counter, _run_one, _TrialContext
 from cathedral.cli import main
 from cathedral.construction import CathedralTree, saturate
 from cathedral.errors import NotFactorizableError
@@ -14,13 +15,9 @@ from cathedral.graph import Graph, add_edges, complement_pairs, delete_vertices,
 from cathedral.matching import enumerate_perfect_matchings
 from cathedral.serialize import report_json
 from cathedral.verify import (
-    _CHECKS,
     CHECK_IDS,
     PATH_CHECK_IDS,
     TrialConfig,
-    _capped_matching_counter,
-    _run_one,
-    _TrialContext,
     random_factorizable_graph,
     run_suite,
     run_trials,
@@ -75,6 +72,14 @@ def test_generator_regression_fixture():
     assert g.sorted_edges() == [(0, 1), (1, 3), (1, 4), (2, 3), (4, 5)]
 
 
+def test_the_check_ids_name_the_checks_in_the_order_they_run():
+    # verify lists the ids without loading the checks; run_suite reports
+    # them in _CHECKS's order
+    assert CHECK_IDS == tuple(name for name, _ in _CHECKS)
+    assert len(set(CHECK_IDS)) == len(CHECK_IDS) == 35
+    assert set(PATH_CHECK_IDS) <= set(CHECK_IDS)
+
+
 def test_suite_on_saturated_fixture_nothing_skips():
     report = run_suite(T, TrialConfig(seed=1, trials=1))
     assert report.ok
@@ -110,7 +115,7 @@ def test_suite_subset_run():
 
 
 def test_exhausted_search_budget_skips_instead_of_passing(monkeypatch):
-    monkeypatch.setattr(cathedral.verify, "_PATH_BUDGET", 1)
+    monkeypatch.setattr(cathedral.checks, "_PATH_BUDGET", 1)
     cfg = TrialConfig(seed=1, trials=1)
     report = run_suite(K4, cfg, only=["saturated-path-iff-deletion-factorizable"])
     (result,) = report.results
@@ -122,13 +127,13 @@ def test_a_budget_bound_sweep_runs_once_per_matching(monkeypatch):
     # the host's sweep runs out of its 20 expansions; the failure is kept,
     # so each later check that reads it skips without walking again
     budget = 20
-    monkeypatch.setattr(cathedral.verify, "_PATH_BUDGET", budget)
+    monkeypatch.setattr(cathedral.checks, "_PATH_BUDGET", budget)
     config = TrialConfig(seed=0)
     ctx = _TrialContext(random_factorizable_graph(config, 0), config)
     spent: Counter = Counter()
     swept: Counter = Counter()
     current = []
-    sweep = cathedral.verify.alternating_reachability
+    sweep = cathedral.checks.alternating_reachability
 
     def counted_sweep(graph, matching, **kwargs):
         if kwargs.get("kept") is not None:
@@ -153,7 +158,7 @@ def test_a_budget_bound_sweep_runs_once_per_matching(monkeypatch):
             if current:
                 spent[current[-1]] += before - left[0]
 
-    monkeypatch.setattr(cathedral.verify, "alternating_reachability", counted_sweep)
+    monkeypatch.setattr(cathedral.checks, "alternating_reachability", counted_sweep)
     monkeypatch.setattr(cathedral.matching, "_walk", counted_walk)
     results = [_run_one(name, check, ctx)[0] for name, check in _CHECKS]
     skipped = [r for r in results if r.reason == "search budget exceeded"]
@@ -170,8 +175,8 @@ def test_whole_graph_path_questions_read_the_one_sweep(monkeypatch):
     config = TrialConfig(seed=0)
     graph = random_factorizable_graph(config, 8)
     swept, asked = [], []
-    sweep = cathedral.verify.alternating_reachability
-    search = cathedral.verify.alternating_path_exists
+    sweep = cathedral.checks.alternating_reachability
+    search = cathedral.checks.alternating_path_exists
 
     def counted_sweep(g, matching, **kwargs):
         swept.append((g, matching.edges, kwargs.get("kept")))
@@ -181,8 +186,8 @@ def test_whole_graph_path_questions_read_the_one_sweep(monkeypatch):
         asked.append(kwargs.get("kept"))
         return search(g, *args, **kwargs)
 
-    monkeypatch.setattr(cathedral.verify, "alternating_reachability", counted_sweep)
-    monkeypatch.setattr(cathedral.verify, "alternating_path_exists", counted_search)
+    monkeypatch.setattr(cathedral.checks, "alternating_reachability", counted_sweep)
+    monkeypatch.setattr(cathedral.checks, "alternating_path_exists", counted_search)
     report = run_suite(graph, config)
     assert report.ok and any(r.check.endswith("@closure") for r in report.results)
     ctx = _TrialContext(graph, config)
@@ -194,7 +199,7 @@ def test_whole_graph_path_questions_read_the_one_sweep(monkeypatch):
 def _raises_failure(check, ctx: _TrialContext) -> bool:
     try:
         check(ctx)
-    except cathedral.verify._CheckFailed:
+    except cathedral.checks._CheckFailed:
         return True
     return False
 
@@ -275,9 +280,9 @@ def test_the_suite_builds_no_pair_deletion(monkeypatch):
     # every G-u-v, and each G-x of the gallai_edmonds and is_factor_critical
     # cross-checks, is asked on the host's index
     calls = []
-    delete_vertices = cathedral.verify.delete_vertices
+    delete_vertices = cathedral.checks.delete_vertices
     monkeypatch.setattr(
-        cathedral.verify,
+        cathedral.checks,
         "delete_vertices",
         lambda graph, removed: calls.append(removed) or delete_vertices(graph, removed),
     )
@@ -404,16 +409,16 @@ def test_the_suite_counts_no_pair_deletion_by_enumeration(monkeypatch):
     # complement pair is among them
     enumerated, counters = [], []
     enumerate_all = cathedral.matching.enumerate_perfect_matchings
-    counter = cathedral.verify._capped_matching_counter
+    counter = cathedral.checks._capped_matching_counter
 
     def enumerate_recorded(graph, cap=cathedral.matching.DEFAULT_ENUMERATION_CAP):
         enumerated.append(graph)
         return enumerate_all(graph, cap)
 
-    for module in (cathedral.matching, cathedral.verify):
+    for module in (cathedral.matching, cathedral.checks):
         monkeypatch.setattr(module, "enumerate_perfect_matchings", enumerate_recorded)
     monkeypatch.setattr(
-        cathedral.verify,
+        cathedral.checks,
         "_capped_matching_counter",
         lambda graph, limit: counters.append(graph) or counter(graph, limit),
     )
@@ -449,13 +454,12 @@ def test_reports_are_replayable():
 
 def test_failure_reporting_carries_counterexample(monkeypatch):
     # sabotage one check to exercise the failure path and the shrinker
-    from cathedral import verify as v
+    from cathedral import checks
 
     cfg = TrialConfig(seed=1, trials=1)
-    broken = ("always-broken", lambda ctx: v._fail("induced failure"))
-    monkeypatch.setattr(v, "_CHECKS", v._CHECKS + (broken,))
-    monkeypatch.setattr(v, "CHECK_IDS", v.CHECK_IDS + ("always-broken",))
-    report = v.run_suite(T, cfg, only=["always-broken"])
+    broken = ("always-broken", lambda ctx: checks._fail("induced failure"))
+    monkeypatch.setattr(checks, "_CHECKS", checks._CHECKS + (broken,))
+    report = run_suite(T, cfg, only=["always-broken"])
     failures = report.failures()
     assert len(failures) == 1
     assert failures[0].check == "always-broken"
@@ -466,7 +470,7 @@ def test_failure_reporting_carries_counterexample(monkeypatch):
 def test_a_decomposition_construct_refuses_fails_the_checks_that_rebuild_it(monkeypatch):
     # a tree with two foundation classes merged: construct raises
     # ClassKeyMismatch, which is the decomposition's fault, not the input's
-    decompose = cathedral.verify._decompose_saturated
+    decompose = cathedral.checks._decompose_saturated
 
     def merged(*args):
         tree = decompose(*args)
@@ -475,7 +479,7 @@ def test_a_decomposition_construct_refuses_fails_the_checks_that_rebuild_it(monk
             tree.foundation_vertices, tree.foundation_edges, ((first | second, tower), *rest)
         )
 
-    monkeypatch.setattr(cathedral.verify, "_decompose_saturated", merged)
+    monkeypatch.setattr(cathedral.checks, "_decompose_saturated", merged)
     config = TrialConfig(seed=0)
     report = run_suite(saturate(random_factorizable_graph(config, 0))[0], config)
     failures = report.failures()
